@@ -9,7 +9,6 @@ region of all candidate minimizers.
 """
 
 from .errors import (
-    ArcCosineDomainError,
     CoincidentPointsError,
     ConfigError,
     ConvergenceError,
@@ -23,13 +22,9 @@ from .errors import (
 )
 from .geometry import (
     Ball,
-    CanonicalFrame,
     angle_between,
-    arc_point,
-    canonicalize,
     chord_length,
     nearest_boundary_point,
-    theta_max,
     unit_vector,
     visible_cap_contains,
 )
@@ -50,7 +45,6 @@ from .membership import (
     UncertaintySet,
     Witness,
     classify_point,
-    evaluate_ball,
     evaluate_general,
     pair_score,
 )
@@ -78,9 +72,7 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcCosineDomainError",
     "Ball",
-    "CanonicalFrame",
     "CoincidentPointsError",
     "ConfigError",
     "ConvergenceError",
@@ -108,12 +100,9 @@ __all__ = [
     "Witness",
     "ZeroVectorError",
     "angle_between",
-    "arc_point",
     "build_grid",
-    "canonicalize",
     "chord_length",
     "classify_point",
-    "evaluate_ball",
     "evaluate_general",
     "finite_difference_check",
     "gradient",
@@ -126,7 +115,6 @@ __all__ = [
     "sample_unknown",
     "scan_region",
     "subdifferential",
-    "theta_max",
     "unit_vector",
     "validate_necessity",
     "visible_cap_contains",

@@ -231,6 +231,8 @@ def _parse_point(text: str, dimension: int) -> np.ndarray:
         values = [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"point {text!r}: expected comma-separated numbers") from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"point {text!r}: coordinates must be finite")
     if len(values) != dimension:
         raise ConfigError(
             f"point {text!r} has dimension {len(values)}, problem is {dimension}-D"
@@ -282,9 +284,7 @@ def _cmd_check(args) -> int:
         print(f"best_score: {verdict.best_score!r} (threshold {-config.uncertainty.sigma + config.slack!r})")
     w = verdict.witness
     if w is not None and w.x_u is not None:
-        extra = f", theta={w.theta!r}" if w.theta is not None else ""
-        tail = ", sweep truncated at first hit" if w.truncated else ""
-        print(f"witness: x_u={_format_vector(w.x_u)}, g={_format_vector(w.g)}{extra}{tail}")
+        print(f"witness: x_u={_format_vector(w.x_u)}, g={_format_vector(w.g)}")
     return 0 if verdict.member else 1
 
 
@@ -363,7 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, sigma_override_help):
         p.add_argument("config", help="problem definition JSON file")
-        p.add_argument("--theta-steps", type=int, default=None, help="sweep samples for ball sets")
+        p.add_argument(
+            "--theta-steps", type=int, default=None,
+            help="accepted for compatibility and unused: ball sets are decided in closed form",
+        )
         p.add_argument("--slack", type=float, default=None, help="additive slack on the -sigma threshold")
         p.add_argument("--sigma-override", type=float, default=None, help=sigma_override_help)
 

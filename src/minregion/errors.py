@@ -9,10 +9,6 @@ class ZeroVectorError(ValueError):
     """A direction vector is zero where a nonzero one is required."""
 
 
-class ArcCosineDomainError(ValueError):
-    """An arccos argument exceeded 1 in magnitude by more than roundoff allows."""
-
-
 class InsideBallError(ValueError):
     """A query point lies inside the closed ball where it must be outside."""
 

@@ -1,11 +1,9 @@
-"""Distance and angle primitives on Euclidean balls.
+"""Distance primitives on Euclidean balls.
 
 Everything here is a pure function of float64 arrays.  The ball-specific
-constructions (nearest boundary point, visibility cap, canonical frame)
-support the membership test for candidate minimizers: a query point x_star
-outside a ball sees only a spherical cap of the boundary, and all scoring
-for the ball case happens in the 2-plane spanned by the gradient and the
-center direction, summarized by a small canonical frame.
+constructions (nearest boundary point, visibility cap, chord length)
+describe what a query point x_star outside a ball sees of it: only a
+spherical cap of the boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ArcCosineDomainError,
     CoincidentPointsError,
     DimensionMismatchError,
     InsideBallError,
@@ -25,7 +22,6 @@ from .errors import (
 )
 
 # Tolerances, shared with the tests that pin them.
-ARCCOS_DOMAIN_SLOP = 1e-9  # |cos| may exceed 1 by at most this before it is an error
 ON_SPHERE_ATOL = 1e-9  # how far from the sphere a "boundary" point may sit
 DISCRIMINANT_ATOL = 1e-12  # negative squared lengths beyond this are an error
 
@@ -77,22 +73,6 @@ class Ball:
         return float(np.linalg.norm(x - self.center)) <= self.radius
 
 
-@dataclass(frozen=True)
-class CanonicalFrame:
-    """Isometry-invariant summary of (gradient, query point, ball).
-
-    d is the distance from the query point to the ball center, alpha the
-    angle between the gradient and the direction from the query point to
-    the center, g_norm the gradient norm.  Any rotation or translation of
-    the original data yields the same frame, so all ball-case scoring can
-    be done on these three numbers alone.
-    """
-
-    d: float
-    alpha: float
-    g_norm: float
-
-
 def unit_vector(x1, x2) -> np.ndarray:
     """Unit vector pointing from x2 toward x1.
 
@@ -109,12 +89,7 @@ def unit_vector(x1, x2) -> np.ndarray:
 
 
 def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two nonzero vectors.
-
-    The cosine is clamped to [-1, 1]; a magnitude beyond 1 + 1e-9 signals a
-    geometry bug upstream and raises ArcCosineDomainError instead of being
-    silently clamped.
-    """
+    """Angle in [0, pi] between two nonzero vectors."""
     u = as_vector(u)
     v = as_vector(v)
     _same_dim(u, v)
@@ -122,43 +97,7 @@ def angle_between(u, v) -> float:
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         raise ZeroVectorError("angle_between requires nonzero vectors")
-    c = float(np.dot(u, v)) / (nu * nv)
-    if abs(c) > 1.0 + ARCCOS_DOMAIN_SLOP:
-        raise ArcCosineDomainError(f"cosine {c} is out of [-1, 1] beyond roundoff")
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-def canonicalize(g, x_star, ball: Ball) -> CanonicalFrame:
-    """Reduce (gradient, query point, ball) to a CanonicalFrame.
-
-    Requires x_star strictly outside the closed ball and a nonzero gradient.
-    """
-    g = as_vector(g)
-    x_star = as_vector(x_star)
-    _same_dim(g, x_star, ball.center)
-    to_center = ball.center - x_star
-    d = float(np.linalg.norm(to_center))
-    if d <= ball.radius:
-        raise InsideBallError(
-            f"query point at distance {d} from the center is not outside radius {ball.radius}"
-        )
-    g_norm = float(np.linalg.norm(g))
-    if g_norm == 0.0:
-        raise ZeroVectorError("canonicalize requires a nonzero gradient")
-    alpha = angle_between(g, to_center)
-    return CanonicalFrame(d=d, alpha=alpha, g_norm=g_norm)
-
-
-def theta_max(frame: CanonicalFrame, ball: Ball) -> float:
-    """Central angle from the nearest boundary point to the tangent point.
-
-    Boundary points visible from the query point have central angle (measured
-    at the ball center, from the direction toward the query point) at most
-    arccos(radius / d).
-    """
-    if frame.d <= ball.radius:
-        raise InsideBallError("frame distance must exceed the ball radius")
-    return float(np.arccos(ball.radius / frame.d))
+    return float(np.arccos(np.clip(float(np.dot(u, v)) / (nu * nv), -1.0, 1.0)))
 
 
 def chord_length(d: float, eps0: float, theta: float) -> float:
@@ -210,37 +149,3 @@ def visible_cap_contains(x, x_star, ball: Ball) -> bool:
         raise InsideBallError("visible_cap_contains requires x_star outside the ball")
     lhs = float(np.dot(x - ball.center, x_star - ball.center))
     return lhs >= ball.radius**2
-
-
-def arc_point(x_star, ball: Ball, g, theta: float) -> np.ndarray:
-    """Boundary point at central angle theta on the scored arc.
-
-    The arc starts at the boundary point nearest x_star (theta = 0) and bends
-    toward the side the gradient g leans to; when g is colinear with the
-    center direction the side is arbitrary and a fixed one is picked.  Used
-    to turn a frame-level sweep angle back into coordinates for witnesses.
-    """
-    x_star = as_vector(x_star)
-    g = as_vector(g)
-    _same_dim(x_star, g, ball.center)
-    e_r = unit_vector(x_star, ball.center)
-    g_norm = float(np.linalg.norm(g))
-    if g_norm == 0.0:
-        raise ZeroVectorError("arc_point requires a nonzero gradient")
-    sin_t = float(np.sin(theta))
-    if sin_t == 0.0:
-        return ball.center + ball.radius * float(np.cos(theta)) * e_r
-    perp = g - float(np.dot(g, e_r)) * e_r
-    perp_norm = float(np.linalg.norm(perp))
-    if perp_norm > 1e-12 * g_norm:
-        e_t = perp / perp_norm
-    else:
-        if e_r.shape[0] == 1:
-            raise ZeroVectorError("no transverse arc direction exists in one dimension")
-        # colinear gradient: take the coordinate axis least aligned with e_r
-        k = int(np.argmin(np.abs(e_r)))
-        basis = np.zeros_like(e_r)
-        basis[k] = 1.0
-        e_t = basis - float(np.dot(basis, e_r)) * e_r
-        e_t = e_t / float(np.linalg.norm(e_t))
-    return ball.center + ball.radius * (float(np.cos(theta)) * e_r + sin_t * e_t)

@@ -8,12 +8,12 @@ point x_u in the uncertainty set satisfy
 
 where u(x1, x2) is the unit vector from x2 toward x1 and sigma is the
 strong-convexity constant of the unknown term.  evaluate_general checks this
-over explicit candidate lists; evaluate_ball specializes to ball sets, where
-the minimization reduces to a one-parameter sweep over the visible boundary
-arc in the plane spanned by the gradient and the center direction.  Points
-inside the closed set are always candidates (an admissible unknown term
-minimizing there can be constructed directly), so they are classified member
-without a score.
+over explicit candidate lists.  For ball sets the minimum of the score over
+the whole ball has a closed form (ball_score_infimum), which decides every
+ball verdict exactly and also yields the minimizing x_u; classify_point and
+the grid scanner both go through it.  Points inside the closed set are
+always candidates (an admissible unknown term minimizing there can be
+constructed directly), so they are classified member without a score.
 """
 
 from __future__ import annotations
@@ -22,16 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArcCosineDomainError,
-    CoincidentPointsError,
-    DimensionMismatchError,
-    InsideBallError,
-)
+from .errors import CoincidentPointsError, DimensionMismatchError, InsideBallError
 from .funcmodel import KnownFunction, subdifferential
-from .geometry import Ball, CanonicalFrame, arc_point, as_vector, canonicalize, unit_vector
+from .geometry import Ball, as_vector, unit_vector
 
-DEFAULT_THETA_STEPS = 2048  # samples for the ball-case sweep
+DEFAULT_THETA_STEPS = 2048  # retired sweep resolution, still echoed in reports
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
 
 
@@ -88,18 +83,10 @@ class UncertaintySet:
 
 @dataclass(frozen=True)
 class Witness:
-    """Candidate data backing a verdict.
-
-    x_u and g are coordinates when known; theta is the sweep angle for ball
-    verdicts.  truncated marks a sweep stopped at its first passing sample,
-    in which case best_score is the score at exit rather than the sweep
-    minimum.
-    """
+    """Candidate pair (x_u, g) attaining a verdict's best_score."""
 
     x_u: np.ndarray | None = None
     g: np.ndarray | None = None
-    theta: float | None = None
-    truncated: bool = False
 
 
 @dataclass(frozen=True)
@@ -127,95 +114,50 @@ def pair_score(g, x_star, x_u) -> float:
     return float(np.dot(g, u)) / dist
 
 
-def _sweep_scores(d, cos_alpha, sin_alpha, g_norm, eps0, cos_theta, sin_theta):
-    """Scores along the visible arc, broadcast over theta samples.
+def nonzero_generators(G: np.ndarray) -> np.ndarray:
+    """Rows of G that are nonzero generators; zero rows have no descent direction."""
+    return np.einsum("ij,ij->i", G, G) > 0.0
 
-    With a = d - eps0*cos(theta) and b = eps0*sin(theta) the chord length r
-    satisfies r^2 = a^2 + b^2 (a nonnegative-by-construction rewrite of the
-    law of cosines) and the angle phi between the chord and the center
-    direction satisfies cos(phi) = a/r, sin(phi) = b/r, so
 
-        score = -g_norm * cos(alpha - phi) / r = -g_norm * (cos_alpha*a + sin_alpha*b) / r^2.
+def ball_score_infimum(G, X, ball: Ball, sigma: float, slack: float = DEFAULT_SLACK):
+    """Exact minimum of the pair score over the whole ball, row by row.
+
+    Row i pairs a nonzero generator G[i] with a query point X[i] strictly
+    outside the ball (drop zero rows first with nonzero_generators); a
+    single row of X is paired with every row of G.
+    Inversion about x* maps the ball to the ball with center
+    (c - x*)/((d - eps0)(d + eps0)) and radius eps0/((d - eps0)(d + eps0)),
+    and turns the score into -<g, w>, which is linear in the image point w.
+    Its minimum is therefore attained where the image ball is tangent to a
+    plane normal to g:
+
+        score = -(||g|| eps0 + <g, c - x*>) / ((d - eps0)(d + eps0)),
+        w*    = (c - x* + eps0 g/||g||) / ((d - eps0)(d + eps0)),
+        x_u   = x* + w*/||w*||^2,
+
+    with d = ||c - x*||; x_u lies on the sphere.  Returns (member, score,
+    x_u), where member is the division-free test
+
+        ||g|| eps0 + <g, c - x*>  >=  (sigma - slack)(d - eps0)(d + eps0).
     """
-    a = d - eps0 * cos_theta
-    b = eps0 * sin_theta
-    r2 = a * a + b * b
-    return -g_norm * (cos_alpha * a + sin_alpha * b) / r2
+    eps0 = ball.radius
+    delta = ball.center - X
+    d = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    gap = (d - eps0) * (d + eps0)
+    g_norm = np.sqrt(np.einsum("ij,ij->i", G, G))
+    lift = g_norm * eps0 + np.einsum("ij,ij->i", G, delta)
+    member = lift >= (float(sigma) - float(slack)) * gap
+    w = (delta + (eps0 / g_norm)[:, None] * G) / gap[:, None]
+    x_u = X + w / np.einsum("ij,ij->i", w, w)[:, None]
+    return member, -lift / gap, x_u
 
 
-def ball_score_infimum(d: float, cos_alpha: float, g_norm: float, eps0: float) -> float:
-    """Exact infimum of the pairwise score over the whole ball.
-
-    The level sets of p -> <g, x_star - p> / ||x_star - p||^2 are spheres
-    through x_star centered along the gradient ray; the most negative level
-    still touching the ball is attained at external tangency, giving
-
-        -g_norm * (eps0 + d*cos_alpha) / (d^2 - eps0^2).
-
-    Every sampled sweep score is bounded below by this value, which makes it
-    a sound rejection test: if it exceeds the threshold, no sweep sample can
-    pass.  Only meaningful when eps0 + d*cos_alpha > 0 (otherwise no negative
-    scores exist at all and the returned value is >= 0).
-    """
-    return -g_norm * (eps0 + d * cos_alpha) / (d * d - eps0 * eps0)
-
-
-def evaluate_ball(
-    frame: CanonicalFrame,
-    eps0: float,
-    sigma: float,
-    theta_steps: int = DEFAULT_THETA_STEPS,
-    *,
-    slack: float = DEFAULT_SLACK,
-    early_exit: bool = True,
-) -> MembershipVerdict:
-    """Ball-case membership test on a canonical frame.
-
-    If alpha >= pi/2 + arcsin(eps0/d) the gradient points too far away from
-    the ball for any candidate to score negatively enough, and the verdict
-    is immediately non-member.  Otherwise theta is swept over theta_steps
-    uniform samples of [0, arccos(eps0/d)]; the point is a member iff some
-    sampled score is <= -sigma + slack.  With early_exit the sweep stops at
-    the first passing sample and the witness is flagged truncated.
-    """
+def check_theta_steps(theta_steps) -> int:
+    """Validate the retired sweep resolution, which no longer decides anything."""
     theta_steps = int(theta_steps)
     if theta_steps < 2:
         raise ValueError(f"theta_steps must be >= 2, got {theta_steps}")
-    eps0 = float(eps0)
-    sigma = float(sigma)
-    if eps0 <= 0.0:
-        raise ValueError(f"eps0 must be > 0, got {eps0}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if frame.d <= eps0:
-        raise InsideBallError("frame distance must exceed the ball radius")
-    threshold = -sigma + float(slack)
-    if frame.alpha >= 0.5 * np.pi + np.arcsin(eps0 / frame.d):
-        return MembershipVerdict(member=False)
-    thetas = np.linspace(0.0, float(np.arccos(eps0 / frame.d)), theta_steps)
-    scores = _sweep_scores(
-        frame.d,
-        np.cos(frame.alpha),
-        np.sin(frame.alpha),
-        frame.g_norm,
-        eps0,
-        np.cos(thetas),
-        np.sin(thetas),
-    )
-    passing = scores <= threshold
-    if early_exit and bool(passing.any()):
-        k = int(np.argmax(passing))
-        return MembershipVerdict(
-            member=True,
-            best_score=float(scores[k]),
-            witness=Witness(theta=float(thetas[k]), truncated=True),
-        )
-    k = int(np.argmin(scores))
-    return MembershipVerdict(
-        member=bool(passing[k]),
-        best_score=float(scores[k]),
-        witness=Witness(theta=float(thetas[k])),
-    )
+    return theta_steps
 
 
 def _visible_cap_candidates(
@@ -319,11 +261,13 @@ def classify_point(
     """Full membership decision for one query point.
 
     Points inside the closed set are members by the interior rule (no
-    witness).  Outside, ball sets go through the canonical-frame sweep per
-    subdifferential generator (zero generators are skipped), finite sets
-    through evaluate_general; the point is a member iff any generator says
-    so.
+    witness).  Outside, ball sets go through ball_score_infimum with one row
+    per nonzero subdifferential generator, finite sets through
+    evaluate_general; the point is a member iff any generator passes, and
+    the witness is the pair with the lowest score.  theta_steps (validated,
+    >= 2) and early_exit are accepted for compatibility and decide nothing.
     """
+    check_theta_steps(theta_steps)
     x_star = as_vector(x_star)
     if x_star.shape[0] != uset.dimension or f.dimension != uset.dimension:
         raise DimensionMismatchError("function, point, and set dimensions must agree")
@@ -334,35 +278,14 @@ def classify_point(
         return evaluate_general(
             f, x_star, uset, slack=slack, boundary_samples=boundary_samples
         )
-    best_score = None
-    best_witness = None
-    for g in subdifferential(f, x_star).generators:
-        if float(np.linalg.norm(g)) == 0.0:
-            continue
-        frame = canonicalize(g, x_star, region)
-        verdict = evaluate_ball(
-            frame,
-            region.radius,
-            uset.sigma,
-            theta_steps,
-            slack=slack,
-            early_exit=early_exit,
-        )
-        witness = None
-        if verdict.witness is not None and verdict.witness.theta is not None:
-            witness = Witness(
-                x_u=arc_point(x_star, region, g, verdict.witness.theta),
-                g=g,
-                theta=verdict.witness.theta,
-                truncated=verdict.witness.truncated,
-            )
-        if verdict.member:
-            return MembershipVerdict(
-                member=True, best_score=verdict.best_score, witness=witness
-            )
-        if verdict.best_score is not None and (
-            best_score is None or verdict.best_score < best_score
-        ):
-            best_score = verdict.best_score
-            best_witness = witness
-    return MembershipVerdict(member=False, best_score=best_score, witness=best_witness)
+    G = np.array(subdifferential(f, x_star).generators)
+    G = G[nonzero_generators(G)]
+    if G.shape[0] == 0:
+        return MembershipVerdict(member=False)
+    member, score, x_u = ball_score_infimum(G, x_star[None, :], region, uset.sigma, slack)
+    k = int(np.argmin(score))
+    return MembershipVerdict(
+        member=bool(member.any()),
+        best_score=float(score[k]),
+        witness=Witness(x_u=x_u[k], g=G[k]),
+    )

@@ -309,7 +309,8 @@ def validate_necessity(
     Per-trial sub-seeds derive deterministically from the master seed.  With
     classify_sigma set above the sampling sigma the hypothesis is knowingly
     violated and falsifications are expected; that mode exists to demonstrate
-    the campaign has teeth.
+    the campaign has teeth.  theta_steps is validated by classify_point and
+    echoed in the report; it decides nothing.
     """
     trials = int(trials)
     if trials < 1:

@@ -1,13 +1,10 @@
 """Grid scans of the candidate-minimizer region, plus mask serialization.
 
-scan_region classifies every grid point exactly as classify_point would,
-but in vectorized batches so that full reference windows stay fast.  For
-ball sets the batch path mirrors the canonical-frame sweep sample for
-sample, with two shortcuts that provably cannot change a verdict: a closed
--form infimum of the score over the whole ball rejects points no sample
-could accept, and the first sweep sample (theta = 0) accepts points
-directly.  Registered kink points that land on the grid fall back to the
-per-point classifier.
+scan_region classifies every grid point exactly as classify_point would, in
+one vectorized pass.  For ball sets both go through the same closed-form
+kernel, ball_score_infimum, so their verdicts agree by construction.
+Registered kink points that land on the grid fall back to the per-point
+classifier.
 """
 
 from __future__ import annotations
@@ -16,20 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArcCosineDomainError, DimensionMismatchError, GridMismatchError
+from .errors import DimensionMismatchError, GridMismatchError
 from .funcmodel import KnownFunction
-from .geometry import ARCCOS_DOMAIN_SLOP, Ball
+from .geometry import Ball
 from .membership import (
     DEFAULT_SLACK,
     DEFAULT_THETA_STEPS,
-    FinitePointSet,
     UncertaintySet,
-    _sweep_scores,
     ball_score_infimum,
+    check_theta_steps,
     classify_point,
+    nonzero_generators,
 )
-
-_BLOCK_POINTS = 4096  # grid points per sweep batch, keeps temporaries ~64 MB
 
 
 @dataclass(frozen=True)
@@ -136,82 +131,17 @@ def _scan_ball(
     pts: np.ndarray,
     rows: np.ndarray,
     member: np.ndarray,
-    theta_steps: int,
     slack: float,
 ):
     ball = uset.region
-    eps0 = ball.radius
-    threshold = -uset.sigma + slack
     delta = ball.center - pts
-    d = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    inside = rows & (d <= eps0)
-    member[inside] = True
-    idx = np.flatnonzero(rows & (d > eps0))
-    if idx.size == 0:
-        return
+    inside = np.sqrt(np.einsum("ij,ij->i", delta, delta)) <= ball.radius
+    member[rows & inside] = True
+    idx = np.flatnonzero(rows & ~inside)
     grads = _grid_gradients(f, pts[idx])
-    g_norm = np.sqrt(np.einsum("ij,ij->i", grads, grads))
-    nz = g_norm > 0.0
+    nz = nonzero_generators(grads)
     idx = idx[nz]
-    if idx.size == 0:
-        return
-    grads = grads[nz]
-    g_norm = g_norm[nz]
-    d_out = d[idx]
-    # alpha exactly as canonicalize computes it, including the domain check
-    cos_raw = np.einsum("ij,ij->i", grads, delta[idx]) / (g_norm * d_out)
-    bad = np.abs(cos_raw) > 1.0 + ARCCOS_DOMAIN_SLOP
-    if bool(bad.any()):
-        raise ArcCosineDomainError(
-            f"cosine {cos_raw[bad][0]} is out of [-1, 1] beyond roundoff"
-        )
-    alpha = np.arccos(np.clip(cos_raw, -1.0, 1.0))
-    keep = alpha < 0.5 * np.pi + np.arcsin(eps0 / d_out)
-    idx = idx[keep]
-    if idx.size == 0:
-        return
-    d_out = d_out[keep]
-    g_norm = g_norm[keep]
-    cos_a = np.cos(alpha[keep])
-    sin_a = np.sin(alpha[keep])
-    # closed-form infimum over the whole ball; points it cannot get past the
-    # threshold are rejected without sweeping (sampled scores only sit higher)
-    inf_score = ball_score_infimum(d_out, cos_a, g_norm, eps0)
-    margin = 1e-12 * (np.abs(inf_score) + abs(threshold))
-    plausible = inf_score <= threshold + margin
-    idx = idx[plausible]
-    if idx.size == 0:
-        return
-    d_out = d_out[plausible]
-    g_norm = g_norm[plausible]
-    cos_a = cos_a[plausible]
-    sin_a = sin_a[plausible]
-    # theta = 0 is the sweep's first sample; accepting on it skips the batch sweep
-    score0 = _sweep_scores(d_out, cos_a, sin_a, g_norm, eps0, 1.0, 0.0)
-    hit0 = score0 <= threshold
-    member[idx[hit0]] = True
-    rest = ~hit0
-    idx = idx[rest]
-    if idx.size == 0:
-        return
-    d_out = d_out[rest]
-    g_norm = g_norm[rest]
-    cos_a = cos_a[rest]
-    sin_a = sin_a[rest]
-    for start in range(0, idx.size, _BLOCK_POINTS):
-        sl = slice(start, min(start + _BLOCK_POINTS, idx.size))
-        t_max = np.arccos(eps0 / d_out[sl])
-        thetas = np.linspace(0.0, t_max, int(theta_steps), axis=-1)
-        scores = _sweep_scores(
-            d_out[sl][:, None],
-            cos_a[sl][:, None],
-            sin_a[sl][:, None],
-            g_norm[sl][:, None],
-            eps0,
-            np.cos(thetas),
-            np.sin(thetas),
-        )
-        member[idx[sl]] = np.any(scores <= threshold, axis=1)
+    member[idx] = ball_score_infimum(grads[nz], pts[idx], ball, uset.sigma, slack)[0]
 
 
 def _scan_finite(
@@ -251,7 +181,12 @@ def scan_region(
     *,
     slack: float = DEFAULT_SLACK,
 ) -> RegionMask:
-    """Classify every grid point; membership[i] matches classify_point on point i."""
+    """Classify every grid point; membership[i] matches classify_point on point i.
+
+    theta_steps is validated and recorded in the mask metadata; it decides
+    nothing.
+    """
+    theta_steps = check_theta_steps(theta_steps)
     if f.dimension != spec.dimension or uset.dimension != spec.dimension:
         raise DimensionMismatchError("function, set, and grid dimensions must agree")
     pts = build_grid(spec)
@@ -259,7 +194,7 @@ def scan_region(
     special = _kink_rows(f, pts)
     smooth_rows = ~special
     if isinstance(uset.region, Ball):
-        _scan_ball(f, uset, pts, smooth_rows, member, int(theta_steps), float(slack))
+        _scan_ball(f, uset, pts, smooth_rows, member, float(slack))
         eps0, point_count = uset.region.radius, None
     else:
         _scan_finite(f, uset, pts, smooth_rows, member, float(slack))
@@ -268,7 +203,7 @@ def scan_region(
         member[i] = classify_point(f, pts[i], uset, theta_steps, slack=slack).member
     meta = MaskMetadata(
         sigma=uset.sigma,
-        theta_steps=int(theta_steps),
+        theta_steps=theta_steps,
         slack=float(slack),
         eps0=eps0,
         point_count=point_count,

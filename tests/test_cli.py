@@ -92,6 +92,23 @@ def test_check_usage_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("point", ["nan,0", "inf,0", "0,-inf", "1e400,0"])
+def test_check_rejects_non_finite_points(tmp_path, capsys, point):
+    config = write_config(tmp_path, REFERENCE)
+    assert main(["check", config, point]) == 2
+    captured = capsys.readouterr()
+    assert f"point {point!r}" in captured.err and "finite" in captured.err
+    assert "member:" not in captured.out
+
+
+def test_check_witness_line(tmp_path, capsys):
+    config = write_config(tmp_path, REFERENCE)
+    assert main(["check", config, "1.0,0.0"]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("witness:")]
+    # the tangency point (0.1, 0), up to rounding, and nothing after the generator
+    assert line.startswith("witness: x_u=[0.1") and line.endswith(", g=[-2.0, 0.0]")
+
+
 def test_check_sigma_override_flips_verdict(tmp_path):
     config = write_config(tmp_path, REFERENCE)
     assert main(["check", config, "1.2,0.0"]) == 1

@@ -12,21 +12,12 @@ from minregion.errors import (
 )
 from minregion.geometry import (
     Ball,
-    CanonicalFrame,
     angle_between,
-    arc_point,
-    canonicalize,
     chord_length,
     nearest_boundary_point,
-    theta_max,
     unit_vector,
     visible_cap_contains,
 )
-
-
-def random_rotation(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
 
 
 def test_unit_vector_examples():
@@ -119,55 +110,6 @@ def test_ball_validation():
     assert not ball.contains([1.0, 2.5 + 1e-12])
 
 
-def test_canonicalize_reference_values():
-    ball = Ball(center=[0.0, 0.0], radius=0.1)
-    frame = canonicalize([-2.0, 0.0], [1.0, 0.0], ball)
-    assert frame.d == 1.0
-    assert frame.alpha == 0.0
-    assert frame.g_norm == 2.0
-    opposite = canonicalize([2.0, 0.0], [3.0, 0.0], ball)
-    assert abs(opposite.alpha - np.pi) < 1e-12
-
-
-def test_canonicalize_isometry_invariance():
-    rng = np.random.default_rng(14)
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        center = rng.standard_normal(n)
-        radius = float(rng.uniform(0.05, 0.5))
-        x_star = center + rng.standard_normal(n) * 2.0
-        while float(np.linalg.norm(x_star - center)) <= radius:
-            x_star = center + rng.standard_normal(n) * 2.0
-        g = rng.standard_normal(n)
-        frame = canonicalize(g, x_star, Ball(center=center, radius=radius))
-        rot = random_rotation(rng, n)
-        shift = rng.standard_normal(n) * 3.0
-        mapped = canonicalize(
-            rot @ g, rot @ x_star + shift, Ball(center=rot @ center + shift, radius=radius)
-        )
-        assert abs(frame.d - mapped.d) < 1e-9
-        assert abs(frame.alpha - mapped.alpha) < 1e-9
-        assert abs(frame.g_norm - mapped.g_norm) < 1e-9
-
-
-def test_canonicalize_rejects_inside_and_zero_gradient():
-    ball = Ball(center=[0.0, 0.0], radius=1.0)
-    with pytest.raises(InsideBallError):
-        canonicalize([1.0, 0.0], [0.5, 0.0], ball)
-    with pytest.raises(InsideBallError):
-        canonicalize([1.0, 0.0], [1.0, 0.0], ball)  # boundary counts as inside
-    with pytest.raises(ZeroVectorError):
-        canonicalize([0.0, 0.0], [2.0, 0.0], ball)
-
-
-def test_theta_max_values():
-    ball = Ball(center=[0.0, 0.0], radius=0.5)
-    frame = CanonicalFrame(d=1.0, alpha=0.0, g_norm=1.0)
-    assert abs(theta_max(frame, ball) - np.pi / 3) < 1e-12
-    with pytest.raises(InsideBallError):
-        theta_max(CanonicalFrame(d=0.4, alpha=0.0, g_norm=1.0), ball)
-
-
 def test_nearest_boundary_point():
     ball = Ball(center=[0.0, 0.0], radius=0.1)
     assert np.allclose(nearest_boundary_point([1.0, 0.0], ball), [0.1, 0.0])
@@ -242,74 +184,3 @@ def test_visible_cap_keeps_tangent_points():
     x_star = np.array([2.0, 0.0])
     tangent = np.array([0.5, np.sqrt(0.75)])
     assert visible_cap_contains(tangent, x_star, ball)
-
-
-def test_arc_point_theta_zero_is_nearest_point():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        n = int(rng.integers(1, 5))
-        center = rng.standard_normal(n)
-        ball = Ball(center=center, radius=float(rng.uniform(0.1, 1.0)))
-        x_star = center + rng.standard_normal(n) * 4.0
-        if float(np.linalg.norm(x_star - center)) <= ball.radius:
-            continue
-        g = rng.standard_normal(n)
-        if float(np.linalg.norm(g)) == 0.0:
-            continue
-        assert np.array_equal(
-            arc_point(x_star, ball, g, 0.0), nearest_boundary_point(x_star, ball)
-        )
-
-
-def test_arc_point_properties():
-    rng = np.random.default_rng(18)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        center = rng.standard_normal(n)
-        radius = float(rng.uniform(0.1, 1.0))
-        ball = Ball(center=center, radius=radius)
-        x_star = center + rng.standard_normal(n) * 4.0
-        d = float(np.linalg.norm(x_star - center))
-        if d <= radius * 1.01:
-            continue
-        g = rng.standard_normal(n)
-        t_cap = float(np.arccos(radius / d))
-        theta = float(rng.uniform(0.0, t_cap))
-        p = arc_point(x_star, ball, g, theta)
-        # on the sphere
-        assert abs(float(np.linalg.norm(p - center)) - radius) < 1e-12
-        # at the requested central angle from the nearest-point direction
-        assert abs(angle_between(p - center, x_star - center) - theta) < 1e-9
-        # in the plane spanned by the center direction and the gradient
-        e_r = unit_vector(x_star, center)
-        perp = g - float(np.dot(g, e_r)) * e_r
-        if float(np.linalg.norm(perp)) > 1e-9 * float(np.linalg.norm(g)):
-            basis = np.stack([e_r, perp / np.linalg.norm(perp)])
-            rel = p - center
-            residual = rel - basis.T @ (basis @ rel)
-            assert float(np.linalg.norm(residual)) < 1e-12
-
-
-def test_arc_point_bends_toward_gradient():
-    ball = Ball(center=[0.0, 0.0], radius=1.0)
-    x_star = np.array([3.0, 0.0])
-    p = arc_point(x_star, ball, [0.0, 2.5], 0.5)
-    assert p[1] > 0.0
-    q = arc_point(x_star, ball, [0.0, -2.5], 0.5)
-    assert q[1] < 0.0
-
-
-def test_arc_point_colinear_gradient_picks_fixed_side():
-    ball = Ball(center=[0.0, 0.0], radius=1.0)
-    x_star = np.array([3.0, 0.0])
-    p = arc_point(x_star, ball, [-1.0, 0.0], 0.7)
-    q = arc_point(x_star, ball, [-2.0, 0.0], 0.7)
-    assert np.array_equal(p, q)
-    assert abs(float(np.linalg.norm(p)) - 1.0) < 1e-12
-
-
-def test_arc_point_one_dimension():
-    ball = Ball(center=[0.0], radius=0.5)
-    assert np.allclose(arc_point([2.0], ball, [3.0], 0.0), [0.5])
-    with pytest.raises(ZeroVectorError):
-        arc_point([2.0], ball, [3.0], 0.3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from minregion.errors import (
     CoincidentPointsError,
@@ -9,17 +11,16 @@ from minregion.errors import (
     InsideBallError,
 )
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
-from minregion.geometry import Ball, CanonicalFrame, canonicalize
+from minregion.geometry import Ball
 from minregion.membership import (
     FinitePointSet,
     UncertaintySet,
     ball_score_infimum,
     classify_point,
-    evaluate_ball,
     evaluate_general,
     pair_score,
-    _sweep_scores,
 )
+from minregion.scanner import GridSpec, build_grid, scan_region
 
 
 def reference_function():
@@ -30,19 +31,16 @@ def reference_set(sigma=2.0, radius=0.1):
     return UncertaintySet(region=Ball(center=[0.0, 0.0], radius=radius), sigma=sigma)
 
 
-def sweep_min(frame, eps0, steps=200_001):
-    """Dense reference sweep, computed directly from the definitions."""
-    thetas = np.linspace(0.0, np.arccos(eps0 / frame.d), steps)
-    scores = _sweep_scores(
-        frame.d,
-        np.cos(frame.alpha),
-        np.sin(frame.alpha),
-        frame.g_norm,
-        eps0,
-        np.cos(thetas),
-        np.sin(thetas),
-    )
-    return float(scores.min())
+def frame_infimum(d, cos_alpha, g_norm, eps0, sigma=1.0):
+    """ball_score_infimum on the planar frame: x* = (d, 0), ball at the origin.
+
+    alpha is the angle between g and the direction from x* to the center.
+    """
+    sin_alpha = np.sqrt(max(0.0, 1.0 - cos_alpha * cos_alpha))
+    G = np.array([[-g_norm * cos_alpha, g_norm * sin_alpha]])
+    X = np.array([[d, 0.0]])
+    member, score, x_u = ball_score_infimum(G, X, Ball(center=[0.0, 0.0], radius=eps0), sigma)
+    return bool(member[0]), float(score[0]), x_u[0]
 
 
 def test_pair_score_examples():
@@ -52,7 +50,8 @@ def test_pair_score_examples():
 
 
 def test_pair_score_matches_sweep_kernel():
-    # the frame sweep must reproduce raw pair scores at the same geometry
+    # the ball kernel's score is the raw pair score at its own witness, and
+    # no point of the visible arc scores below it
     rng = np.random.default_rng(31)
     for _ in range(200):
         d = float(rng.uniform(0.3, 4.0))
@@ -61,64 +60,149 @@ def test_pair_score_matches_sweep_kernel():
         g_norm = float(rng.uniform(0.1, 5.0))
         theta = float(rng.uniform(0.0, np.arccos(eps0 / d)))
         x_star = np.array([d, 0.0])
-        x_u = eps0 * np.array([np.cos(theta), np.sin(theta)])
+        x_arc = eps0 * np.array([np.cos(theta), np.sin(theta)])
         g = g_norm * np.array([-np.cos(alpha), np.sin(alpha)])
-        direct = pair_score(g, x_star, x_u)
-        kernel = float(
-            _sweep_scores(d, np.cos(alpha), np.sin(alpha), g_norm, eps0, np.cos(theta), np.sin(theta))
+        _, score, x_u = ball_score_infimum(
+            g[None], x_star[None], Ball(center=[0.0, 0.0], radius=eps0), 1.0
         )
-        assert abs(direct - kernel) < 1e-12 * max(1.0, abs(direct))
+        scale = g_norm / (d - eps0)
+        assert abs(pair_score(g, x_star, x_u[0]) - float(score[0])) <= 1e-9 * scale
+        assert float(score[0]) <= pair_score(g, x_star, x_arc) + 1e-12 * scale
+
+
+def sphere_samples(center, radius, count=40_000):
+    """Dense, nearly uniform points on a 2- or 3-D sphere (circle or Fibonacci lattice)."""
+    if center.shape[0] == 2:
+        psi = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        dirs = np.stack([np.cos(psi), np.sin(psi)], axis=1)
+    else:
+        k = np.arange(count) + 0.5
+        z = 1.0 - 2.0 * k / count
+        phi = np.pi * (1.0 + 5.0**0.5) * k
+        rho = np.sqrt(1.0 - z * z)
+        dirs = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    return center + radius * dirs
+
+
+coords = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def outside_ball_problems(draw):
+    """A quadratic model, a ball, and a query point strictly outside it."""
+    n = draw(st.sampled_from((2, 3)))
+    vec = st.lists(coords, min_size=n, max_size=n).map(np.array)
+    center = draw(vec)
+    radius = draw(st.floats(0.05, 1.0))
+    direction = draw(vec)
+    norm = float(np.linalg.norm(direction))
+    if norm < 0.1:
+        direction, norm = np.eye(n)[0], 1.0
+    x_star = center + radius * (1.0 + draw(st.floats(1e-3, 3.0))) * direction / norm
+    m = draw(vec)
+    if np.array_equal(m, x_star):
+        m = m + 1.0
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(n), m=m, weight=draw(st.floats(0.1, 3.0))),))
+    uset = UncertaintySet(region=Ball(center=center, radius=radius), sigma=draw(st.floats(0.1, 5.0)))
+    return f, x_star, uset
+
+
+@settings(max_examples=150, deadline=None)
+@given(outside_ball_problems())
+def test_closed_form_against_dense_oracle(problem):
+    f, x_star, uset = problem
+    ball = uset.region
+    verdict = classify_point(f, x_star, uset)
+    g, x_u = verdict.witness.g, verdict.witness.x_u
+    d = float(np.linalg.norm(x_star - ball.center))
+    # largest score magnitude any ball point allows; rounding errors scale with it
+    scale = float(np.linalg.norm(g)) / (d - ball.radius)
+    diff = x_star - sphere_samples(ball.center, ball.radius)
+    dense_min = float(((diff @ g) / np.einsum("ij,ij->i", diff, diff)).min())
+    assert verdict.best_score <= dense_min + 1e-12 * scale
+    assert abs(float(np.linalg.norm(x_u - ball.center)) - ball.radius) <= 1e-9
+    assert abs(pair_score(g, x_star, x_u) - verdict.best_score) <= 1e-9 * scale
+
+
+@st.composite
+def grid_problems(draw):
+    """A grid whose points include the model's minimizer and a kink point."""
+    n = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = (9, 9) if n == 2 else (5, 5, 5)
+    lower = rng.uniform(-2.0, 0.0, n)
+    spec = GridSpec(lower=lower, upper=lower + rng.uniform(1.0, 3.0, n), counts=counts)
+    pts = build_grid(spec)
+    i_min, i_kink = rng.choice(pts.shape[0], size=2, replace=False)
+    a = rng.standard_normal((n, n))
+    kink = Kink(point=pts[i_kink], generators=tuple(rng.uniform(-4.0, 4.0, (3, n))))
+    f = KnownFunction(terms=(QuadraticTerm(Q=a.T @ a, m=pts[i_min]),), kinks=(kink,))
+    if draw(st.booleans()):
+        region = Ball(center=rng.uniform(spec.lower, spec.upper), radius=float(rng.uniform(0.1, 0.6)))
+    else:
+        region = FinitePointSet(points=rng.uniform(spec.lower, spec.upper, (4, n)))
+    return f, UncertaintySet(region=region, sigma=float(rng.uniform(0.2, 5.0))), spec
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_problems())
+def test_scan_equals_classify_on_random_problems(problem):
+    f, uset, spec = problem
+    mask = scan_region(f, uset, spec)
+    for x, flag in zip(build_grid(spec), mask.membership):
+        assert classify_point(f, x, uset).member == flag
 
 
 def test_evaluate_ball_member_anchor():
-    frame = canonicalize([-2.0, 0.0], [1.0, 0.0], Ball(center=[0.0, 0.0], radius=0.1))
-    verdict = evaluate_ball(frame, 0.1, 2.0)
+    verdict = classify_point(reference_function(), [1.0, 0.0], reference_set())
     assert verdict.member
-    assert verdict.witness.truncated
-    assert verdict.witness.theta == 0.0
     assert abs(verdict.best_score - (-2.0 / 0.9)) < 1e-12
-    full = evaluate_ball(frame, 0.1, 2.0, early_exit=False)
-    assert full.member
-    assert abs(full.best_score - (-2.0 / 0.9)) < 1e-12  # minimum sits at theta = 0 here
+    assert np.allclose(verdict.witness.x_u, [0.1, 0.0], atol=1e-15)
+    assert np.array_equal(verdict.witness.g, [-2.0, 0.0])
 
 
 def test_evaluate_ball_nonmember_anchor():
-    frame = canonicalize([-1.6, 0.0], [1.2, 0.0], Ball(center=[0.0, 0.0], radius=0.1))
-    verdict = evaluate_ball(frame, 0.1, 2.0)
+    verdict = classify_point(reference_function(), [1.2, 0.0], reference_set())
     assert not verdict.member
     assert abs(verdict.best_score - (-1.6 / 1.1)) < 1e-12
-    assert not verdict.witness.truncated
 
 
 def test_evaluate_ball_guard_rejects_without_sweep():
-    # gradient pointing away from the ball: alpha = pi
-    frame = canonicalize([2.0, 0.0], [3.0, 0.0], Ball(center=[0.0, 0.0], radius=0.1))
-    verdict = evaluate_ball(frame, 0.1, 2.0)
+    # at (3, 0) the gradient (2, 0) points away from the ball: every score is positive
+    verdict = classify_point(reference_function(), [3.0, 0.0], reference_set())
     assert not verdict.member
-    assert verdict.best_score is None
-    assert verdict.witness is None
-
-
-def test_evaluate_ball_guard_boundary():
-    eps0, d = 0.3, 1.5
-    guard = 0.5 * np.pi + np.arcsin(eps0 / d)
-    at = evaluate_ball(CanonicalFrame(d=d, alpha=guard, g_norm=1.0), eps0, 1.0)
-    assert not at.member and at.best_score is None
-    below = evaluate_ball(CanonicalFrame(d=d, alpha=guard - 1e-6, g_norm=1.0), eps0, 1.0)
-    assert below.best_score is not None  # swept, even though far from passing
-    assert not below.member
+    assert abs(verdict.best_score - 5.8 / (2.9 * 3.1)) < 1e-12
 
 
 def test_evaluate_ball_validation():
-    frame = CanonicalFrame(d=1.0, alpha=0.0, g_norm=1.0)
+    f = reference_function()
+    uset = reference_set()
     with pytest.raises(ValueError):
-        evaluate_ball(frame, 0.1, 2.0, theta_steps=1)
-    with pytest.raises(ValueError):
-        evaluate_ball(frame, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        evaluate_ball(frame, 0.1, 0.0)
-    with pytest.raises(InsideBallError):
-        evaluate_ball(CanonicalFrame(d=0.05, alpha=0.0, g_norm=1.0), 0.1, 2.0)
+        classify_point(f, [1.0, 0.0], uset, theta_steps=1)
+    base = classify_point(f, [1.05, 0.3], uset)
+    for kwargs in ({"theta_steps": 2}, {"theta_steps": 10**8}, {"early_exit": False}):
+        other = classify_point(f, [1.05, 0.3], uset, **kwargs)
+        assert other.member == base.member and other.best_score == base.best_score
+
+
+def test_roadmap_false_negative_is_member():
+    # a 2048-sample arc sweep called this point a non-member; the exact
+    # minimum over the ball is -0.65758618127, below -sigma + slack
+    f = reference_function()
+    uset = UncertaintySet(region=Ball(center=[0.0, 0.0], radius=0.8), sigma=0.6575861764875996)
+    assert classify_point(f, [1.3, 1.1], uset).member
+    spec = GridSpec(lower=[1.3, 1.1], upper=[1.5, 1.3], counts=(3, 3))
+    assert np.array_equal(build_grid(spec)[0], [1.3, 1.1])
+    assert scan_region(f, uset, spec).membership[0]
+
+
+def dense_sweep_min(d, cos_alpha, g_norm, eps0, steps=200_001):
+    """Smallest pair score over a dense sample of the frame's circle, numpy only."""
+    sin_alpha = np.sqrt(max(0.0, 1.0 - cos_alpha * cos_alpha))
+    g = np.array([-g_norm * cos_alpha, g_norm * sin_alpha])
+    psi = np.linspace(-np.pi, np.pi, steps)
+    diff = np.array([d, 0.0]) - eps0 * np.stack([np.cos(psi), np.sin(psi)], axis=1)
+    return float(((diff @ g) / np.einsum("ij,ij->i", diff, diff)).min())
 
 
 def test_ball_score_infimum_bounds_sweep():
@@ -126,25 +210,42 @@ def test_ball_score_infimum_bounds_sweep():
     for _ in range(300):
         d = float(rng.uniform(0.2, 5.0))
         eps0 = float(rng.uniform(0.05, 0.9)) * d
-        alpha = float(rng.uniform(0.0, 0.5 * np.pi + np.arcsin(eps0 / d)))
+        cos_alpha = float(rng.uniform(-1.0, 1.0))
         g_norm = float(rng.uniform(0.1, 5.0))
-        frame = CanonicalFrame(d=d, alpha=alpha, g_norm=g_norm)
-        inf_score = ball_score_infimum(d, float(np.cos(alpha)), g_norm, eps0)
-        dense = sweep_min(frame, eps0, steps=20_001)
-        assert inf_score <= dense + 1e-12 * max(1.0, abs(dense))
+        _, inf_score, _ = frame_infimum(d, cos_alpha, g_norm, eps0)
+        dense = dense_sweep_min(d, cos_alpha, g_norm, eps0, steps=20_001)
+        assert inf_score <= dense + 1e-12 * g_norm / (d - eps0)
+        # and the sweep closes in on it: the minimum is attained, not just a bound
+        assert dense - inf_score < 1e-3 * g_norm / (d - eps0)
 
 
 def test_ball_score_infimum_tight_when_colinear():
-    # at alpha = 0 the infimum is attained at theta = 0 on the boundary
+    # at alpha = 0 the infimum is attained at the nearest boundary point
     for d, eps0, g_norm in [(1.0, 0.1, 2.0), (2.5, 0.7, 1.3), (0.5, 0.2, 4.0)]:
-        inf_score = ball_score_infimum(d, 1.0, g_norm, eps0)
+        _, inf_score, x_u = frame_infimum(d, 1.0, g_norm, eps0)
         assert abs(inf_score - (-g_norm / (d - eps0))) < 1e-12 * g_norm / (d - eps0)
+        assert np.allclose(x_u, [eps0, 0.0], atol=1e-15)
 
 
 def test_ball_score_infimum_zero_at_guard():
-    # cos(alpha) = -eps0/d makes the infimum exactly zero: no negative scores left
+    # cos(alpha) = -eps0/d makes the infimum exactly zero: no negative scores
+    # left, so no sigma > 0 can pass; just inside the guard it turns negative
     d, eps0 = 2.0, 0.5
-    assert abs(ball_score_infimum(d, -eps0 / d, 1.0, eps0)) < 1e-15
+    member, inf_score, _ = frame_infimum(d, -eps0 / d, 1.0, eps0, sigma=1e-6)
+    assert abs(inf_score) < 1e-15 and not member
+    _, below, _ = frame_infimum(d, -eps0 / d + 1e-6, 1.0, eps0)
+    assert below < 0.0
+
+
+def test_evaluate_ball_guard_boundary():
+    # at the guard angle the exact minimum is zero; just inside it the score
+    # is negative but far from passing sigma = 1
+    eps0, d = 0.3, 1.5
+    guard = 0.5 * np.pi + np.arcsin(eps0 / d)
+    member, at, _ = frame_infimum(d, float(np.cos(guard)), 1.0, eps0)
+    assert not member and abs(at) < 1e-15
+    member, below, _ = frame_infimum(d, float(np.cos(guard - 1e-6)), 1.0, eps0)
+    assert not member and -1.0 < below < 0.0
 
 
 def test_evaluate_general_single_candidate():
@@ -270,14 +371,12 @@ def test_radius_monotonicity():
 
 
 def test_score_scale_homogeneity():
-    # scaling the gradient by c scales every score by c
-    frame = CanonicalFrame(d=1.7, alpha=0.8, g_norm=1.0)
-    base = evaluate_ball(frame, 0.4, 2.0, early_exit=False)
+    # scaling the gradient by c scales the score by c and leaves the witness put
+    _, base, x_u = frame_infimum(1.7, float(np.cos(0.8)), 1.0, 0.4)
     for c in (2.0, 0.25, 64.0):
-        scaled = evaluate_ball(
-            CanonicalFrame(d=1.7, alpha=0.8, g_norm=c), 0.4, 2.0, early_exit=False
-        )
-        assert abs(scaled.best_score - c * base.best_score) < 1e-12 * abs(c * base.best_score)
+        _, scaled, x_c = frame_infimum(1.7, float(np.cos(0.8)), c, 0.4)
+        assert abs(scaled - c * base) < 1e-12 * abs(c * base)
+        assert np.allclose(x_c, x_u, atol=1e-15)
 
 
 def test_ball_and_general_routes_agree():
