@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
 from .geometry import Ball
 from .membership import (
@@ -269,13 +269,16 @@ def _format_vector(v) -> str:
 def _cmd_check(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     point = _parse_point(args.point, config.uncertainty.dimension)
-    verdict = classify_point(
-        config.known_function,
-        point,
-        config.uncertainty,
-        config.theta_steps,
-        slack=config.slack,
-    )
+    try:
+        verdict = classify_point(
+            config.known_function,
+            point,
+            config.uncertainty,
+            config.theta_steps,
+            slack=config.slack,
+        )
+    except NonFiniteError as exc:
+        raise ConfigError(f"point {args.point!r}: {exc.reason}") from None
     print(f"point: {_format_vector(point)}")
     print(f"member: {'yes' if verdict.member else 'no'}")
     if verdict.interior:
@@ -295,13 +298,16 @@ def _cmd_scan(args) -> int:
     if args.format == "pgm" and config.grid.dimension != 2:
         raise ConfigError("PGM output is only defined for 2-D grids")
     started = time.perf_counter()
-    mask = scan_region(
-        config.known_function,
-        config.uncertainty,
-        config.grid,
-        config.theta_steps,
-        slack=config.slack,
-    )
+    try:
+        mask = scan_region(
+            config.known_function,
+            config.uncertainty,
+            config.grid,
+            config.theta_steps,
+            slack=config.slack,
+        )
+    except NonFiniteError as exc:
+        raise ConfigError(f"{args.config}: {exc.reason}") from None
     elapsed = time.perf_counter() - started
     if args.format == "csv":
         write_mask_csv(mask, args.output)
@@ -324,16 +330,19 @@ def _cmd_validate(args) -> int:
     classify_sigma = (
         float(args.sigma_override) if args.sigma_override is not None else None
     )
-    report = validate_necessity(
-        config.known_function,
-        UncertaintySet(region=config.uncertainty.region, sigma=sampling_sigma),
-        sampling_sigma,
-        args.trials,
-        args.seed,
-        config.theta_steps,
-        slack=config.slack,
-        classify_sigma=classify_sigma,
-    )
+    try:
+        report = validate_necessity(
+            config.known_function,
+            UncertaintySet(region=config.uncertainty.region, sigma=sampling_sigma),
+            sampling_sigma,
+            args.trials,
+            args.seed,
+            config.theta_steps,
+            slack=config.slack,
+            classify_sigma=classify_sigma,
+        )
+    except NonFiniteError as exc:
+        raise ConfigError(f"{args.config}: minimizer of trial {exc.row}: {exc.reason}") from None
     payload = dict(report.to_dict(), config=config.raw)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.report is not None:

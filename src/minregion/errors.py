@@ -5,10 +5,6 @@ class CoincidentPointsError(ValueError):
     """Two points that must be distinct coincide."""
 
 
-class ZeroVectorError(ValueError):
-    """A direction vector is zero where a nonzero one is required."""
-
-
 class InsideBallError(ValueError):
     """A query point lies inside the closed ball where it must be outside."""
 
@@ -35,6 +31,18 @@ class GridMismatchError(ValueError):
 
 class ConfigError(ValueError):
     """A problem-definition file failed validation."""
+
+
+class NonFiniteError(ValueError):
+    """A query point, or a gradient or score computed from it, is not finite.
+
+    row is the offending row of the batch that was classified.
+    """
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
 
 
 class ConvergenceError(RuntimeError):

@@ -170,9 +170,15 @@ def gradient(f: KnownFunction, x) -> np.ndarray:
 
 
 def _smooth_gradient(f: KnownFunction, x: np.ndarray) -> np.ndarray:
+    """Quadratic-part gradient at x, or at every row of an (N, n) array.
+
+    einsum reduces each row on its own, so a row gets the same bits alone or
+    in a batch; a BLAS product rounds a single row (gemv) and a block of
+    rows (gemm) differently.
+    """
     total = np.zeros_like(x)
     for t in f.terms:
-        total = total + 2.0 * t.weight * (t.Q @ (x - t.m))
+        total = total + 2.0 * t.weight * np.einsum("...j,ij->...i", x - t.m, t.Q)
     return total
 
 

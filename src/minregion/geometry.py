@@ -18,7 +18,6 @@ from .errors import (
     InsideBallError,
     NegativeDiscriminantError,
     NotOnBoundaryError,
-    ZeroVectorError,
 )
 
 # Tolerances, shared with the tests that pin them.
@@ -86,18 +85,6 @@ def unit_vector(x1, x2) -> np.ndarray:
     if norm == 0.0:
         raise CoincidentPointsError("unit_vector requires two distinct points")
     return diff / norm
-
-
-def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two nonzero vectors."""
-    u = as_vector(u)
-    v = as_vector(v)
-    _same_dim(u, v)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVectorError("angle_between requires nonzero vectors")
-    return float(np.arccos(np.clip(float(np.dot(u, v)) / (nu * nv), -1.0, 1.0)))
 
 
 def chord_length(d: float, eps0: float, theta: float) -> float:

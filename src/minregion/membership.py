@@ -7,13 +7,16 @@ point x_u in the uncertainty set satisfy
     <g, u(x_star, x_u)> / ||x_star - x_u||  <=  -sigma,
 
 where u(x1, x2) is the unit vector from x2 toward x1 and sigma is the
-strong-convexity constant of the unknown term.  evaluate_general checks this
-over explicit candidate lists.  For ball sets the minimum of the score over
-the whole ball has a closed form (ball_score_infimum), which decides every
-ball verdict exactly and also yields the minimizing x_u; classify_point and
-the grid scanner both go through it.  Points inside the closed set are
-always candidates (an admissible unknown term minimizing there can be
-constructed directly), so they are classified member without a score.
+strong-convexity constant of the unknown term.  classify_points decides this
+for a batch of query points and is the only decision path: classify_point,
+the grid scanner and the necessity oracle each reduce its per-generator
+results.  For ball sets the minimum of the score over the whole ball has a
+closed form (ball_score_infimum), which also yields the minimizing x_u; for
+finite sets it is the minimum over the listed points.  Points inside the
+closed set are always candidates (an admissible unknown term minimizing
+there can be constructed directly), so they are classified member without a
+score.  evaluate_general checks the condition independently, over explicit
+candidate lists, as a cross-check.
 """
 
 from __future__ import annotations
@@ -22,12 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPointsError, DimensionMismatchError, InsideBallError
-from .funcmodel import KnownFunction, subdifferential
+from .errors import (
+    CoincidentPointsError,
+    DimensionMismatchError,
+    InsideBallError,
+    NonFiniteError,
+)
+from .funcmodel import KINK_MATCH_ATOL, KnownFunction, _smooth_gradient, subdifferential
 from .geometry import Ball, as_vector, unit_vector
 
 DEFAULT_THETA_STEPS = 2048  # retired sweep resolution, still echoed in reports
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
+BLOCK_ROWS = 8192  # query rows per classify_points call in scans and campaigns; bounds memory
 
 
 @dataclass(frozen=True)
@@ -114,17 +123,12 @@ def pair_score(g, x_star, x_u) -> float:
     return float(np.dot(g, u)) / dist
 
 
-def nonzero_generators(G: np.ndarray) -> np.ndarray:
-    """Rows of G that are nonzero generators; zero rows have no descent direction."""
-    return np.einsum("ij,ij->i", G, G) > 0.0
-
-
 def ball_score_infimum(G, X, ball: Ball, sigma: float, slack: float = DEFAULT_SLACK):
     """Exact minimum of the pair score over the whole ball, row by row.
 
     Row i pairs a nonzero generator G[i] with a query point X[i] strictly
-    outside the ball (drop zero rows first with nonzero_generators); a
-    single row of X is paired with every row of G.
+    outside the ball (drop zero rows first); a single row of X is paired
+    with every row of G.
     Inversion about x* maps the ball to the ball with center
     (c - x*)/((d - eps0)(d + eps0)) and radius eps0/((d - eps0)(d + eps0)),
     and turns the score into -<g, w>, which is linear in the image point w.
@@ -248,6 +252,142 @@ def evaluate_general(
     )
 
 
+@dataclass(frozen=True)
+class GeneratorVerdicts:
+    """Per-generator results of classify_points over N query rows.
+
+    interior[i] marks row i as inside the closed set; such rows own no
+    generators.  Every other row owns its subdifferential generators, in
+    declared order (zero ones are dropped for balls, having no descent
+    direction): generator j belongs to row owner[j], is g[j], reaches its
+    lowest score score[j] at the set point x_u[j], and passes iff member[j].
+    A finite set with no admissible point for a generator gives score inf.
+    """
+
+    interior: np.ndarray
+    owner: np.ndarray
+    g: np.ndarray
+    member: np.ndarray
+    score: np.ndarray
+    x_u: np.ndarray
+
+
+def _check_finite(values: np.ndarray, rows: np.ndarray, reason: str):
+    """Raise NonFiniteError for the first row of values holding a non-finite entry."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite.reshape(values.shape[0], -1).all(axis=1)))
+        raise NonFiniteError(int(rows[first]), reason)
+
+
+def _generator_table(f: KnownFunction, X: np.ndarray, rows: np.ndarray):
+    """(owner, Xg, G): the subdifferential generators G at X[rows], row by row.
+
+    Generator i belongs to row owner[i] and is paired with Xg[i] =
+    X[owner[i]].  A row at a registered kink (the first within
+    KINK_MATCH_ATOL, as in KnownFunction.kink_at) gets the smooth gradient
+    plus each generator of that kink; every other row gets the smooth
+    gradient alone.
+    """
+    Xr = X if rows.size == X.shape[0] else X[rows]
+    grad = _smooth_gradient(f, Xr)
+    kink_of = np.full(rows.size, -1)
+    for j, k in enumerate(f.kinks):
+        near = np.max(np.abs(Xr - k.point), axis=1) <= KINK_MATCH_ATOL
+        kink_of[near & (kink_of < 0)] = j
+    if np.all(kink_of < 0):
+        return rows, Xr, grad
+    owners, gens = [rows[kink_of < 0]], [grad[kink_of < 0]]
+    for j, k in enumerate(f.kinks):
+        for gen in k.generators:
+            owners.append(rows[kink_of == j])
+            gens.append(grad[kink_of == j] + gen)
+    owner = np.concatenate(owners)
+    return owner, X[owner], np.concatenate(gens)
+
+
+def _finite_set_interior(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rows of X equal to a point of the set, about BLOCK_ROWS row-point pairs at a time.
+
+    Coordinates are compared one at a time: np.all(axis=2) over short rows
+    is many times slower.
+    """
+    interior = np.empty(X.shape[0], dtype=bool)
+    step = max(1, BLOCK_ROWS // points.shape[0])
+    for s in range(0, X.shape[0], step):
+        equal = X[s : s + step, None, 0] == points[None, :, 0]
+        for j in range(1, X.shape[1]):
+            equal &= X[s : s + step, None, j] == points[None, :, j]
+        interior[s : s + step] = equal.any(axis=1)
+    return interior
+
+
+def _finite_set_scores(G, Xg, points: np.ndarray, threshold: float):
+    """Lowest admissible pair score over the points for each pair (G[i], Xg[i]).
+
+    Pairs with <g, u> >= 0 are not admissible; a row with none scores inf.
+    Points go about BLOCK_ROWS row-point pairs at a time.  Returns (member,
+    score, x_u) with member = score <= threshold.
+    """
+    best = np.full(Xg.shape[0], np.inf)
+    arg = np.zeros(Xg.shape[0], dtype=np.intp)
+    step = max(1, BLOCK_ROWS // max(1, Xg.shape[0]))
+    for k in range(0, points.shape[0], step):
+        diff = Xg[:, None, :] - points[None, k : k + step, :]
+        dist = np.sqrt(np.einsum("ikj,ikj->ik", diff, diff))
+        num = np.einsum("ikj,ij->ik", diff / dist[:, :, None], G)
+        score = np.where(num < 0.0, num / dist, np.inf)
+        first = 0  # one point per chunk in a scan, where an argmin over it is slow
+        if score.shape[1] > 1:
+            first = np.argmin(score, axis=1)
+            score = np.take_along_axis(score, first[:, None], axis=1)
+        better = score[:, 0] < best
+        np.copyto(best, score[:, 0], where=better)
+        np.copyto(arg, k + first, where=better)
+    return best <= threshold, best, points[arg]
+
+
+def classify_points(
+    f: KnownFunction, uset: UncertaintySet, X, slack: float = DEFAULT_SLACK
+) -> GeneratorVerdicts:
+    """Membership kernel: score every subdifferential generator of every row of X.
+
+    X is an (N, n) array of query points.  Rows inside the closed set are
+    marked interior; every other row contributes one entry per generator
+    (see GeneratorVerdicts), scored with ball_score_infimum for a ball and
+    over the listed points for a finite set.  A row is a member iff it is
+    interior or any of its generators passes.  Raises NonFiniteError, naming
+    the row, for a non-finite query row, a gradient that overflows, or a
+    score left undefined by overflow.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != uset.dimension or f.dimension != uset.dimension:
+        raise DimensionMismatchError("function, point, and set dimensions must agree")
+    _check_finite(X, np.arange(X.shape[0]), "coordinates are not finite")
+    region = uset.region
+    if isinstance(region, Ball):
+        delta = region.center - X
+        interior = np.sqrt(np.einsum("ij,ij->i", delta, delta)) <= region.radius
+    else:
+        interior = _finite_set_interior(X, region.points)
+    # overflow is checked below and reported as NonFiniteError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        owner, Xg, G = _generator_table(f, X, np.flatnonzero(~interior))
+        _check_finite(G, owner, "gradient overflows")
+        if isinstance(region, Ball):
+            keep = np.einsum("ij,ij->i", G, G) > 0.0  # zero ones have no descent direction
+            if not keep.all():
+                owner, Xg, G = owner[keep], Xg[keep], G[keep]
+            member, score, x_u = ball_score_infimum(G, Xg, region, uset.sigma, slack)
+        else:
+            member, score, x_u = _finite_set_scores(
+                G, Xg, region.points, -uset.sigma + float(slack)
+            )
+    if np.isnan(score).any():
+        raise NonFiniteError(int(owner[np.argmax(np.isnan(score))]), "score overflows")
+    return GeneratorVerdicts(interior, owner, G, member, score, x_u)
+
+
 def classify_point(
     f: KnownFunction,
     x_star,
@@ -256,36 +396,25 @@ def classify_point(
     *,
     slack: float = DEFAULT_SLACK,
     early_exit: bool = True,
-    boundary_samples: int = 10_000,
 ) -> MembershipVerdict:
-    """Full membership decision for one query point.
+    """Full membership decision for one query point: classify_points with N = 1.
 
     Points inside the closed set are members by the interior rule (no
-    witness).  Outside, ball sets go through ball_score_infimum with one row
-    per nonzero subdifferential generator, finite sets through
-    evaluate_general; the point is a member iff any generator passes, and
-    the witness is the pair with the lowest score.  theta_steps (validated,
-    >= 2) and early_exit are accepted for compatibility and decide nothing.
+    witness).  Outside, the point is a member iff any generator passes, and
+    the witness is the generator with the lowest score.  theta_steps
+    (validated, >= 2) and early_exit are accepted for compatibility and
+    decide nothing.
     """
     check_theta_steps(theta_steps)
     x_star = as_vector(x_star)
-    if x_star.shape[0] != uset.dimension or f.dimension != uset.dimension:
-        raise DimensionMismatchError("function, point, and set dimensions must agree")
-    if uset.contains(x_star):
+    res = classify_points(f, uset, x_star[None, :], slack)
+    if res.interior[0]:
         return MembershipVerdict(member=True, interior=True)
-    region = uset.region
-    if isinstance(region, FinitePointSet):
-        return evaluate_general(
-            f, x_star, uset, slack=slack, boundary_samples=boundary_samples
-        )
-    G = np.array(subdifferential(f, x_star).generators)
-    G = G[nonzero_generators(G)]
-    if G.shape[0] == 0:
+    if not np.any(res.score < np.inf):
         return MembershipVerdict(member=False)
-    member, score, x_u = ball_score_infimum(G, x_star[None, :], region, uset.sigma, slack)
-    k = int(np.argmin(score))
+    k = int(np.argmin(res.score))
     return MembershipVerdict(
-        member=bool(member.any()),
-        best_score=float(score[k]),
-        witness=Witness(x_u=x_u[k], g=G[k]),
+        member=bool(res.member.any()),
+        best_score=float(res.score[k]),
+        witness=Witness(x_u=res.x_u[k], g=res.g[k]),
     )

@@ -14,15 +14,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, KinkPointError
+from .errors import ConvergenceError, KinkPointError, NonFiniteError
 from .funcmodel import KnownFunction, _smooth_gradient
 from .geometry import Ball, as_vector
 from .membership import (
+    BLOCK_ROWS,
     DEFAULT_SLACK,
     DEFAULT_THETA_STEPS,
     MembershipVerdict,
     UncertaintySet,
+    check_theta_steps,
     classify_point,
+    classify_points,
 )
 
 DEFAULT_MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
@@ -270,6 +273,14 @@ def minimize_sum_iterative(
     raise ConvergenceError(f"no stationary point within tol={tol} after {max_iter} iterations")
 
 
+def _solve_trial(f, uset, sigma, seed, sigma_multiplier_range):
+    """Sample one unknown term and minimize the sum exactly: (unknown, minimizer)."""
+    unknown = sample_unknown(uset, sigma, seed, sigma_multiplier_range)
+    if f.kinks:
+        return unknown, minimize_sum_iterative(f, unknown)
+    return unknown, minimize_sum(f, unknown)
+
+
 def evaluate_trial(
     f: KnownFunction,
     uset: UncertaintySet,
@@ -282,11 +293,7 @@ def evaluate_trial(
     classify_sigma: float | None = None,
 ) -> OracleSample:
     """Sample one unknown term, minimize the sum exactly, classify the minimizer."""
-    unknown = sample_unknown(uset, sigma, seed, sigma_multiplier_range)
-    if f.kinks:
-        minimizer = minimize_sum_iterative(f, unknown)
-    else:
-        minimizer = minimize_sum(f, unknown)
+    unknown, minimizer = _solve_trial(f, uset, sigma, seed, sigma_multiplier_range)
     classify_set = uset if classify_sigma is None else replace(uset, sigma=float(classify_sigma))
     verdict = classify_point(f, minimizer, classify_set, theta_steps, slack=slack)
     return OracleSample(unknown=unknown, minimizer=minimizer, verdict=verdict)
@@ -306,50 +313,59 @@ def validate_necessity(
 ) -> ValidationReport:
     """Run a necessity campaign: every true minimizer must classify as member.
 
-    Per-trial sub-seeds derive deterministically from the master seed.  With
-    classify_sigma set above the sampling sigma the hypothesis is knowingly
-    violated and falsifications are expected; that mode exists to demonstrate
-    the campaign has teeth.  theta_steps is validated by classify_point and
-    echoed in the report; it decides nothing.
+    Per-trial sub-seeds derive deterministically from the master seed.
+    Trials are sampled and solved one by one, and their minimizers are
+    classified together, BLOCK_ROWS at a time; the report equals the one
+    built from evaluate_trial on each sub-seed.  A NonFiniteError carries
+    the trial index.  With classify_sigma set above the sampling sigma the
+    hypothesis is knowingly violated and falsifications are expected; that
+    mode exists to demonstrate the campaign has teeth.  theta_steps is
+    validated and echoed in the report; it decides nothing.
     """
+    theta_steps = check_theta_steps(theta_steps)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sub_seeds = np.random.SeedSequence(int(seed)).generate_state(trials, dtype=np.uint64)
+    classify_set = uset if classify_sigma is None else replace(uset, sigma=float(classify_sigma))
     sigma_c = float(classify_sigma) if classify_sigma is not None else float(sigma)
     member_count = 0
     interior_count = 0
     falsifications = []
     worst_margin = None
-    for t in range(trials):
-        sample = evaluate_trial(
-            f,
-            uset,
-            sigma,
-            int(sub_seeds[t]),
-            theta_steps,
-            slack=slack,
-            sigma_multiplier_range=sigma_multiplier_range,
-            classify_sigma=classify_sigma,
-        )
-        verdict = sample.verdict
-        if verdict.interior:
-            interior_count += 1
-            continue
-        if verdict.best_score is not None:
-            margin = -sigma_c - verdict.best_score
+    for start in range(0, trials, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, trials)
+        minimizers = np.empty((stop - start, f.dimension))
+        centers = np.empty_like(minimizers)
+        sigma_u = np.empty(stop - start)
+        for i in range(stop - start):
+            unknown, minimizers[i] = _solve_trial(
+                f, uset, sigma, int(sub_seeds[start + i]), sigma_multiplier_range
+            )
+            centers[i], sigma_u[i] = unknown.center, unknown.sigma_u
+        try:
+            res = classify_points(f, classify_set, minimizers, slack)
+        except NonFiniteError as exc:
+            raise NonFiniteError(start + exc.row, exc.reason) from None
+        passed = res.interior.copy()
+        passed[res.owner[res.member]] = True
+        best = np.full(stop - start, np.inf)
+        np.minimum.at(best, res.owner, res.score)
+        interior_count += int(np.count_nonzero(res.interior))
+        member_count += int(np.count_nonzero(passed & ~res.interior))
+        scored = ~res.interior & (best < np.inf)
+        if scored.any():
+            margin = float(np.min(-sigma_c - best[scored]))
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
-        if verdict.member:
-            member_count += 1
-        elif len(falsifications) < 20:
+        for i in np.flatnonzero(~passed)[: 20 - len(falsifications)]:
             falsifications.append(
                 {
-                    "trial": t,
-                    "minimizer": [float(v) for v in sample.minimizer],
-                    "center": [float(v) for v in sample.unknown.center],
-                    "sigma_u": sample.unknown.sigma_u,
-                    "best_score": verdict.best_score,
+                    "trial": start + int(i),
+                    "minimizer": [float(v) for v in minimizers[i]],
+                    "center": [float(v) for v in centers[i]],
+                    "sigma_u": float(sigma_u[i]),
+                    "best_score": float(best[i]) if best[i] < np.inf else None,
                 }
             )
     falsification_count = trials - interior_count - member_count
@@ -362,7 +378,7 @@ def validate_necessity(
         falsification_count=falsification_count,
         worst_margin=worst_margin,
         seed=int(seed),
-        theta_steps=int(theta_steps),
+        theta_steps=theta_steps,
         slack=float(slack),
         sigma_multiplier_range=(float(sigma_multiplier_range[0]), float(sigma_multiplier_range[1])),
         falsification_details=tuple(falsifications),

@@ -1,10 +1,10 @@
 """Grid scans of the candidate-minimizer region, plus mask serialization.
 
-scan_region classifies every grid point exactly as classify_point would, in
-one vectorized pass.  For ball sets both go through the same closed-form
-kernel, ball_score_infimum, so their verdicts agree by construction.
-Registered kink points that land on the grid fall back to the per-point
-classifier.
+scan_region streams the grid through the membership kernel,
+classify_points, in blocks of BLOCK_ROWS points, and keeps one flag per
+point: interior, or any generator passes.  classify_point is the same
+kernel on one row, so the two agree by construction, and memory stays
+bounded whatever the grid size.
 """
 
 from __future__ import annotations
@@ -13,17 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GridMismatchError
+from .errors import DimensionMismatchError, GridMismatchError, NonFiniteError
 from .funcmodel import KnownFunction
 from .geometry import Ball
 from .membership import (
+    BLOCK_ROWS,
     DEFAULT_SLACK,
     DEFAULT_THETA_STEPS,
     UncertaintySet,
-    ball_score_infimum,
     check_theta_steps,
-    classify_point,
-    nonzero_generators,
+    classify_points,
 )
 
 
@@ -110,67 +109,10 @@ def build_grid(spec: GridSpec) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, spec.dimension)
 
 
-def _grid_gradients(f: KnownFunction, pts: np.ndarray) -> np.ndarray:
-    """Quadratic-part gradients for every row of pts, mirroring gradient()."""
-    total = np.zeros_like(pts)
-    for t in f.terms:
-        total = total + 2.0 * t.weight * ((pts - t.m) @ t.Q.T)
-    return total
-
-
-def _kink_rows(f: KnownFunction, pts: np.ndarray) -> np.ndarray:
-    rows = np.zeros(pts.shape[0], dtype=bool)
-    for k in f.kinks:
-        rows |= np.max(np.abs(pts - k.point), axis=1) <= 1e-12
-    return rows
-
-
-def _scan_ball(
-    f: KnownFunction,
-    uset: UncertaintySet,
-    pts: np.ndarray,
-    rows: np.ndarray,
-    member: np.ndarray,
-    slack: float,
-):
-    ball = uset.region
-    delta = ball.center - pts
-    inside = np.sqrt(np.einsum("ij,ij->i", delta, delta)) <= ball.radius
-    member[rows & inside] = True
-    idx = np.flatnonzero(rows & ~inside)
-    grads = _grid_gradients(f, pts[idx])
-    nz = nonzero_generators(grads)
-    idx = idx[nz]
-    member[idx] = ball_score_infimum(grads[nz], pts[idx], ball, uset.sigma, slack)[0]
-
-
-def _scan_finite(
-    f: KnownFunction,
-    uset: UncertaintySet,
-    pts: np.ndarray,
-    rows: np.ndarray,
-    member: np.ndarray,
-    slack: float,
-):
-    region = uset.region
-    threshold = -uset.sigma + slack
-    matched = np.zeros(pts.shape[0], dtype=bool)
-    for a in region.points:
-        matched |= np.all(pts == a, axis=1)
-    member[rows & matched] = True
-    idx = np.flatnonzero(rows & ~matched)
-    if idx.size == 0:
-        return
-    sub = pts[idx]
-    grads = _grid_gradients(f, sub)
-    hit = np.zeros(idx.size, dtype=bool)
-    for a in region.points:
-        diff = sub - a
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        units = diff / dist[:, None]
-        num = np.einsum("ij,ij->i", units, grads)
-        hit |= (num < 0.0) & (num / dist <= threshold)
-    member[idx] = hit
+def _grid_rows(axes: list, counts: tuple, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the grid that build_grid would return."""
+    index = np.unravel_index(np.arange(start, stop), counts)
+    return np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
 
 
 def scan_region(
@@ -183,24 +125,30 @@ def scan_region(
 ) -> RegionMask:
     """Classify every grid point; membership[i] matches classify_point on point i.
 
-    theta_steps is validated and recorded in the mask metadata; it decides
-    nothing.
+    A NonFiniteError carries the flat index of the grid point (its row in
+    build_grid(spec)) and names the point.  theta_steps is validated and
+    recorded in the mask metadata; it decides nothing.
     """
     theta_steps = check_theta_steps(theta_steps)
     if f.dimension != spec.dimension or uset.dimension != spec.dimension:
         raise DimensionMismatchError("function, set, and grid dimensions must agree")
-    pts = build_grid(spec)
-    member = np.zeros(pts.shape[0], dtype=bool)
-    special = _kink_rows(f, pts)
-    smooth_rows = ~special
+    axes = spec.axes()
+    member = np.zeros(spec.point_count, dtype=bool)
+    for start in range(0, spec.point_count, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, spec.point_count)
+        X = _grid_rows(axes, spec.counts, start, stop)
+        try:
+            res = classify_points(f, uset, X, slack)
+        except NonFiniteError as exc:
+            point = ", ".join(repr(float(v)) for v in X[exc.row])
+            raise NonFiniteError(start + exc.row, f"grid point [{point}]: {exc.reason}") from None
+        block = member[start:stop]
+        block[res.interior] = True
+        block[res.owner[res.member]] = True
     if isinstance(uset.region, Ball):
-        _scan_ball(f, uset, pts, smooth_rows, member, float(slack))
         eps0, point_count = uset.region.radius, None
     else:
-        _scan_finite(f, uset, pts, smooth_rows, member, float(slack))
         eps0, point_count = None, uset.region.points.shape[0]
-    for i in np.flatnonzero(special):
-        member[i] = classify_point(f, pts[i], uset, theta_steps, slack=slack).member
     meta = MaskMetadata(
         sigma=uset.sigma,
         theta_steps=theta_steps,

@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import minregion
 from minregion.cli import load_config, main
 from minregion.errors import ConfigError
 from minregion.scanner import mask_subset, read_mask_csv
@@ -99,6 +101,28 @@ def test_check_rejects_non_finite_points(tmp_path, capsys, point):
     captured = capsys.readouterr()
     assert f"point {point!r}" in captured.err and "finite" in captured.err
     assert "member:" not in captured.out
+
+
+def test_overflow_is_a_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path, REFERENCE)
+    assert main(["check", config, "1e308,1e308"]) == 2
+    captured = capsys.readouterr()
+    assert "error: point '1e308,1e308': gradient overflows" in captured.err
+    assert "member:" not in captured.out
+    heavy = json.loads(json.dumps(REFERENCE))
+    heavy["known_function"]["terms"][0]["weight"] = 1e308
+    heavy = write_config(tmp_path, heavy, name="heavy.json")
+    assert main(["check", heavy, "1.0,0.0"]) == 2
+    assert "error: point '1.0,0.0': gradient overflows" in capsys.readouterr().err
+    assert main(["check", heavy, "0.05,0.0"]) == 0  # inside the ball: no gradient needed
+    capsys.readouterr()
+    assert main(["scan", heavy, "-o", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {heavy}: grid point [-1.0, -2.0]: gradient overflows" in err
+    assert not (tmp_path / "m.csv").exists()
+    with np.errstate(over="ignore", invalid="ignore"):  # the normal equations overflow first
+        assert main(["validate", heavy, "--trials", "3"]) == 2
+    assert "minimizer of trial 0: coordinates are not finite" in capsys.readouterr().err
 
 
 def test_check_witness_line(tmp_path, capsys):
@@ -215,10 +239,14 @@ def test_cli_mask_nesting_across_parameters(tmp_path):
 
 def test_module_entry_point(tmp_path):
     config = write_config(tmp_path, REFERENCE)
+    # the child imports the package under test, installed or not
+    package_root = os.path.dirname(os.path.dirname(minregion.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "minregion", "check", config, "1.0,0.0"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "member: yes" in proc.stdout

@@ -8,6 +8,7 @@ from minregion.funcmodel import (
     Kink,
     KnownFunction,
     QuadraticTerm,
+    _smooth_gradient,
     finite_difference_check,
     gradient,
     subdifferential,
@@ -49,6 +50,22 @@ def test_gradient_accumulates_terms():
     x = np.array([3.0, 4.0])
     assert np.allclose(gradient(f, x), [6.0 + 2.0 * 2.0, 8.0])
     assert f.value(x) == 25.0 + 0.5 * 2.0 * 4.0
+
+
+def test_batched_gradient_is_bitwise_per_row():
+    # a row's gradient has the same bits alone and inside a batch, so batched
+    # classification and classify_point start from the same generators
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 3, 5):
+        f = random_psd_function(rng, n, terms=2)
+        X = rng.uniform(-3.0, 3.0, (257, n))
+        batch = _smooth_gradient(f, X)
+        assert batch.shape == X.shape
+        for i in (0, 1, 128, 256):
+            assert np.array_equal(batch[i], gradient(f, X[i]))
+            assert np.array_equal(batch[i : i + 1], _smooth_gradient(f, X[i : i + 1]))
+        expected = sum(2.0 * t.weight * (X - t.m) @ t.Q.T for t in f.terms)
+        assert np.allclose(batch, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_weight_homogeneity_exact():

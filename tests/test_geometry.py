@@ -8,11 +8,9 @@ from minregion.errors import (
     DimensionMismatchError,
     InsideBallError,
     NotOnBoundaryError,
-    ZeroVectorError,
 )
 from minregion.geometry import (
     Ball,
-    angle_between,
     chord_length,
     nearest_boundary_point,
     unit_vector,
@@ -47,30 +45,6 @@ def test_unit_vector_coincident_raises():
 def test_unit_vector_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         unit_vector([1.0, 2.0], [1.0])
-
-
-def test_angle_between_examples():
-    assert abs(angle_between([1.0, 0.0], [0.0, 1.0]) - np.pi / 2) < 1e-12
-    assert angle_between([1.0, 0.0], [2.0, 0.0]) == 0.0
-    assert abs(angle_between([1.0, 0.0], [-1.0, 0.0]) - np.pi) < 1e-12
-
-
-def test_angle_between_symmetry_and_scale():
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        n = int(rng.integers(2, 6))
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        a = angle_between(u, v)
-        assert a == angle_between(v, u)
-        # power-of-two scalings are exact in floats
-        assert a == angle_between(4.0 * u, 0.5 * v)
-        assert 0.0 <= a <= np.pi
-
-
-def test_angle_between_zero_raises():
-    with pytest.raises(ZeroVectorError):
-        angle_between([0.0, 0.0], [1.0, 0.0])
 
 
 def test_chord_length_endpoint_identities():

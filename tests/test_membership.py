@@ -1,5 +1,7 @@
 """Tests for the candidate-minimizer membership decision."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +11,7 @@ from minregion.errors import (
     CoincidentPointsError,
     DimensionMismatchError,
     InsideBallError,
+    NonFiniteError,
 )
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
@@ -17,6 +20,7 @@ from minregion.membership import (
     UncertaintySet,
     ball_score_infimum,
     classify_point,
+    classify_points,
     evaluate_general,
     pair_score,
 )
@@ -149,8 +153,68 @@ def grid_problems(draw):
 def test_scan_equals_classify_on_random_problems(problem):
     f, uset, spec = problem
     mask = scan_region(f, uset, spec)
+    threshold = -uset.sigma + 1e-9
     for x, flag in zip(build_grid(spec), mask.membership):
-        assert classify_point(f, x, uset).member == flag
+        verdict = classify_point(f, x, uset)
+        assert verdict.member == flag
+        if verdict.interior or not isinstance(uset.region, FinitePointSet):
+            continue
+        # the independent evaluator sums <u, g> another way, so scores may
+        # differ in the last bits; verdicts must agree off the threshold
+        ref = evaluate_general(f, x, uset)
+        assert (ref.best_score is None) == (verdict.best_score is None)
+        if ref.best_score is None:
+            assert not flag
+            continue
+        tol = 1e-12 * max(1.0, abs(ref.best_score))
+        assert abs(ref.best_score - verdict.best_score) <= tol
+        if abs(ref.best_score - threshold) > tol:
+            assert ref.member == flag
+
+
+def test_classify_points_generator_table():
+    # rows: inside the ball, at a kink, smooth, and the zero-gradient minimizer
+    f = KnownFunction(
+        terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0]),),
+        kinks=(Kink(point=[1.0, 0.0], generators=([-5.0, 0.0], [2.0, 0.0], [0.0, 3.0])),),
+    )
+    X = np.array([[0.05, 0.0], [1.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
+    res = classify_points(f, reference_set(), X)
+    assert res.interior.tolist() == [True, False, False, False]
+    # kink generators in declared order, each shifted by the smooth gradient
+    # (-2, 0); the shifted (2, 0) is zero and dropped, as is row 3's gradient
+    assert res.owner.tolist() == [2, 1, 1]
+    assert res.g.tolist() == [[-2.0, 1.0], [-7.0, 0.0], [-2.0, 3.0]]
+    for row in (1, 2, 3):
+        verdict = classify_point(f, X[row], reference_set())
+        assert verdict.member == bool(res.member[res.owner == row].any())
+    assert classify_point(f, X[1], reference_set()).witness.g.tolist() == [-7.0, 0.0]
+    # finite sets keep zero generators: no admissible point, score inf
+    finite = UncertaintySet(region=FinitePointSet(points=[[0.0, 0.0]]), sigma=2.0)
+    res = classify_points(f, finite, X)
+    assert res.owner.tolist() == [0, 2, 3, 1, 1, 1]
+    assert res.score[res.owner == 3][0] == np.inf and not res.member[res.owner == 3][0]
+
+
+def test_classify_points_rejects_non_finite():
+    f = reference_function()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match="row 1: coordinates are not finite") as exc:
+            classify_points(f, reference_set(), [[1.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]])
+        assert exc.value.row == 1 and isinstance(exc.value, ValueError)
+        with pytest.raises(NonFiniteError, match="gradient overflows"):
+            classify_point(f, [1e308, 1e308], reference_set())
+        # |x*|^2 overflows although the gradient does not
+        with pytest.raises(NonFiniteError, match="score overflows"):
+            classify_point(f, [1e160, 1e160], reference_set())
+        heavy = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0], weight=1e308),))
+        finite = UncertaintySet(region=FinitePointSet(points=[[0.0, 0.0]]), sigma=2.0)
+        for uset in (reference_set(), finite):
+            with pytest.raises(NonFiniteError, match="gradient overflows"):
+                classify_point(heavy, [1.0, 0.0], uset)
+            # the interior rule needs no gradient
+            assert classify_point(heavy, [0.0, 0.0], uset).interior
 
 
 def test_evaluate_ball_member_anchor():

@@ -269,6 +269,76 @@ def test_validate_necessity_detects_violated_hypothesis():
     assert report.worst_margin < 0.0
 
 
+def _report_from_trials(f, uset, sigma, trials, seed, classify_sigma=None):
+    """A validation report built from one evaluate_trial call per sub-seed."""
+    seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+    sigma_c = sigma if classify_sigma is None else classify_sigma
+    member = interior = 0
+    details, margins = [], []
+    for t, sub_seed in enumerate(seeds):
+        sample = evaluate_trial(f, uset, sigma, int(sub_seed), classify_sigma=classify_sigma)
+        verdict = sample.verdict
+        if verdict.interior:
+            interior += 1
+            continue
+        if verdict.best_score is not None:
+            margins.append(-sigma_c - verdict.best_score)
+        if verdict.member:
+            member += 1
+        elif len(details) < 20:
+            details.append(
+                {
+                    "trial": t,
+                    "minimizer": [float(v) for v in sample.minimizer],
+                    "center": [float(v) for v in sample.unknown.center],
+                    "sigma_u": sample.unknown.sigma_u,
+                    "best_score": verdict.best_score,
+                }
+            )
+    return {
+        "sigma": sigma,
+        "classify_sigma": sigma_c,
+        "trials": trials,
+        "member": member,
+        "inside_set": interior,
+        "falsifications": trials - member - interior,
+        "worst_margin": min(margins) if margins else None,
+        "seed": seed,
+        "theta_steps": 2048,
+        "slack": 1e-9,
+        "sigma_multiplier_range": [1.05, 3.0],
+        "falsification_details": details,
+    }
+
+
+@pytest.mark.parametrize("case", ["ball", "finite", "kink", "falsified"])
+def test_validate_necessity_equals_per_trial_loop(case):
+    # the batched campaign reports exactly what classifying trial by trial does
+    a = np.array([[1.0, 0.4], [0.4, 0.7]])
+    f = KnownFunction(terms=(QuadraticTerm(Q=a @ a.T, m=[2.0, -0.5], weight=0.8),))
+    uset = UncertaintySet(region=Ball(center=[0.1, -0.2], radius=0.3), sigma=1.5)
+    trials, classify_sigma = 300, None
+    if case == "finite":
+        uset = UncertaintySet(
+            region=FinitePointSet(points=[[0.0, 0.0], [0.2, -0.1], [-0.3, 0.3]]), sigma=1.5
+        )
+    elif case == "kink":
+        f = KnownFunction(
+            terms=(QuadraticTerm(Q=np.eye(1), m=[2.0]),),
+            kinks=(Kink(point=[1.0], generators=([-5.0], [5.0])),),
+        )
+        uset = UncertaintySet(region=Ball(center=[0.0], radius=0.1), sigma=1.0)
+        trials = 50
+    elif case == "falsified":
+        classify_sigma = 40.0
+    report = validate_necessity(
+        f, uset, uset.sigma, trials, seed=14, classify_sigma=classify_sigma
+    ).to_dict()
+    assert report == _report_from_trials(f, uset, uset.sigma, trials, 14, classify_sigma)
+    if case == "falsified":
+        assert report["falsifications"] > 0 and report["falsification_details"]
+
+
 def test_validate_necessity_deterministic():
     kwargs = dict(trials=50, seed=33)
     a = validate_necessity(reference_function(), reference_set(), 2.0, **kwargs)

@@ -1,12 +1,14 @@
 """Tests for grid scanning and mask serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from minregion.errors import DimensionMismatchError, GridMismatchError
+from minregion.errors import DimensionMismatchError, GridMismatchError, NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
-from minregion.membership import FinitePointSet, UncertaintySet, classify_point
+from minregion.membership import BLOCK_ROWS, FinitePointSet, UncertaintySet, classify_point
 from minregion.scanner import (
     GridSpec,
     MaskMetadata,
@@ -105,6 +107,35 @@ def test_scan_matches_classifier_with_kink_on_grid():
     pts = build_grid(spec)
     for i, p in enumerate(pts):
         assert bool(mask.membership[i]) == classify_point(f, p, uset).member
+
+
+def test_scan_memory_is_bounded():
+    # grid points stream through the kernel in fixed-size blocks; whole-grid
+    # temporaries would peak near 170 MB here
+    spec = GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(1001, 1001))
+    tracemalloc.start()
+    try:
+        mask = scan_region(reference_function(), reference_set(), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert mask.member_count > 0
+
+
+def test_scan_names_the_overflowing_grid_point():
+    # 2 w overflows, so every gradient does; the first point outside the
+    # ball lies in the second block of the grid
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(1), m=[0.0], weight=1e308),))
+    uset = UncertaintySet(region=Ball(center=[0.0], radius=1.5), sigma=2.0)
+    spec = GridSpec(lower=[0.0], upper=[3.0], counts=(3 * BLOCK_ROWS,))
+    xs = build_grid(spec)[:, 0]
+    first = int(np.flatnonzero(xs > 1.5)[0])
+    assert BLOCK_ROWS < first < 2 * BLOCK_ROWS
+    with pytest.raises(NonFiniteError, match="gradient overflows") as exc:
+        scan_region(f, uset, spec)
+    assert exc.value.row == first
+    assert f"grid point [{float(xs[first])!r}]" in str(exc.value)
 
 
 def test_scan_1d_threshold():
