@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteError
+from .errors import ConfigError, ConvergenceError, DimensionMismatchError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
 from .geometry import Ball
 from .membership import (
@@ -343,6 +343,8 @@ def _cmd_validate(args) -> int:
         )
     except NonFiniteError as exc:
         raise ConfigError(f"{args.config}: minimizer of trial {exc.row}: {exc.reason}") from None
+    except ConvergenceError as exc:  # the message names the trial
+        raise ConfigError(f"{args.config}: {exc}") from None
     payload = dict(report.to_dict(), config=config.raw)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.report is not None:

@@ -10,6 +10,7 @@ falsification and indicates a defect.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,12 +156,7 @@ def minimize_sum(f: KnownFunction, u: UnknownQuadratic) -> np.ndarray:
     """
     if f.kinks:
         raise KinkPointError("minimize_sum handles smooth models only; use minimize_sum_iterative")
-    n = f.dimension
-    A = u.sigma_u * np.eye(n)
-    b = u.sigma_u * u.center.copy()
-    for t in f.terms:
-        A = A + 2.0 * t.weight * t.Q
-        b = b + 2.0 * t.weight * (t.Q @ t.m)
+    A, b = _normal_equations(f, u)
     x = np.linalg.solve(A, b)
     residual = float(np.linalg.norm(A @ x - b))
     if residual > 1e-10 * max(1.0, float(np.linalg.norm(b))):
@@ -168,36 +164,43 @@ def minimize_sum(f: KnownFunction, u: UnknownQuadratic) -> np.ndarray:
     return x
 
 
-def _hull_project(z: np.ndarray, gens: tuple) -> np.ndarray:
-    """Euclidean projection of z onto the convex hull of finitely many points."""
-    if len(gens) == 1:
-        return gens[0]
-    if len(gens) == 2:
-        a, b = gens
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom == 0.0:
-            return a
-        t = float(np.clip((z - a) @ ab / denom, 0.0, 1.0))
-        return a + t * ab
-    # small simplex-constrained least squares by projected gradient
-    M = np.stack(gens)  # (k, n)
-    k = M.shape[0]
-    lam = np.full(k, 1.0 / k)
-    G = M @ M.T
-    step = 1.0 / max(float(np.linalg.eigvalsh(G)[-1]), 1e-12)
-    Mz = M @ z
-    for _ in range(5000):
-        lam = _simplex_project(lam - step * (G @ lam - Mz))
-    return M.T @ lam
+def _normal_equations(f: KnownFunction, u: UnknownQuadratic) -> tuple:
+    """(A, b) such that the smooth part of f + u has gradient A x - b."""
+    A = u.sigma_u * np.eye(f.dimension)
+    b = u.sigma_u * u.center.copy()
+    for t in f.terms:
+        A = A + 2.0 * t.weight * t.Q
+        b = b + 2.0 * t.weight * (t.Q @ t.m)
+    return A, b
 
 
-def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Projection onto the probability simplex (sorting method)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+def _hull_project(z: np.ndarray, gens) -> np.ndarray:
+    """Euclidean projection of z onto the convex hull of finitely many points.
+
+    The projection lies on a face spanned by at most n + 1 generators: each
+    support V of 1..min(k, n + 1) generators is projected onto its affine
+    hull by the bordered KKT system [[V V^T, 1], [1^T, 0]], and the nearest
+    candidate with all weights >= 0 wins, at a cost of sum_{s <= n+1} C(k, s)
+    solves.  A one-generator support is the generator itself, bit for bit.
+    """
+    M = np.stack(gens)
+    sq = np.sum((z - M) ** 2, axis=1)  # the supports of one generator
+    best, best_dist = M[int(np.argmin(sq))], float(np.min(sq))
+    for size in range(2, min(M.shape[0], M.shape[1] + 1) + 1):
+        kkt = np.ones((size + 1, size + 1))
+        kkt[size, size] = 0.0
+        for support in itertools.combinations(M, size):
+            V = np.stack(support)
+            kkt[:size, :size] = V @ V.T
+            try:
+                lam = np.linalg.solve(kkt, np.append(V @ z, 1.0))[:size]
+            except np.linalg.LinAlgError:  # affinely dependent support
+                continue
+            p = lam @ V
+            dist = float((z - p) @ (z - p))
+            if np.all(lam >= 0.0) and dist < best_dist:
+                best, best_dist = p, dist
+    return best
 
 
 def _interpreted_subgradient(f: KnownFunction, u: UnknownQuadratic, x: np.ndarray) -> np.ndarray:
@@ -226,59 +229,50 @@ def minimize_sum_iterative(
     tol: float = STATIONARITY_TOL,
     max_iter: int = 200_000,
 ) -> np.ndarray:
-    """Iterative minimizer of f + u, also valid for models with kinks.
+    """Minimizer of f + u for any model; iterative only with two or more kinks.
 
-    Kink models are minimized as the smooth quadratic part plus one
-    max-affine envelope per registered kink (the convex completion of the
-    declared kink subdifferentials).  A single kink is handled by proximal
-    gradient steps with an exact hull-projection prox; multiple kinks fall
-    back to plain subgradient steps.  Iterates within snapping distance of a
-    kink whose generator hull certifies stationarity return that kink point
-    exactly, so the returned x always satisfies: the distance from
-    -grad_u(x) to the subdifferential of f at x is at most tol.
+    Kinks are minimized under the max-affine completion of their declared
+    generators; smooth models go to minimize_sum.  A single kink at p returns
+    p itself when its generator hull certifies stationarity
+    (_kink_stationarity_gap <= tol), otherwise x = A^-1 (b - s), where s
+    projects r = b - A p onto the generator hull in the A^-1 metric (the
+    dual problem): s = L _hull_project(L^-1 r, L^-1 G) with A = L L^T.  Two
+    or more kinks take subgradient steps that snap to a kink whose hull
+    certifies stationarity, and raise ConvergenceError after max_iter steps.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    n = f.dimension
-    lip = u.sigma_u
-    for t in f.terms:
-        lip += 2.0 * t.weight * float(np.linalg.eigvalsh(t.Q)[-1])
-    step = 1.0 / lip
+    if not f.kinks:
+        return minimize_sum(f, u)
+    if len(f.kinks) == 1:
+        kink = f.kinks[0]
+        if _kink_stationarity_gap(f, u, kink) <= tol:
+            return kink.point.copy()
+        A, b = _normal_equations(f, u)
+        L = np.linalg.cholesky(A)
+        z = np.linalg.solve(L, b - A @ kink.point)  # L^-1 r
+        gens = np.linalg.solve(L, np.stack(kink.generators).T).T
+        return np.linalg.solve(A, b - L @ _hull_project(z, gens))
+    step = 1.0 / float(np.linalg.eigvalsh(_normal_equations(f, u)[0])[-1])
     x = u.center.astype(float).copy()
-    single_kink = f.kinks[0] if len(f.kinks) == 1 else None
     snap_radius = max(1e-5, 10.0 * tol)
     for iteration in range(int(max_iter)):
-        # snap: an iterate close to a kink whose hull certifies stationarity
-        for k in f.kinks:
+        for k in f.kinks:  # snap to a kink whose hull certifies stationarity
             if float(np.linalg.norm(x - k.point)) <= snap_radius:
                 if _kink_stationarity_gap(f, u, k) <= tol:
                     return k.point.copy()
-        if f.kink_at(x) is None:
-            smooth_gap = _smooth_gradient(f, x) + u.gradient(x)
-            if not f.kinks and float(np.linalg.norm(smooth_gap)) <= tol:
-                return x
-            if f.kinks:
-                # full stationarity of the completed model at a smooth point
-                if float(np.linalg.norm(_interpreted_subgradient(f, u, x))) <= tol:
-                    return x
-        if single_kink is not None:
-            v = x - step * (_smooth_gradient(f, x) + u.gradient(x))
-            w = (v - single_kink.point) / step
-            x = v - step * _hull_project(w, single_kink.generators)
-        elif not f.kinks:
-            x = x - step * (_smooth_gradient(f, x) + u.gradient(x))
-        else:
-            shrink = 1.0 / (1.0 + iteration * u.sigma_u * step)
-            x = x - step * shrink * _interpreted_subgradient(f, u, x)
+        g = _interpreted_subgradient(f, u, x)
+        if f.kink_at(x) is None and float(np.linalg.norm(g)) <= tol:
+            return x
+        shrink = 1.0 / (1.0 + iteration * u.sigma_u * step)
+        x = x - step * shrink * g
     raise ConvergenceError(f"no stationary point within tol={tol} after {max_iter} iterations")
 
 
 def _solve_trial(f, uset, sigma, seed, sigma_multiplier_range):
-    """Sample one unknown term and minimize the sum exactly: (unknown, minimizer)."""
+    """Sample one unknown term and minimize the sum: (unknown, minimizer)."""
     unknown = sample_unknown(uset, sigma, seed, sigma_multiplier_range)
-    if f.kinks:
-        return unknown, minimize_sum_iterative(f, unknown)
-    return unknown, minimize_sum(f, unknown)
+    return unknown, minimize_sum_iterative(f, unknown)
 
 
 def evaluate_trial(
@@ -316,11 +310,11 @@ def validate_necessity(
     Per-trial sub-seeds derive deterministically from the master seed.
     Trials are sampled and solved one by one, and their minimizers are
     classified together, BLOCK_ROWS at a time; the report equals the one
-    built from evaluate_trial on each sub-seed.  A NonFiniteError carries
-    the trial index.  With classify_sigma set above the sampling sigma the
-    hypothesis is knowingly violated and falsifications are expected; that
-    mode exists to demonstrate the campaign has teeth.  theta_steps is
-    validated and echoed in the report; it decides nothing.
+    built from evaluate_trial on each sub-seed.  A NonFiniteError or a
+    ConvergenceError carries the trial index.  With classify_sigma set above
+    the sampling sigma the hypothesis is knowingly violated and
+    falsifications are expected; that mode shows the campaign has teeth.
+    theta_steps is validated and echoed in the report; it decides nothing.
     """
     theta_steps = check_theta_steps(theta_steps)
     trials = int(trials)
@@ -339,9 +333,12 @@ def validate_necessity(
         centers = np.empty_like(minimizers)
         sigma_u = np.empty(stop - start)
         for i in range(stop - start):
-            unknown, minimizers[i] = _solve_trial(
-                f, uset, sigma, int(sub_seeds[start + i]), sigma_multiplier_range
-            )
+            try:
+                unknown, minimizers[i] = _solve_trial(
+                    f, uset, sigma, int(sub_seeds[start + i]), sigma_multiplier_range
+                )
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"trial {start + i}: {exc}") from None
             centers[i], sigma_u[i] = unknown.center, unknown.sigma_u
         try:
             res = classify_points(f, classify_set, minimizers, slack)

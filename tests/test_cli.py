@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import minregion
+from minregion import oracle
 from minregion.cli import load_config, main
-from minregion.errors import ConfigError
+from minregion.errors import ConfigError, ConvergenceError
 from minregion.scanner import mask_subset, read_mask_csv
 
 
@@ -120,9 +121,32 @@ def test_overflow_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {heavy}: grid point [-1.0, -2.0]: gradient overflows" in err
     assert not (tmp_path / "m.csv").exists()
+    kinked = json.loads(json.dumps(REFERENCE))
+    kinked["known_function"]["terms"][0]["weight"] = 1e308
+    kinked["known_function"]["kinks"] = [{"point": [0.5, 0.0], "generators": [[3.0, 0.0], [-3.0, 0.0]]}]
+    kinked = write_config(tmp_path, kinked, name="kinked.json")
     with np.errstate(over="ignore", invalid="ignore"):  # the normal equations overflow first
-        assert main(["validate", heavy, "--trials", "3"]) == 2
-    assert "minimizer of trial 0: coordinates are not finite" in capsys.readouterr().err
+        for path in (heavy, kinked):
+            assert main(["validate", path, "--trials", "3"]) == 2
+            assert "minimizer of trial 0: coordinates are not finite" in capsys.readouterr().err
+
+
+def test_unconverged_solve_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    solve = oracle.minimize_sum_iterative
+    calls = []
+
+    def stalls_on_second_trial(f, u):
+        calls.append(u)
+        if len(calls) == 2:
+            raise ConvergenceError("no stationary point within tol=1e-08 after 200000 iterations")
+        return solve(f, u)
+
+    monkeypatch.setattr(oracle, "minimize_sum_iterative", stalls_on_second_trial)
+    config = write_config(tmp_path, REFERENCE)
+    assert main(["validate", config, "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {config}: trial 1: no stationary point within tol=1e-08" in captured.err
+    assert "trials=" not in captured.out
 
 
 def test_check_witness_line(tmp_path, capsys):
