@@ -9,6 +9,7 @@ bounded whatever the grid size.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +179,13 @@ def _format_float(x: float) -> str:
 
 
 def write_mask_csv(mask: RegionMask, path: str):
-    """CSV: two '#' header lines (parameters, grid), then x1,...,xn,member rows."""
+    """CSV: two '#' header lines (parameters, grid), then x1,...,xn,member rows.
+
+    Rows are streamed in grid order, one last-axis line at a time: every
+    axis value is formatted once, and each row joins its leading
+    coordinates to a cached "x_n,flag" tail, so memory grows with the
+    longest axis, not with the point count.
+    """
     meta = mask.metadata
     size_field = (
         f"eps0={_format_float(meta.eps0)}"
@@ -186,26 +193,47 @@ def write_mask_csv(mask: RegionMask, path: str):
         else f"points={meta.point_count}"
     )
     grid = mask.grid
-    lines = [
+    header = (
         f"# sigma={_format_float(meta.sigma)}, {size_field}, "
-        f"theta_steps={meta.theta_steps}, slack={_format_float(meta.slack)}",
+        f"theta_steps={meta.theta_steps}, slack={_format_float(meta.slack)}\n"
         "# grid lower=" + ",".join(_format_float(v) for v in grid.lower)
         + " upper=" + ",".join(_format_float(v) for v in grid.upper)
-        + " counts=" + ",".join(str(c) for c in grid.counts),
-    ]
-    pts = build_grid(grid)
-    for row, flag in zip(pts, mask.membership):
-        lines.append(",".join(_format_float(v) for v in row) + f",{int(flag)}")
+        + " counts=" + ",".join(str(c) for c in grid.counts) + "\n"
+    )
+    # build_grid is a meshgrid of these same axes, so the strings are exact
+    labels = [[_format_float(v) for v in ax] for ax in grid.axes()]
+    tails = [(f"{x},0\n", f"{x},1\n") for x in labels[-1]]
+    flags = mask.membership.reshape(-1, grid.counts[-1])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        for prefix, line_flags in zip(itertools.product(*labels[:-1]), flags):
+            lead = "".join(v + "," for v in prefix)
+            fh.write(lead + lead.join([t[f] for t, f in zip(tails, line_flags.tolist())]))
 
 
 def read_mask_csv(path: str) -> RegionMask:
-    """Inverse of write_mask_csv; validates coordinates against the declared grid."""
+    """Inverse of write_mask_csv; validates coordinates against the declared grid.
+
+    Raises ValueError for a file that is not a mask CSV, a row that does not
+    parse or has the wrong number of columns, a wrong row count, or
+    coordinates that are not exactly the declared grid's, in grid order.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 3 or not lines[0].startswith("#") or not lines[1].startswith("#"):
-        raise ValueError(f"{path}: not a mask CSV (two '#' header lines expected)")
+        lines = []  # the two header lines and the first data line
+        while len(lines) < 3:
+            line = fh.readline()
+            if not line:
+                break
+            if line.strip():
+                lines.append(line.rstrip("\n"))
+        if len(lines) < 3 or not lines[0].startswith("#") or not lines[1].startswith("#"):
+            raise ValueError(f"{path}: not a mask CSV (two '#' header lines expected)")
+        try:
+            data = np.loadtxt(
+                itertools.chain(lines[2:], fh), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     fields = {}
     for part in lines[0].lstrip("# ").split(","):
         key, _, value = part.strip().partition("=")
@@ -221,13 +249,13 @@ def read_mask_csv(path: str) -> RegionMask:
         counts=[int(v) for v in grid_fields["counts"].split(",")],
     )
     n = spec.dimension
-    data = np.array(
-        [[float(v) for v in ln.split(",")] for ln in lines[2:]], dtype=float
-    )
     if data.shape != (spec.point_count, n + 1):
         raise ValueError(f"{path}: expected {spec.point_count} data rows of {n + 1} columns")
-    if not np.array_equal(data[:, :n], build_grid(spec)):
-        raise ValueError(f"{path}: data coordinates do not match the declared grid")
+    for i, ax in enumerate(spec.axes()):
+        along = [1] * n
+        along[i] = -1
+        if not np.all(data[:, i].reshape(spec.counts) == ax.reshape(along)):
+            raise ValueError(f"{path}: data coordinates do not match the declared grid")
     meta = MaskMetadata(
         sigma=float(fields["sigma"]),
         theta_steps=int(fields["theta_steps"]),

@@ -243,14 +243,115 @@ def test_csv_rejects_garbage(tmp_path):
         read_mask_csv(str(path))
 
 
-def test_pgm_frozen_bytes(tmp_path):
-    # hand-built 3x2 grid; PGM rows run top-down in x2, columns left-right in x1
+def _small_mask(metadata):
+    # hand-built 3x2 grid: x1 in {0, 1, 2}, x2 in {0, 1}, last axis fastest
     spec = GridSpec(lower=[0.0, 0.0], upper=[2.0, 1.0], counts=(3, 2))
-    mask = RegionMask(
+    return RegionMask(
         grid=spec,
         membership=np.array([True, False, False, False, False, True]),
-        metadata=MaskMetadata(sigma=1.0, theta_steps=2, slack=0.0, eps0=0.1),
+        metadata=metadata,
     )
+
+
+SMALL_EPS0_HEADER = "# sigma=1.0, eps0=0.1, theta_steps=2, slack=0.0\n"
+SMALL_CSV_BODY = (
+    "# grid lower=0.0,0.0 upper=2.0,1.0 counts=3,2\n"
+    "0.0,0.0,1\n0.0,1.0,0\n1.0,0.0,0\n1.0,1.0,0\n2.0,0.0,0\n2.0,1.0,1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "metadata, first_line",
+    [
+        (MaskMetadata(sigma=1.0, theta_steps=2, slack=0.0, eps0=0.1), SMALL_EPS0_HEADER),
+        (MaskMetadata(sigma=0.5, theta_steps=64, slack=1e-09, point_count=16),
+         "# sigma=0.5, points=16, theta_steps=64, slack=1e-09\n"),
+    ],
+    ids=["eps0", "points"],
+)
+def test_csv_frozen_bytes(tmp_path, metadata, first_line):
+    path = tmp_path / "mask.csv"
+    write_mask_csv(_small_mask(metadata), str(path))
+    assert path.read_bytes() == (first_line + SMALL_CSV_BODY).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "lower, upper, counts",
+    [
+        ([-1 / 3], [2 / 7], (11,)),
+        ([-1 / 3, -2.0], [2 / 7, 1 / 3], (7, 9)),
+        ([-1 / 3, 0.1, -2 / 7], [2 / 7, 0.7, 1 / 3], (5, 3, 6)),
+        ([-1 / 3, 0.1, -2 / 7, -1.0], [2 / 7, 0.7, 1 / 3, 1 / 7], (3, 4, 2, 5)),
+    ],
+    ids=["1d", "2d", "3d", "4d"],
+)
+def test_csv_matches_per_row_formula(tmp_path, lower, upper, counts):
+    # the per-point formula the streaming writer replaced, over build_grid
+    spec = GridSpec(lower=lower, upper=upper, counts=counts)
+    flags = np.random.default_rng(len(counts)).random(spec.point_count) < 0.5
+    mask = RegionMask(
+        grid=spec,
+        membership=flags,
+        metadata=MaskMetadata(sigma=2 / 3, theta_steps=64, slack=1e-9, eps0=1 / 7),
+    )
+    path = tmp_path / "mask.csv"
+    write_mask_csv(mask, str(path))
+    header = path.read_text(encoding="ascii").splitlines(keepends=True)[:2]
+    rows = [
+        ",".join(repr(float(v)) for v in row) + f",{int(flag)}\n"
+        for row, flag in zip(build_grid(spec), flags)
+    ]
+    assert header[0] == "# sigma=0.6666666666666666, eps0=0.14285714285714285, theta_steps=64, slack=1e-09\n"
+    assert path.read_bytes() == "".join(header + rows).encode("ascii")
+    assert np.array_equal(read_mask_csv(str(path)).membership, flags)
+
+
+def test_csv_write_memory_is_bounded(tmp_path):
+    # rows stream to the file; collecting them as strings would peak near 180 MB
+    spec = GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(1001, 1001))
+    mask = RegionMask(
+        grid=spec,
+        membership=np.random.default_rng(3).random(spec.point_count) < 0.5,
+        metadata=MaskMetadata(sigma=2.0, theta_steps=64, slack=1e-9, eps0=0.1),
+    )
+    tracemalloc.start()
+    try:
+        write_mask_csv(mask, str(tmp_path / "mask.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("1.0,0.0,0\n", "1.0,0.0\n", id="ragged"),
+        pytest.param("1.0,0.0,0\n", "1.0000000000000002,0.0,0\n", id="x1-off-grid"),
+        pytest.param("1.0,0.0,0\n", "1.0,5e-324,0\n", id="x2-off-grid"),
+        pytest.param("1.0,0.0,0\n1.0,1.0,0\n", "1.0,1.0,0\n1.0,0.0,0\n", id="out-of-order"),
+        pytest.param("2.0,1.0,1\n", "", id="missing-row"),
+        pytest.param("2.0,1.0,1\n", "2.0,1.0,1\n2.0,1.0,1\n", id="extra-row"),
+        pytest.param("\n", ",0\n", id="extra-column"),
+        pytest.param("1.0,0.0,0\n", "# note\n1.0,0.0,0\n", id="comment-row"),
+        pytest.param("1.0,0.0,0\n", "1.0,zero,0\n", id="garbage-field"),
+    ],
+)
+def test_csv_rejects_bad_rows(tmp_path, old, new):
+    path = tmp_path / "mask.csv"
+    path.write_text(SMALL_EPS0_HEADER + SMALL_CSV_BODY, encoding="ascii")
+    assert read_mask_csv(str(path)).member_count == 2  # the unedited file is accepted
+    header, _, rows = SMALL_CSV_BODY.partition("\n")
+    assert old in rows
+    rows = rows.replace(old, new)
+    path.write_text(SMALL_EPS0_HEADER + header + "\n" + rows, encoding="ascii")
+    with pytest.raises(ValueError):
+        read_mask_csv(str(path))
+
+
+def test_pgm_frozen_bytes(tmp_path):
+    # PGM rows run top-down in x2, columns left-right in x1
+    mask = _small_mask(MaskMetadata(sigma=1.0, theta_steps=2, slack=0.0, eps0=0.1))
     path = tmp_path / "mask.pgm"
     write_mask_pgm(mask, str(path))
     assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 0, 255, 255, 0, 0])
