@@ -24,6 +24,7 @@ from .membership import (
     DEFAULT_THETA_STEPS,
     MembershipVerdict,
     UncertaintySet,
+    _check_finite,
     check_theta_steps,
     classify_point,
     classify_points,
@@ -119,10 +120,27 @@ def sample_unknown(
 ) -> UnknownQuadratic:
     """Draw an admissible unknown term, deterministically in the seed.
 
-    The center is uniform over the region (normalized normal direction times
-    radius * U^(1/n) for a ball; a uniform choice for a finite set) and
-    sigma_u = sigma * U(lo, hi) with the multiplier range inside [1, inf),
-    so the draw is always sigma-strongly convex.
+    The one-trial case of _draw_unknowns, which describes the draw.
+    """
+    centers, sigma_u = _draw_unknowns(uset, sigma, (seed,), sigma_multiplier_range)
+    return UnknownQuadratic(center=centers[0], sigma_u=sigma_u[0])
+
+
+def _draw_unknowns(
+    uset: UncertaintySet, sigma: float, seeds, sigma_multiplier_range: tuple
+) -> tuple:
+    """(centers (B, n), sigma_u (B,)): one admissible unknown term per seed.
+
+    Each seed gets its own np.random.default_rng(seed), so a trial's draw
+    does not depend on the other seeds.  The center is uniform over the
+    region: for a ball, standard_normal(n) (redrawn while all zero) gives
+    the direction and radius * U^(1/n) the distance; for a finite set,
+    integers(k) picks a point.  Then sigma_u = sigma * U(lo, hi) with the
+    multiplier range inside [1, inf), so every draw is sigma-strongly
+    convex.  U and U(lo, hi) take random() and lo + (hi - lo) * random(),
+    which is what uniform() and uniform(lo, hi) compute, bit for bit.
+    U^(1/n) is a Python float power, and the norm is sqrt(vecdot), which
+    rounds like np.linalg.norm on one row.
     """
     lo, hi = (float(v) for v in sigma_multiplier_range)
     if not (1.0 <= lo <= hi):
@@ -130,48 +148,78 @@ def sample_unknown(
     sigma = float(sigma)
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    rng = np.random.default_rng(seed)
     region = uset.region
+    draws = np.empty(len(seeds))
     if isinstance(region, Ball):
         n = region.dimension
-        direction = rng.standard_normal(n)
-        norm = float(np.linalg.norm(direction))
-        while norm == 0.0:  # essentially impossible, but keep the draw well defined
+        power = 1.0 / n
+        directions = np.empty((len(seeds), n))
+        scales = np.empty(len(seeds))
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(int(seed))
             direction = rng.standard_normal(n)
-            norm = float(np.linalg.norm(direction))
-        radius = region.radius * float(rng.uniform()) ** (1.0 / n)
-        center = region.center + radius * (direction / norm)
+            while not any(direction.tolist()):  # essentially impossible; keeps the draw defined
+                direction = rng.standard_normal(n)
+            directions[i] = direction
+            scales[i] = rng.random() ** power
+            draws[i] = rng.random()
+        units = directions / np.sqrt(np.vecdot(directions, directions))[:, None]
+        centers = region.center + (region.radius * scales)[:, None] * units
     else:
-        center = region.points[int(rng.integers(region.points.shape[0]))]
-    multiplier = float(rng.uniform(lo, hi))
-    return UnknownQuadratic(center=center, sigma_u=sigma * multiplier)
+        picks = np.empty(len(seeds), dtype=np.intp)
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(int(seed))
+            picks[i] = rng.integers(region.points.shape[0])
+            draws[i] = rng.random()
+        centers = region.points[picks]
+    return centers, sigma * (lo + (hi - lo) * draws)
 
 
 def minimize_sum(f: KnownFunction, u: UnknownQuadratic) -> np.ndarray:
     """Exact minimizer of f + u for smooth f, via the normal equations.
 
-    (sum_i 2 w_i Q_i + sigma_u I) x = sum_i 2 w_i Q_i m_i + sigma_u * center.
-    The system is positive definite because sigma_u > 0.  Models with kinks
-    must go through minimize_sum_iterative.
+    (sum_i 2 w_i Q_i + sigma_u I) x = sum_i 2 w_i Q_i m_i + sigma_u * center:
+    the one-trial case of _solve_normal_equations.  The system is positive
+    definite because sigma_u > 0.  Models with kinks must go through
+    minimize_sum_iterative.
     """
     if f.kinks:
         raise KinkPointError("minimize_sum handles smooth models only; use minimize_sum_iterative")
-    A, b = _normal_equations(f, u)
-    x = np.linalg.solve(A, b)
-    residual = float(np.linalg.norm(A @ x - b))
-    if residual > 1e-10 * max(1.0, float(np.linalg.norm(b))):
-        raise ArithmeticError(f"normal equations solved poorly (residual {residual})")
-    return x
+    return _solve_normal_equations(*_normal_equations(f, [u.sigma_u], [u.center]))[0]
 
 
-def _normal_equations(f: KnownFunction, u: UnknownQuadratic) -> tuple:
-    """(A, b) such that the smooth part of f + u has gradient A x - b."""
-    A = u.sigma_u * np.eye(f.dimension)
-    b = u.sigma_u * u.center.copy()
+def _normal_equations(f: KnownFunction, sigma_u, centers) -> tuple:
+    """(A, b) such that the smooth part of f + u has gradient A x - b.
+
+    sigma_u (...,) and centers (..., n) give A (..., n, n) and b (..., n),
+    one system per unknown term, each with the bits of a one-term call.
+    """
+    s = np.asarray(sigma_u, dtype=float)[..., None]
+    A = s[..., None] * np.eye(f.dimension)
+    b = s * np.asarray(centers, dtype=float)
     for t in f.terms:
         A = A + 2.0 * t.weight * t.Q
         b = b + 2.0 * t.weight * (t.Q @ t.m)
     return A, b
+
+
+def _solve_normal_equations(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows x_i with A_i x_i = b_i, from one stacked LAPACK solve.
+
+    A row whose solution is not finite raises NonFiniteError naming it; a
+    residual above 1e-10 max(1, ||b_i||), or one that is NaN, raises
+    ArithmeticError.
+    """
+    x = np.linalg.solve(A, b[..., None])[..., 0]
+    _check_finite(x, np.arange(x.shape[0]), "coordinates are not finite")
+    r = (A @ x[..., None])[..., 0] - b
+    squared = np.vecdot(r, r)
+    poor = ~(squared <= 1e-20 * np.maximum(1.0, np.vecdot(b, b)))  # a NaN residual is poor
+    if poor.any():
+        i = int(np.argmax(poor))
+        residual = float(np.sqrt(squared[i]))
+        raise ArithmeticError(f"row {i}: normal equations solved poorly (residual {residual})")
+    return x
 
 
 def _hull_project(z: np.ndarray, gens) -> np.ndarray:
@@ -248,12 +296,12 @@ def minimize_sum_iterative(
         kink = f.kinks[0]
         if _kink_stationarity_gap(f, u, kink) <= tol:
             return kink.point.copy()
-        A, b = _normal_equations(f, u)
+        A, b = _normal_equations(f, u.sigma_u, u.center)
         L = np.linalg.cholesky(A)
         z = np.linalg.solve(L, b - A @ kink.point)  # L^-1 r
         gens = np.linalg.solve(L, np.stack(kink.generators).T).T
         return np.linalg.solve(A, b - L @ _hull_project(z, gens))
-    step = 1.0 / float(np.linalg.eigvalsh(_normal_equations(f, u)[0])[-1])
+    step = 1.0 / float(np.linalg.eigvalsh(_normal_equations(f, u.sigma_u, u.center)[0])[-1])
     x = u.center.astype(float).copy()
     snap_radius = max(1e-5, 10.0 * tol)
     for iteration in range(int(max_iter)):
@@ -269,12 +317,6 @@ def minimize_sum_iterative(
     raise ConvergenceError(f"no stationary point within tol={tol} after {max_iter} iterations")
 
 
-def _solve_trial(f, uset, sigma, seed, sigma_multiplier_range):
-    """Sample one unknown term and minimize the sum: (unknown, minimizer)."""
-    unknown = sample_unknown(uset, sigma, seed, sigma_multiplier_range)
-    return unknown, minimize_sum_iterative(f, unknown)
-
-
 def evaluate_trial(
     f: KnownFunction,
     uset: UncertaintySet,
@@ -287,7 +329,8 @@ def evaluate_trial(
     classify_sigma: float | None = None,
 ) -> OracleSample:
     """Sample one unknown term, minimize the sum exactly, classify the minimizer."""
-    unknown, minimizer = _solve_trial(f, uset, sigma, seed, sigma_multiplier_range)
+    unknown = sample_unknown(uset, sigma, seed, sigma_multiplier_range)
+    minimizer = minimize_sum_iterative(f, unknown)
     classify_set = uset if classify_sigma is None else replace(uset, sigma=float(classify_sigma))
     verdict = classify_point(f, minimizer, classify_set, theta_steps, slack=slack)
     return OracleSample(unknown=unknown, minimizer=minimizer, verdict=verdict)
@@ -307,10 +350,12 @@ def validate_necessity(
 ) -> ValidationReport:
     """Run a necessity campaign: every true minimizer must classify as member.
 
-    Per-trial sub-seeds derive deterministically from the master seed.
-    Trials are sampled and solved one by one, and their minimizers are
-    classified together, BLOCK_ROWS at a time; the report equals the one
-    built from evaluate_trial on each sub-seed.  A NonFiniteError or a
+    Per-trial sub-seeds derive deterministically from the master seed, and
+    each trial draws from its own Generator.  Trials go BLOCK_ROWS // n at
+    a time, so memory stays near BLOCK_ROWS * n floats: the block is drawn
+    together, a smooth model is solved as one stacked system, a kinked one
+    trial by trial, and the minimizers are classified together; the report
+    equals the one built from evaluate_trial on each sub-seed.  A NonFiniteError or a
     ConvergenceError carries the trial index.  With classify_sigma set above
     the sampling sigma the hypothesis is knowingly violated and
     falsifications are expected; that mode shows the campaign has teeth.
@@ -327,20 +372,22 @@ def validate_necessity(
     interior_count = 0
     falsifications = []
     worst_margin = None
-    for start in range(0, trials, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, trials)
-        minimizers = np.empty((stop - start, f.dimension))
-        centers = np.empty_like(minimizers)
-        sigma_u = np.empty(stop - start)
-        for i in range(stop - start):
-            try:
-                unknown, minimizers[i] = _solve_trial(
-                    f, uset, sigma, int(sub_seeds[start + i]), sigma_multiplier_range
-                )
-            except ConvergenceError as exc:
-                raise ConvergenceError(f"trial {start + i}: {exc}") from None
-            centers[i], sigma_u[i] = unknown.center, unknown.sigma_u
+    block = max(1, BLOCK_ROWS // f.dimension)  # a stacked solve holds block * n^2 floats
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        centers, sigma_u = _draw_unknowns(uset, sigma, sub_seeds[start:stop], sigma_multiplier_range)
         try:
+            if f.kinks:
+                minimizers = np.empty_like(centers)
+                for i in range(stop - start):
+                    try:
+                        minimizers[i] = minimize_sum_iterative(
+                            f, UnknownQuadratic(center=centers[i], sigma_u=sigma_u[i])
+                        )
+                    except ConvergenceError as exc:
+                        raise ConvergenceError(f"trial {start + i}: {exc}") from None
+            else:
+                minimizers = _solve_normal_equations(*_normal_equations(f, sigma_u, centers))
             res = classify_points(f, classify_set, minimizers, slack)
         except NonFiniteError as exc:
             raise NonFiniteError(start + exc.row, exc.reason) from None

@@ -214,9 +214,10 @@ def write_mask_csv(mask: RegionMask, path: str):
 def read_mask_csv(path: str) -> RegionMask:
     """Inverse of write_mask_csv; validates coordinates against the declared grid.
 
-    Raises ValueError for a file that is not a mask CSV, a row that does not
-    parse or has the wrong number of columns, a wrong row count, or
-    coordinates that are not exactly the declared grid's, in grid order.
+    Raises ValueError for a file that is not a mask CSV, a header that lacks
+    a field, a row that does not parse or has the wrong number of columns, a
+    wrong row count, or coordinates that are not exactly the declared
+    grid's, in grid order.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = []  # the two header lines and the first data line
@@ -243,6 +244,11 @@ def read_mask_csv(path: str) -> RegionMask:
     for part in grid_part:
         key, _, value = part.partition("=")
         grid_fields[key] = value
+    required = ((fields, ("sigma", "theta_steps", "slack")), (grid_fields, ("lower", "upper", "counts")))
+    for table, keys in required:
+        for key in keys:
+            if key not in table:
+                raise ValueError(f"{path}: header has no {key}= field")
     spec = GridSpec(
         lower=[float(v) for v in grid_fields["lower"].split(",")],
         upper=[float(v) for v in grid_fields["upper"].split(",")],

@@ -131,6 +131,20 @@ def test_overflow_is_a_usage_error(tmp_path, capsys):
             assert "minimizer of trial 0: coordinates are not finite" in capsys.readouterr().err
 
 
+# only two or more kinks take the iterative solver, the one path that raises ConvergenceError
+TWO_KINKS = {
+    "known_function": {
+        "terms": [{"Q": [[1.0]], "m": [3.0], "weight": 1.0}],
+        "kinks": [
+            {"point": [1.0], "generators": [[-1.0], [1.0]]},
+            {"point": [2.0], "generators": [[-4.0], [4.0]]},
+        ],
+    },
+    "uncertainty": {"type": "ball", "center": [2.1], "radius": 0.1},
+    "sigma": 1.0,
+}
+
+
 def test_unconverged_solve_is_a_usage_error(tmp_path, capsys, monkeypatch):
     solve = oracle.minimize_sum_iterative
     calls = []
@@ -142,7 +156,7 @@ def test_unconverged_solve_is_a_usage_error(tmp_path, capsys, monkeypatch):
         return solve(f, u)
 
     monkeypatch.setattr(oracle, "minimize_sum_iterative", stalls_on_second_trial)
-    config = write_config(tmp_path, REFERENCE)
+    config = write_config(tmp_path, TWO_KINKS)
     assert main(["validate", config, "--trials", "3"]) == 2
     captured = capsys.readouterr()
     assert f"error: {config}: trial 1: no stationary point within tol=1e-08" in captured.err

@@ -24,7 +24,7 @@ from minregion.membership import (
     evaluate_general,
     pair_score,
 )
-from minregion.scanner import GridSpec, build_grid, scan_region
+from minregion.scanner import GridSpec, build_grid, mask_subset, scan_region
 
 
 def reference_function():
@@ -170,6 +170,38 @@ def test_scan_equals_classify_on_random_problems(problem):
         assert abs(ref.best_score - verdict.best_score) <= tol
         if abs(ref.best_score - threshold) > tol:
             assert ref.member == flag
+
+
+@st.composite
+def nesting_problems(draw):
+    """A 2-D model with a kink at a grid point, a set inside a larger one, and two sigmas."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lower = rng.uniform(-2.0, 0.0, 2)
+    spec = GridSpec(lower=lower, upper=lower + rng.uniform(1.0, 3.0, 2), counts=(13, 13))
+    pts = build_grid(spec)
+    a = rng.standard_normal((2, 2))
+    kink = Kink(point=pts[rng.integers(pts.shape[0])], generators=tuple(rng.uniform(-4.0, 4.0, (3, 2))))
+    term = QuadraticTerm(Q=a.T @ a, m=rng.uniform(spec.lower, spec.upper))
+    f = KnownFunction(terms=(term,), kinks=(kink,))
+    if draw(st.booleans()):
+        center, radius = rng.uniform(spec.lower, spec.upper), float(rng.uniform(0.05, 0.5))
+        small = Ball(center=center, radius=radius)
+        large = Ball(center=center, radius=radius * float(rng.uniform(1.1, 2.0)))
+    else:
+        points = rng.uniform(spec.lower, spec.upper, (5, 2))
+        small, large = FinitePointSet(points=points[:3]), FinitePointSet(points=points)
+    sigma = float(rng.uniform(0.2, 4.0))
+    return f, spec, small, large, sigma, sigma * float(rng.uniform(1.01, 4.0))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nesting_problems())
+def test_masks_nest_in_sigma_and_set(problem):
+    # a larger sigma admits fewer minimizers; a larger set admits more
+    f, spec, small, large, sigma, larger_sigma = problem
+    base = scan_region(f, UncertaintySet(region=small, sigma=sigma), spec)
+    assert mask_subset(scan_region(f, UncertaintySet(region=small, sigma=larger_sigma), spec), base)
+    assert mask_subset(base, scan_region(f, UncertaintySet(region=large, sigma=sigma), spec))
 
 
 def test_classify_points_generator_table():

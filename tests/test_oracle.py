@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from minregion.errors import KinkPointError
+from minregion import oracle
+from minregion.errors import KinkPointError, NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
 from minregion.membership import FinitePointSet, UncertaintySet
@@ -18,8 +20,11 @@ from minregion.oracle import (
     minimize_sum_iterative,
     sample_unknown,
     validate_necessity,
+    _draw_unknowns,
     _hull_project,
     _kink_stationarity_gap,
+    _normal_equations,
+    _solve_normal_equations,
 )
 
 
@@ -76,6 +81,14 @@ def test_minimize_sum_coincident_centers():
     )
     u = UnknownQuadratic(center=[0.7, -0.3], sigma_u=4.0)
     assert np.array_equal(minimize_sum(f, u), np.array([0.7, -0.3]))
+
+
+def test_minimize_sum_rejects_overflow():
+    # a term weight of 1e308 overflows the normal equations; the minimizer is not finite
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0], weight=1e308),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="coordinates are not finite"):
+            minimize_sum(f, UnknownQuadratic(center=[0.0, 0.0], sigma_u=2.0))
 
 
 def test_minimize_sum_rejects_kinks():
@@ -212,6 +225,104 @@ def test_hull_project_property():
         assert float(np.max((gens - p) @ (z - p))) <= 1e-9 * scale
         inside = rng.dirichlet(np.ones(k)) @ gens
         assert np.allclose(_hull_project(inside, tuple(gens)), inside, rtol=0.0, atol=1e-9 * np.sqrt(scale))
+
+
+FROZEN_A = np.array([[1.0, 0.4, -0.2], [0.3, 0.9, 0.5], [-0.1, 0.2, 1.1]])
+FROZEN_PROBLEMS = {
+    "ball1": (
+        KnownFunction(terms=(QuadraticTerm(Q=np.eye(1), m=[2.0]),)),
+        UncertaintySet(region=Ball(center=[0.5], radius=0.3), sigma=1.5),
+    ),
+    "ball3": (
+        KnownFunction(
+            terms=(
+                QuadraticTerm(Q=FROZEN_A @ FROZEN_A.T, m=[1.0, -0.5, 2.0], weight=0.7),
+                QuadraticTerm(Q=np.diag([0.5, 2.0, 1.0]), m=[0.0, 1.0, -1.0]),
+            )
+        ),
+        UncertaintySet(region=Ball(center=[0.1, -0.2, 0.3], radius=0.4), sigma=2.0),
+    ),
+    "finite": (
+        KnownFunction(terms=(QuadraticTerm(Q=np.array([[2.0, 0.5], [0.5, 1.0]]), m=[2.0, -1.0]),)),
+        UncertaintySet(
+            region=FinitePointSet(points=[[0.0, 0.0], [0.2, -0.1], [-0.3, 0.3]]), sigma=1.0
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, seed, center, sigma_u, minimizer",
+    [
+        ("ball1", 0, [0.5809360141291611], 1.6948475575133695, [1.3490672908770809]),
+        ("ball1", 7, [0.7691641402908727], 3.843880643967191, [1.1904033594661496]),
+        ("ball1", 2**63 + 5, [0.22874798689587533], 3.4520621040808894, [0.8785028793716364]),
+        ("ball3", 0, [0.11923851742678639, -0.22021392862027261, 0.39799380144181756],
+         5.2717539328810625, [0.12797612777082296, 0.40549463885940995, 0.2706736636510125]),
+        ("ball3", 7, [0.10073834581675166, -0.02069104103898073, 0.1354607273241292],
+         3.2706485111537793, [0.07812490918032264, 0.6457940473666344, 0.07653775854672383]),
+        ("ball3", 2**63 + 5, [-0.04187093511569184, -0.2631294762062269, 0.2675438277534036],
+         2.769339167209368, [0.012733488581123806, 0.605325228421479, 0.13071100513791212]),
+        ("finite", 1, [0.2, -0.1], 2.9034042078355737, [1.140373700913511, -0.29177976382424414]),
+        ("finite", 11, [0.0, 0.0], 2.023591831758224, [1.2121091066129652, -0.3012505137936169]),
+        ("finite", 2**63 + 5, [-0.3, 0.3], 2.8131380851768104,
+         [0.9054321362573129, -0.012775596630739692]),
+    ],
+)
+def test_draws_and_minimizers_are_frozen(case, seed, center, sigma_u, minimizer):
+    # recorded from the per-trial implementation; validate reports depend on these bits
+    f, uset = FROZEN_PROBLEMS[case]
+    u = sample_unknown(uset, uset.sigma, seed)
+    assert u.center.tolist() == center and u.sigma_u == sigma_u
+    assert minimize_sum(f, u).tolist() == minimizer
+
+
+def _reference_trial(f, uset, sigma, seed, lo, hi):
+    """One trial drawn and solved on its own: (center, sigma_u, minimizer)."""
+    rng = np.random.default_rng(seed)
+    region = uset.region
+    if isinstance(region, Ball):
+        n = region.dimension
+        direction = rng.standard_normal(n)
+        norm = float(np.linalg.norm(direction))
+        while norm == 0.0:
+            direction = rng.standard_normal(n)
+            norm = float(np.linalg.norm(direction))
+        center = region.center + region.radius * float(rng.uniform()) ** (1.0 / n) * (direction / norm)
+    else:
+        center = region.points[int(rng.integers(region.points.shape[0]))]
+    sigma_u = sigma * float(rng.uniform(lo, hi))
+    A, b = sigma_u * np.eye(f.dimension), sigma_u * center
+    for t in f.terms:
+        A = A + 2.0 * t.weight * t.Q
+        b = b + 2.0 * t.weight * (t.Q @ t.m)
+    return center, sigma_u, np.linalg.solve(A, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, "finite"])
+def test_block_draw_and_solve_match_per_trial_reference(n):
+    # one block of trials has, row for row, the bits of trials drawn and solved one at a time
+    rng = np.random.default_rng(56)
+    dim = 2 if n == "finite" else n
+    terms = []
+    for _ in range(2):
+        a = rng.standard_normal((dim, dim))
+        weight = float(rng.uniform(0.2, 2.0))
+        terms.append(QuadraticTerm(Q=a @ a.T, m=rng.uniform(-2, 2, dim), weight=weight))
+    f = KnownFunction(terms=tuple(terms))
+    if n == "finite":
+        region = FinitePointSet(points=rng.uniform(-1, 1, (7, dim)))
+    else:
+        region = Ball(center=rng.uniform(-1, 1, dim), radius=0.6)
+    uset = UncertaintySet(region=region, sigma=1.7)
+    seeds = np.random.SeedSequence(57).generate_state(1000, dtype=np.uint64).tolist()
+    lo, hi = 1.2, 4.5
+    centers, sigma_u = _draw_unknowns(uset, 1.7, seeds, (lo, hi))
+    minimizers = _solve_normal_equations(*_normal_equations(f, sigma_u, centers))
+    for i, seed in enumerate(seeds):
+        center, s, x = _reference_trial(f, uset, 1.7, seed, lo, hi)
+        assert np.array_equal(centers[i], center) and sigma_u[i] == s
+        assert np.array_equal(minimizers[i], x)
 
 
 def test_sample_unknown_ball_properties():
@@ -382,9 +493,8 @@ def _report_from_trials(f, uset, sigma, trials, seed, classify_sigma=None):
     }
 
 
-@pytest.mark.parametrize("case", ["ball", "finite", "kink", "falsified"])
-def test_validate_necessity_equals_per_trial_loop(case):
-    # the batched campaign reports exactly what classifying trial by trial does
+def _campaign(case):
+    """(f, uset, trials, classify_sigma) of a small campaign with a non-diagonal Q."""
     a = np.array([[1.0, 0.4], [0.4, 0.7]])
     f = KnownFunction(terms=(QuadraticTerm(Q=a @ a.T, m=[2.0, -0.5], weight=0.8),))
     uset = UncertaintySet(region=Ball(center=[0.1, -0.2], radius=0.3), sigma=1.5)
@@ -402,12 +512,47 @@ def test_validate_necessity_equals_per_trial_loop(case):
         trials = 50
     elif case == "falsified":
         classify_sigma = 40.0
+    return f, uset, trials, classify_sigma
+
+
+@pytest.mark.parametrize("case", ["ball", "finite", "kink", "falsified"])
+def test_validate_necessity_equals_per_trial_loop(case):
+    # the batched campaign reports exactly what classifying trial by trial does
+    f, uset, trials, classify_sigma = _campaign(case)
     report = validate_necessity(
         f, uset, uset.sigma, trials, seed=14, classify_sigma=classify_sigma
     ).to_dict()
     assert report == _report_from_trials(f, uset, uset.sigma, trials, 14, classify_sigma)
     if case == "falsified":
         assert report["falsifications"] > 0 and report["falsification_details"]
+
+
+@pytest.mark.parametrize("case", ["ball", "finite", "kink", "falsified"])
+def test_validate_necessity_block_edges(case, monkeypatch):
+    # blocks of 7 trials put block edges inside the campaign; the report must not move
+    f, uset, trials, classify_sigma = _campaign(case)
+    whole = validate_necessity(f, uset, uset.sigma, trials, seed=16, classify_sigma=classify_sigma)
+    monkeypatch.setattr(oracle, "BLOCK_ROWS", 7)
+    blocked = validate_necessity(f, uset, uset.sigma, trials, seed=16, classify_sigma=classify_sigma)
+    assert blocked.to_dict() == whole.to_dict()
+    if case == "falsified":
+        assert len(whole.falsification_details) == 20  # the cap spans several blocks
+
+
+def test_validate_memory_is_bounded_in_dimension():
+    # blocks shrink as n grows, so the stacked (block, n, n) systems stay near BLOCK_ROWS * n
+    # floats; one block of all 2000 trials would peak near 50 MB here
+    n = 40
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(n), m=2.0 * np.eye(n)[0]),))
+    uset = UncertaintySet(region=Ball(center=np.zeros(n), radius=0.1), sigma=2.0)
+    tracemalloc.start()
+    try:
+        report = validate_necessity(f, uset, 2.0, trials=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * 2**20
 
 
 def test_validate_necessity_deterministic():

@@ -324,28 +324,39 @@ def test_csv_write_memory_is_bounded(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "old, new",
+    "old, new, error",
     [
-        pytest.param("1.0,0.0,0\n", "1.0,0.0\n", id="ragged"),
-        pytest.param("1.0,0.0,0\n", "1.0000000000000002,0.0,0\n", id="x1-off-grid"),
-        pytest.param("1.0,0.0,0\n", "1.0,5e-324,0\n", id="x2-off-grid"),
-        pytest.param("1.0,0.0,0\n1.0,1.0,0\n", "1.0,1.0,0\n1.0,0.0,0\n", id="out-of-order"),
-        pytest.param("2.0,1.0,1\n", "", id="missing-row"),
-        pytest.param("2.0,1.0,1\n", "2.0,1.0,1\n2.0,1.0,1\n", id="extra-row"),
-        pytest.param("\n", ",0\n", id="extra-column"),
-        pytest.param("1.0,0.0,0\n", "# note\n1.0,0.0,0\n", id="comment-row"),
-        pytest.param("1.0,0.0,0\n", "1.0,zero,0\n", id="garbage-field"),
+        pytest.param("1.0,0.0,0\n", "1.0,0.0\n", None, id="ragged"),
+        pytest.param("1.0,0.0,0\n", "1.0000000000000002,0.0,0\n", None, id="x1-off-grid"),
+        pytest.param("1.0,0.0,0\n", "1.0,5e-324,0\n", None, id="x2-off-grid"),
+        pytest.param("1.0,0.0,0\n1.0,1.0,0\n", "1.0,1.0,0\n1.0,0.0,0\n", None, id="out-of-order"),
+        pytest.param("2.0,1.0,1\n", "", None, id="missing-row"),
+        pytest.param("2.0,1.0,1\n", "2.0,1.0,1\n2.0,1.0,1\n", None, id="extra-row"),
+        pytest.param("\n", ",0\n", None, id="extra-column"),
+        pytest.param("1.0,0.0,0\n", "# note\n1.0,0.0,0\n", None, id="comment-row"),
+        pytest.param("1.0,0.0,0\n", "1.0,zero,0\n", None, id="garbage-field"),
+        pytest.param("sigma=1.0, ", "", "sigma=", id="no-sigma"),
+        pytest.param("theta_steps=2, ", "", "theta_steps=", id="no-theta-steps"),
+        pytest.param(", slack=0.0", "", "slack=", id="no-slack"),
+        pytest.param("lower=0.0,0.0 ", "", "lower=", id="no-lower"),
+        pytest.param(" upper=2.0,1.0", "", "upper=", id="no-upper"),
+        pytest.param(" counts=3,2", "", "counts=", id="no-counts"),
     ],
 )
-def test_csv_rejects_bad_rows(tmp_path, old, new):
+def test_csv_rejects_bad_rows(tmp_path, old, new, error):
     path = tmp_path / "mask.csv"
     path.write_text(SMALL_EPS0_HEADER + SMALL_CSV_BODY, encoding="ascii")
     assert read_mask_csv(str(path)).member_count == 2  # the unedited file is accepted
     header, _, rows = SMALL_CSV_BODY.partition("\n")
-    assert old in rows
-    rows = rows.replace(old, new)
-    path.write_text(SMALL_EPS0_HEADER + header + "\n" + rows, encoding="ascii")
-    with pytest.raises(ValueError):
+    header = SMALL_EPS0_HEADER + header + "\n"
+    if error is None:  # a row edit
+        assert old in rows
+        rows = rows.replace(old, new)
+    else:  # a header field is dropped, and the error names it
+        assert old in header
+        header = header.replace(old, new)
+    path.write_text(header + rows, encoding="ascii")
+    with pytest.raises(ValueError, match=error):
         read_mask_csv(str(path))
 
 
