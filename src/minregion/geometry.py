@@ -1,9 +1,8 @@
 """Distance primitives on Euclidean balls.
 
 Everything here is a pure function of float64 arrays.  The ball-specific
-constructions (nearest boundary point, visibility cap, chord length)
-describe what a query point x_star outside a ball sees of it: only a
-spherical cap of the boundary.
+constructions (visibility cap, chord length) describe what a query point
+x_star outside a ball sees of it: only a spherical cap of the boundary.
 """
 
 from __future__ import annotations
@@ -106,16 +105,6 @@ def chord_length(d: float, eps0: float, theta: float) -> float:
         else:
             raise NegativeDiscriminantError(f"squared chord length {disc} < 0")
     return float(np.sqrt(disc))
-
-
-def nearest_boundary_point(x_star, ball: Ball) -> np.ndarray:
-    """Boundary point closest to x_star (x_star strictly outside the ball)."""
-    x_star = as_vector(x_star)
-    _same_dim(x_star, ball.center)
-    d = float(np.linalg.norm(x_star - ball.center))
-    if d <= ball.radius:
-        raise InsideBallError("nearest_boundary_point requires x_star outside the ball")
-    return ball.center + ball.radius * unit_vector(x_star, ball.center)
 
 
 def visible_cap_contains(x, x_star, ball: Ball) -> bool:

@@ -306,38 +306,65 @@ def _generator_table(f: KnownFunction, X: np.ndarray, rows: np.ndarray):
     return owner, X[owner], np.concatenate(gens)
 
 
-def _finite_set_interior(X: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Rows of X equal to a point of the set, about BLOCK_ROWS row-point pairs at a time.
+def _point_chunks(rows: int, points: np.ndarray):
+    """(start, columns) chunks of points, each about BLOCK_ROWS row-point pairs.
 
-    Coordinates are compared one at a time: np.all(axis=2) over short rows
-    is many times slower.
+    columns is the chunk transposed to (n, chunk), so columns[j] holds the
+    chunk's j-th coordinates.  With rows >= BLOCK_ROWS (a scan block) every
+    chunk is one point.
     """
-    interior = np.empty(X.shape[0], dtype=bool)
-    step = max(1, BLOCK_ROWS // points.shape[0])
-    for s in range(0, X.shape[0], step):
-        equal = X[s : s + step, None, 0] == points[None, :, 0]
-        for j in range(1, X.shape[1]):
-            equal &= X[s : s + step, None, j] == points[None, :, j]
-        interior[s : s + step] = equal.any(axis=1)
-    return interior
+    step = max(1, BLOCK_ROWS // max(1, rows))
+    for k in range(0, points.shape[0], step):
+        yield k, points[k : k + step].T
+
+
+def _finite_set_interior(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rows of X equal to a point of the set, compared one coordinate column at a time."""
+    xcols = X.T.copy()[:, :, None]  # (n, N, 1): contiguous coordinate columns
+    interior = np.zeros((X.shape[0], 1), dtype=bool)
+    for _, pcols in _point_chunks(X.shape[0], points):
+        equal = xcols[0] == pcols[0]
+        for x, p in zip(xcols[1:], pcols[1:]):
+            equal &= x == p
+        interior |= equal if equal.shape[1] == 1 else equal.any(axis=1, keepdims=True)
+    return interior[:, 0]
 
 
 def _finite_set_scores(G, Xg, points: np.ndarray, threshold: float):
     """Lowest admissible pair score over the points for each pair (G[i], Xg[i]).
 
-    Pairs with <g, u> >= 0 are not admissible; a row with none scores inf.
-    Points go about BLOCK_ROWS row-point pairs at a time.  Returns (member,
-    score, x_u) with member = score <= threshold.
+    Pairs with <g, u> >= 0 are not admissible; a row with none scores inf,
+    and ties keep the first point.  Points go in chunks of about BLOCK_ROWS
+    row-point pairs (see _point_chunks): one point per chunk in a scan
+    block, BLOCK_ROWS // N points in (N, chunk) arrays, followed by an
+    argmin, for fewer rows.  The arithmetic runs on contiguous coordinate
+    columns, and the coordinate sums go left to right:
+
+        dist = sqrt(d_0 d_0 + d_1 d_1 + ...),  d_j = x_j - p_j,
+        num  = (d_0/dist) g_0 + (d_1/dist) g_1 + ...,
+        score = num/dist where num < 0.
+
+    Returns (member, score, x_u) with member = score <= threshold.
     """
     best = np.full(Xg.shape[0], np.inf)
     arg = np.zeros(Xg.shape[0], dtype=np.intp)
-    step = max(1, BLOCK_ROWS // max(1, Xg.shape[0]))
-    for k in range(0, points.shape[0], step):
-        diff = Xg[:, None, :] - points[None, k : k + step, :]
-        dist = np.sqrt(np.einsum("ikj,ikj->ik", diff, diff))
-        num = np.einsum("ikj,ij->ik", diff / dist[:, :, None], G)
-        score = np.where(num < 0.0, num / dist, np.inf)
-        first = 0  # one point per chunk in a scan, where an argmin over it is slow
+    xcols = Xg.T.copy()[:, :, None]  # (n, N, 1): contiguous coordinate columns
+    gcols = G.T.copy()[:, :, None]
+    for k, pcols in _point_chunks(Xg.shape[0], points):
+        diff = [x - p for x, p in zip(xcols, pcols)]
+        dist = np.square(diff[0])
+        for d in diff[1:]:
+            dist += np.square(d)
+        np.sqrt(dist, out=dist)
+        for d, g in zip(diff, gcols):  # d becomes (d/dist)*g in place
+            d /= dist
+            d *= g
+        num = diff[0]
+        for d in diff[1:]:
+            num += d
+        score = num / dist
+        np.copyto(score, np.inf, where=~(num < 0.0))
+        first = 0
         if score.shape[1] > 1:
             first = np.argmin(score, axis=1)
             score = np.take_along_axis(score, first[:, None], axis=1)

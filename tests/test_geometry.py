@@ -12,7 +12,6 @@ from minregion.errors import (
 from minregion.geometry import (
     Ball,
     chord_length,
-    nearest_boundary_point,
     unit_vector,
     visible_cap_contains,
 )
@@ -82,28 +81,6 @@ def test_ball_validation():
     assert ball.dimension == 2
     assert ball.contains([1.0, 2.5])  # boundary is inside, the ball is closed
     assert not ball.contains([1.0, 2.5 + 1e-12])
-
-
-def test_nearest_boundary_point():
-    ball = Ball(center=[0.0, 0.0], radius=0.1)
-    assert np.allclose(nearest_boundary_point([1.0, 0.0], ball), [0.1, 0.0])
-    rng = np.random.default_rng(15)
-    for _ in range(100):
-        n = int(rng.integers(1, 6))
-        center = rng.standard_normal(n)
-        radius = float(rng.uniform(0.1, 2.0))
-        x_star = center + rng.standard_normal(n) * 5.0
-        d = float(np.linalg.norm(x_star - center))
-        if d <= radius:
-            continue
-        p = nearest_boundary_point(x_star, Ball(center=center, radius=radius))
-        assert abs(float(np.linalg.norm(p - center)) - radius) < 1e-12
-        assert abs(float(np.linalg.norm(x_star - p)) - (d - radius)) < 1e-12
-
-
-def test_nearest_boundary_point_inside_raises():
-    with pytest.raises(InsideBallError):
-        nearest_boundary_point([0.5, 0.0], Ball(center=[0.0, 0.0], radius=1.0))
 
 
 def segment_min_distance(x, x_star, center):

@@ -1,5 +1,6 @@
 """Tests for the candidate-minimizer membership decision."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from minregion import membership
 from minregion.errors import (
     CoincidentPointsError,
     DimensionMismatchError,
@@ -16,6 +18,7 @@ from minregion.errors import (
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
 from minregion.membership import (
+    BLOCK_ROWS,
     FinitePointSet,
     UncertaintySet,
     ball_score_infimum,
@@ -582,3 +585,95 @@ def test_finite_point_set_contains_is_exact():
     region = FinitePointSet(points=[[0.1, 0.2], [0.3, 0.4]])
     assert region.contains([0.1, 0.2])
     assert not region.contains([0.1 + 1e-15, 0.2])
+
+
+def einsum_finite_set_scores(G, Xg, points, threshold):
+    """The finite-set scorer as it stood before the column-wise kernel.
+
+    It contracts (N, chunk, n) differences with einsum, which sums the
+    coordinates of 1-D and 2-D problems in the same order as the column-wise
+    kernel; from n = 3 on it pairs them differently.
+    """
+    best = np.full(Xg.shape[0], np.inf)
+    arg = np.zeros(Xg.shape[0], dtype=np.intp)
+    step = max(1, BLOCK_ROWS // max(1, Xg.shape[0]))
+    for k in range(0, points.shape[0], step):
+        diff = Xg[:, None, :] - points[None, k : k + step, :]
+        dist = np.sqrt(np.einsum("ikj,ikj->ik", diff, diff))
+        num = np.einsum("ikj,ij->ik", diff / dist[:, :, None], G)
+        score = np.where(num < 0.0, num / dist, np.inf)
+        first = 0
+        if score.shape[1] > 1:
+            first = np.argmin(score, axis=1)
+            score = np.take_along_axis(score, first[:, None], axis=1)
+        better = score[:, 0] < best
+        np.copyto(best, score[:, 0], where=better)
+        np.copyto(arg, k + first, where=better)
+    return best <= threshold, best, points[arg]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("rows, count", [(1, 20000), (64, 2000), (5000, 16), (8192, 16), (7, 3), (1, 1)])
+def test_finite_set_scores_match_einsum_reference(rows, count, n):
+    rng = np.random.default_rng([rows, count, n])
+    X = rng.standard_normal((rows, n))
+    G = rng.standard_normal((rows, n))
+    points = rng.standard_normal((count, n))
+    points[0] = X[0]  # a coincident pair scores nan and is never admissible
+    with np.errstate(invalid="ignore"):
+        member, score, x_u = membership._finite_set_scores(G, X, points, -2.0)
+        ref_member, ref_score, ref_x_u = einsum_finite_set_scores(G, X, points, -2.0)
+    assert np.array_equal(member, ref_member)
+    assert np.array_equal(x_u, ref_x_u)
+    if n <= 2:
+        assert np.array_equal(score, ref_score)
+        return
+    # the coordinate sums are reordered, and num may cancel, so the bound is
+    # on the magnitude of the summed terms, not on the score itself
+    finite = np.isfinite(ref_score)
+    assert np.array_equal(np.isfinite(score), finite)
+    D = (X - ref_x_u)[finite]
+    magnitude = np.sum(np.abs(D * G[finite]), axis=1) / np.sum(D * D, axis=1)
+    assert np.all(np.abs(score[finite] - ref_score[finite]) <= 4 * n * np.spacing(magnitude))
+
+
+def test_finite_set_interior_is_exact():
+    f = reference_function()
+    p = np.array([0.3, -0.7])
+    region = FinitePointSet(points=[[0.0, 0.5], p, p])  # the last point is listed twice
+    uset = UncertaintySet(region=region, sigma=2.0)
+    X = np.array([
+        p,
+        [np.nextafter(p[0], 1.0), p[1]],
+        [p[0], np.nextafter(p[1], 1.0)],
+        [-0.0, 0.5],
+        [0.0, -0.0],
+    ])
+    res = classify_points(f, uset, X)
+    assert res.interior.tolist() == [True, False, False, True, False]
+    assert res.owner.tolist() == [1, 2, 4]
+    # one ulp from a set point the score is finite, and very negative
+    assert np.all(np.isfinite(res.score[:2])) and res.member[:2].all()
+    assert res.x_u[:2].tolist() == [p.tolist(), p.tolist()]
+    # many rows take the one-point-per-chunk path, which must agree
+    many = np.repeat(X, BLOCK_ROWS // 2, axis=0)
+    assert np.array_equal(classify_points(f, uset, many).interior, np.repeat(res.interior, BLOCK_ROWS // 2))
+
+
+@pytest.mark.parametrize("rows, count", [(BLOCK_ROWS, 2000), (1, 100_000)])
+def test_finite_set_memory_is_bounded(rows, count):
+    # points go about BLOCK_ROWS row-point pairs at a time and peak near 1 MB
+    # here; all rows against all points would peak near 500 MB (8192 x 2000)
+    # or 3 MB (1 x 100000)
+    rng = np.random.default_rng(rows)
+    uset = UncertaintySet(region=FinitePointSet(points=rng.uniform(-1.0, 1.0, (count, 2))), sigma=2.0)
+    X = rng.uniform(-2.0, 2.0, (rows, 2))
+    f = reference_function()
+    tracemalloc.start()
+    try:
+        res = classify_points(f, uset, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.owner.size == rows
+    assert peak < 2 * 2**20
