@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DimensionMismatchError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
-from .geometry import Ball
+from .geometry import Ball, GridSpec
 from .membership import (
     DEFAULT_SLACK,
     DEFAULT_THETA_STEPS,
@@ -24,8 +24,9 @@ from .membership import (
     UncertaintySet,
     classify_point,
 )
-from .oracle import DEFAULT_MULTIPLIER_RANGE, validate_necessity
-from .scanner import GridSpec, scan_region, write_mask_csv, write_mask_pgm
+
+# scanner and oracle are imported inside the subcommands that run them, so a
+# check process, which is mostly interpreter and import time, loads neither.
 
 
 @dataclass(frozen=True)
@@ -292,6 +293,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .scanner import scan_region, write_mask_csv, write_mask_pgm
+
     config = _apply_overrides(load_config(args.config), args)
     if config.grid is None:
         raise ConfigError(f"{args.config}: scan requires a 'grid' section")
@@ -323,6 +326,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .oracle import validate_necessity
+
     config = _apply_overrides(load_config(args.config), args)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")

@@ -310,10 +310,14 @@ def _point_chunks(rows: int, points: np.ndarray):
     """(start, columns) chunks of points, each about BLOCK_ROWS row-point pairs.
 
     columns is the chunk transposed to (n, chunk), so columns[j] holds the
-    chunk's j-th coordinates.  With rows >= BLOCK_ROWS (a scan block) every
-    chunk is one point.
+    chunk's j-th coordinates.  A chunk of fewer than 6 points costs more in
+    its argmin and take_along_axis than it saves in loop steps, so with
+    rows > BLOCK_ROWS // 6 (a scan block, a campaign block) every chunk is
+    one point.
     """
-    step = max(1, BLOCK_ROWS // max(1, rows))
+    step = BLOCK_ROWS // max(1, rows)
+    if step < 6:
+        step = 1
     for k in range(0, points.shape[0], step):
         yield k, points[k : k + step].T
 
@@ -335,10 +339,10 @@ def _finite_set_scores(G, Xg, points: np.ndarray, threshold: float):
 
     Pairs with <g, u> >= 0 are not admissible; a row with none scores inf,
     and ties keep the first point.  Points go in chunks of about BLOCK_ROWS
-    row-point pairs (see _point_chunks): one point per chunk in a scan
-    block, BLOCK_ROWS // N points in (N, chunk) arrays, followed by an
-    argmin, for fewer rows.  The arithmetic runs on contiguous coordinate
-    columns, and the coordinate sums go left to right:
+    row-point pairs (see _point_chunks): one point per chunk for more than
+    BLOCK_ROWS // 6 rows, BLOCK_ROWS // N points in (N, chunk) arrays,
+    followed by an argmin, for fewer rows.  The arithmetic runs on
+    contiguous coordinate columns, and the coordinate sums go left to right:
 
         dist = sqrt(d_0 d_0 + d_1 d_1 + ...),  d_j = x_j - p_j,
         num  = (d_0/dist) g_0 + (d_1/dist) g_1 + ...,

@@ -32,6 +32,9 @@ from .membership import (
 
 DEFAULT_MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
 STATIONARITY_TOL = 1e-8
+# numpy SeedSequence.generate_state's hash constants (see _sub_seeds)
+_HASH_INIT_B = 0x8B51F9DD
+_HASH_MULT_B = 0x58F38DED
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,25 @@ def _draw_unknowns(
             draws[i] = rng.random()
         centers = region.points[picks]
     return centers, sigma * (lo + (hi - lo) * draws)
+
+
+def _sub_seeds(pool: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Trials start..stop-1 of SeedSequence.generate_state(trials, dtype=np.uint64).
+
+    pool is the SeedSequence's uint32 entropy pool.  generate_state hashes
+    word i as w = (pool[i % 4] ^ h_i) * h_(i+1) with h_i = INIT_B * MULT_B^i
+    mod 2^32, then w ^= w >> 16, and trial t takes words 2t and 2t+1 as a
+    little-endian uint64.  Only the window's words are computed, so a block
+    costs the same at any start and nothing is held for the other trials.
+    """
+    words = 2 * (stop - start)
+    hashes = np.full(words + 1, _HASH_MULT_B, dtype=np.uint32)
+    hashes[0] = _HASH_INIT_B * pow(_HASH_MULT_B, 2 * start, 2**32) % 2**32
+    np.multiply.accumulate(hashes, out=hashes)  # wraps mod 2^32
+    w = pool[(2 * start + np.arange(words)) % pool.shape[0]] ^ hashes[:-1]
+    w *= hashes[1:]
+    w ^= w >> np.uint32(16)
+    return w.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def minimize_sum(f: KnownFunction, u: UnknownQuadratic) -> np.ndarray:
@@ -350,12 +372,13 @@ def validate_necessity(
 ) -> ValidationReport:
     """Run a necessity campaign: every true minimizer must classify as member.
 
-    Per-trial sub-seeds derive deterministically from the master seed, and
-    each trial draws from its own Generator.  Trials go BLOCK_ROWS // n at
-    a time, so memory stays near BLOCK_ROWS * n floats: the block is drawn
-    together, a smooth model is solved as one stacked system, a kinked one
-    trial by trial, and the minimizers are classified together; the report
-    equals the one built from evaluate_trial on each sub-seed.  A NonFiniteError or a
+    Per-trial sub-seeds derive deterministically from the master seed, one
+    block at a time (see _sub_seeds), and each trial draws from its own
+    Generator.  Trials go BLOCK_ROWS // n at a time, so memory stays near
+    BLOCK_ROWS * n floats: the block is drawn together, a smooth model is
+    solved as one stacked system, a kinked one trial by trial, and the
+    minimizers are classified together; the report equals the one built
+    from evaluate_trial on each sub-seed.  A NonFiniteError or a
     ConvergenceError carries the trial index.  With classify_sigma set above
     the sampling sigma the hypothesis is knowingly violated and
     falsifications are expected; that mode shows the campaign has teeth.
@@ -365,7 +388,7 @@ def validate_necessity(
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    sub_seeds = np.random.SeedSequence(int(seed)).generate_state(trials, dtype=np.uint64)
+    pool = np.asarray(np.random.SeedSequence(int(seed)).pool, dtype=np.uint32)
     classify_set = uset if classify_sigma is None else replace(uset, sigma=float(classify_sigma))
     sigma_c = float(classify_sigma) if classify_sigma is not None else float(sigma)
     member_count = 0
@@ -375,7 +398,7 @@ def validate_necessity(
     block = max(1, BLOCK_ROWS // f.dimension)  # a stacked solve holds block * n^2 floats
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        centers, sigma_u = _draw_unknowns(uset, sigma, sub_seeds[start:stop], sigma_multiplier_range)
+        centers, sigma_u = _draw_unknowns(uset, sigma, _sub_seeds(pool, start, stop), sigma_multiplier_range)
         try:
             if f.kinks:
                 minimizers = np.empty_like(centers)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, GridMismatchError, NonFiniteError
 from .funcmodel import KnownFunction
-from .geometry import Ball
+from .geometry import Ball, GridSpec  # GridSpec is also importable from here
 from .membership import (
     BLOCK_ROWS,
     DEFAULT_SLACK,
@@ -25,50 +25,6 @@ from .membership import (
     check_theta_steps,
     classify_points,
 )
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis-aligned inclusive grid: counts[i] samples from lower[i] to upper[i]."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    counts: tuple
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        counts = tuple(int(c) for c in np.atleast_1d(self.counts))
-        if lower.shape != upper.shape or lower.shape[0] != len(counts):
-            raise DimensionMismatchError("lower, upper, and counts must have equal length")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("grid bounds must be finite")
-        if not np.all(lower < upper):
-            raise ValueError("grid needs lower < upper on every axis")
-        if any(c < 2 for c in counts):
-            raise ValueError("grid needs at least 2 samples per axis")
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.counts)
-
-    @property
-    def point_count(self) -> int:
-        return int(np.prod(self.counts))
-
-    def axes(self) -> list:
-        return [
-            np.linspace(self.lower[i], self.upper[i], self.counts[i])
-            for i in range(self.dimension)
-        ]
-
-    def cell_sizes(self) -> np.ndarray:
-        return (self.upper - self.lower) / (np.asarray(self.counts) - 1)
 
 
 @dataclass(frozen=True)

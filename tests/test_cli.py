@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 
 import minregion
 from minregion import oracle
+from minregion.__main__ import run
 from minregion.cli import load_config, main
 from minregion.errors import ConfigError, ConvergenceError
 from minregion.scanner import mask_subset, read_mask_csv
@@ -275,16 +278,83 @@ def test_cli_mask_nesting_across_parameters(tmp_path):
     assert mask_subset(paths[2.0], paths[0.25])
 
 
-def test_module_entry_point(tmp_path):
-    config = write_config(tmp_path, REFERENCE)
+def run_child(argv, cwd=None):
     # the child imports the package under test, installed or not
     package_root = os.path.dirname(os.path.dirname(minregion.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "minregion", "check", config, "1.0,0.0"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_module_entry_point(tmp_path):
+    config = write_config(tmp_path, REFERENCE)
+    proc = run_child(["-m", "minregion", "check", config, "1.0,0.0"])
     assert proc.returncode == 0
     assert "member: yes" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["check", "{config}", "1.0,0.0"], 0),
+        (["check", "{config}", "1.2,0.0"], 1),
+        (["check", "{config}", "nan,0"], 2),
+        (["check", "{config}"], 2),  # argparse usage error
+        (["scan", "{config}", "-o", "mask.pgm", "--format", "pgm"], 0),
+        (["validate", "{config}", "--trials", "30", "--sigma-override", "50.0"], 1),
+    ],
+)
+def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch, args, code):
+    # python -m minregion goes through run(); it must exit and print exactly as main() does
+    argv = [a.format(config=write_config(tmp_path, REFERENCE)) for a in args]
+    monkeypatch.chdir(tmp_path)
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:
+        in_process = exc.code
+    captured = capsys.readouterr()
+    proc = run_child(["-m", "minregion", *argv], cwd=tmp_path)
+    assert in_process == proc.returncode == code
+    elapsed = re.compile(r" in \d+\.\d\ds:")  # scan reports its own wall time
+    assert elapsed.sub("", proc.stdout) == elapsed.sub("", captured.out)
+    assert proc.stderr == captured.err
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (["check", "{config}", "1.0,0.0"], ["minregion.scanner", "minregion.oracle", "numpy.random"]),
+        (["scan", "{config}", "-o", "mask.csv"], ["minregion.oracle"]),
+        (["validate", "{config}", "--trials", "5"], ["minregion.scanner"]),
+    ],
+)
+def test_subcommands_import_only_what_they_run(tmp_path, args, absent):
+    argv = [a.format(config=write_config(tmp_path, REFERENCE)) for a in args]
+    script = (
+        "import json, sys\n"
+        "from minregion.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    proc = run_child(["-c", script], cwd=tmp_path)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert "minregion.membership" in modules
+    assert [name for name in absent if name in modules] == []
+
+
+def test_run_freezes_the_import_heap(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path, REFERENCE)
+    monkeypatch.setattr(sys, "argv", ["minregion", "check", config, "1.0,0.0"])
+    try:
+        assert run() == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert "member: yes" in capsys.readouterr().out

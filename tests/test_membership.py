@@ -613,7 +613,10 @@ def einsum_finite_set_scores(G, Xg, points, threshold):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("rows, count", [(1, 20000), (64, 2000), (5000, 16), (8192, 16), (7, 3), (1, 1)])
+@pytest.mark.parametrize(
+    "rows, count",
+    [(1, 20000), (64, 2000), (5000, 16), (8192, 16), (7, 3), (1, 1), (4096, 16), (3000, 200), (1100, 40)],
+)
 def test_finite_set_scores_match_einsum_reference(rows, count, n):
     rng = np.random.default_rng([rows, count, n])
     X = rng.standard_normal((rows, n))
@@ -635,6 +638,21 @@ def test_finite_set_scores_match_einsum_reference(rows, count, n):
     D = (X - ref_x_u)[finite]
     magnitude = np.sum(np.abs(D * G[finite]), axis=1) / np.sum(D * D, axis=1)
     assert np.all(np.abs(score[finite] - ref_score[finite]) <= 4 * n * np.spacing(magnitude))
+
+
+@pytest.mark.parametrize("rows", [1, 1000, BLOCK_ROWS])  # one chunk, chunks of 8 points, one-point chunks
+@pytest.mark.parametrize("first, second", [(3, 5), (3, 9), (9, 3)])
+def test_finite_set_ties_keep_the_first_point(rows, first, second):
+    # from (1, 0) with g = (-1, 0), the points (0, 1) and (0, -1) score exactly alike;
+    # the points at x = 2 have <g, u> > 0 and are never admissible
+    points = np.array([[2.0, float(k)] for k in range(10)])
+    points[first] = [0.0, 1.0]
+    points[second] = [0.0, -1.0]
+    X = np.tile([1.0, 0.0], (rows, 1))
+    G = np.tile([-1.0, 0.0], (rows, 1))
+    member, score, x_u = membership._finite_set_scores(G, X, points, -2.0)
+    assert np.allclose(score, -0.5) and not member.any()
+    assert np.all(x_u == points[min(first, second)])
 
 
 def test_finite_set_interior_is_exact():

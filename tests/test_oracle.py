@@ -25,6 +25,7 @@ from minregion.oracle import (
     _kink_stationarity_gap,
     _normal_equations,
     _solve_normal_equations,
+    _sub_seeds,
 )
 
 
@@ -571,3 +572,35 @@ def test_report_to_dict_is_json_ready():
     report = validate_necessity(reference_function(), reference_set(), 2.0, trials=20, seed=1)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     assert json.loads(text)["trials"] == 20
+
+
+@pytest.mark.parametrize("seed", [0, 14, 37, 2**64 + 7, 123456789012345678901234567890])
+def test_sub_seeds_match_generate_state(seed):
+    sequence = np.random.SeedSequence(seed)
+    expected = sequence.generate_state(9000, dtype=np.uint64)
+    pool = np.asarray(sequence.pool, dtype=np.uint32)
+    for start, stop in [(0, 1), (0, 4096), (1, 2), (3, 10), (4096, 8192), (8191, 9000)]:
+        got = _sub_seeds(pool, start, stop)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, expected[start:stop])
+
+
+def test_sub_seeds_far_window_is_bounded():
+    # generate_state up to trial 10^9 would hold 8 GB; the window holds its own words only
+    pool = np.asarray(np.random.SeedSequence(37).pool, dtype=np.uint32)
+    start = 10**9
+    tracemalloc.start()
+    try:
+        got = _sub_seeds(pool, start, start + 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (4096,) and peak < 2**20
+
+    def word(i):  # generate_state's hash of word i, in Python integers
+        h = 0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32
+        w = (int(pool[i % 4]) ^ h) * (h * 0x58F38DED % 2**32) % 2**32
+        return w ^ (w >> 16)
+
+    for t in (start, start + 4095):
+        assert int(got[t - start]) == word(2 * t) | word(2 * t + 1) << 32
