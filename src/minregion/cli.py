@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -211,8 +212,13 @@ def load_config(path: str) -> ProblemConfig:
     if not isinstance(theta_steps, int) or isinstance(theta_steps, bool) or theta_steps < 2:
         _fail("$.theta_steps", f"expected an integer >= 2, got {theta_steps!r}")
     slack = doc.get("slack", DEFAULT_SLACK)
-    if not isinstance(slack, (int, float)) or isinstance(slack, bool) or float(slack) < 0.0:
-        _fail("$.slack", f"expected a number >= 0, got {slack!r}")
+    # compared unconverted, so NaN, inf and an int past the float range all fail
+    if (
+        not isinstance(slack, (int, float))
+        or isinstance(slack, bool)
+        or not 0.0 <= slack <= sys.float_info.max
+    ):
+        _fail("$.slack", f"expected a finite number >= 0, got {slack!r}")
     if f.dimension != uset.dimension:
         _fail("$", f"known_function is {f.dimension}-D but uncertainty is {uset.dimension}-D")
     if grid is not None and grid.dimension != f.dimension:
@@ -246,13 +252,13 @@ def _apply_overrides(config: ProblemConfig, args) -> ProblemConfig:
     slack = args.slack if args.slack is not None else config.slack
     uset = config.uncertainty
     if getattr(args, "sigma_override", None) is not None:
-        if args.sigma_override <= 0.0:
-            raise ConfigError(f"--sigma-override must be > 0, got {args.sigma_override}")
+        if not (math.isfinite(args.sigma_override) and args.sigma_override > 0.0):
+            raise ConfigError(f"--sigma-override must be a finite number > 0, got {args.sigma_override}")
         uset = UncertaintySet(region=uset.region, sigma=float(args.sigma_override))
     if theta_steps < 2:
         raise ConfigError(f"--theta-steps must be >= 2, got {theta_steps}")
-    if slack < 0.0:
-        raise ConfigError(f"--slack must be >= 0, got {slack}")
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise ConfigError(f"--slack must be a finite number >= 0, got {slack}")
     return ProblemConfig(
         known_function=config.known_function,
         uncertainty=uset,
@@ -331,6 +337,8 @@ def _cmd_validate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     sampling_sigma = float(config.raw["sigma"])
     classify_sigma = (
         float(args.sigma_override) if args.sigma_override is not None else None
@@ -405,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(inflating it demonstrates falsification)",
     )
     p_val.add_argument("--trials", type=int, default=1000, help="number of sampled trials")
-    p_val.add_argument("--seed", type=int, default=0, help="master seed for the campaign")
+    p_val.add_argument("--seed", type=int, default=0, help="master seed for the campaign (>= 0)")
     p_val.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
     return parser
 

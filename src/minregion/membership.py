@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteError,
 )
 from .funcmodel import KINK_MATCH_ATOL, KnownFunction, _smooth_gradient, subdifferential
-from .geometry import Ball, as_vector, unit_vector
+from .geometry import Ball, as_vector
 
 DEFAULT_THETA_STEPS = 2048  # retired sweep resolution, still echoed in reports
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
@@ -111,16 +111,6 @@ class MembershipVerdict:
     best_score: float | None = None
     witness: Witness | None = None
     interior: bool = False
-
-
-def pair_score(g, x_star, x_u) -> float:
-    """<g, u(x_star, x_u)> / ||x_star - x_u|| for one candidate pair."""
-    g = as_vector(g)
-    x_star = as_vector(x_star)
-    x_u = as_vector(x_u)
-    u = unit_vector(x_star, x_u)
-    dist = float(np.linalg.norm(x_star - x_u))
-    return float(np.dot(g, u)) / dist
 
 
 def ball_score_infimum(G, X, ball: Ball, sigma: float, slack: float = DEFAULT_SLACK):

@@ -32,9 +32,19 @@ from .membership import (
 
 DEFAULT_MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
 STATIONARITY_TOL = 1e-8
-# numpy SeedSequence.generate_state's hash constants (see _sub_seeds)
+# numpy SeedSequence's hash and mix constants (see _entropy_pool and _sub_seeds)
+_POOL_SIZE = 4
+_MASK_32 = 0xFFFFFFFF
+_HASH_INIT_A = 0x43B0D7E5
+_HASH_MULT_A = 0x931E8875
 _HASH_INIT_B = 0x8B51F9DD
 _HASH_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+# SplitMix64's increment and multipliers (see _uniforms)
+_SPLITMIX_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,8 @@ def sample_unknown(
 ) -> UnknownQuadratic:
     """Draw an admissible unknown term, deterministically in the seed.
 
-    The one-trial case of _draw_unknowns, which describes the draw.
+    seed is a sub-seed in [0, 2^64).  The one-trial case of _draw_unknowns,
+    which describes the draw.
     """
     centers, sigma_u = _draw_unknowns(uset, sigma, (seed,), sigma_multiplier_range)
     return UnknownQuadratic(center=centers[0], sigma_u=sigma_u[0])
@@ -134,16 +145,16 @@ def _draw_unknowns(
 ) -> tuple:
     """(centers (B, n), sigma_u (B,)): one admissible unknown term per seed.
 
-    Each seed gets its own np.random.default_rng(seed), so a trial's draw
-    does not depend on the other seeds.  The center is uniform over the
-    region: for a ball, standard_normal(n) (redrawn while all zero) gives
-    the direction and radius * U^(1/n) the distance; for a finite set,
-    integers(k) picks a point.  Then sigma_u = sigma * U(lo, hi) with the
-    multiplier range inside [1, inf), so every draw is sigma-strongly
-    convex.  U and U(lo, hi) take random() and lo + (hi - lo) * random(),
-    which is what uniform() and uniform(lo, hi) compute, bit for bit.
-    U^(1/n) is a Python float power, and the norm is sqrt(vecdot), which
-    rounds like np.linalg.norm on one row.
+    A trial's draw is a pure function of its own sub-seed (see _uniforms),
+    so a block of trials has, row for row, the bits of one-trial calls.
+    Uniform 1 gives sigma_u = sigma * (lo + (hi - lo) * U1), with the
+    multiplier range inside [1, inf) so every draw is sigma-strongly convex.
+    The center is uniform over the region.  For a ball, uniform 2 gives the
+    distance radius * U2^(1/n), and uniforms 3, 4, ... go in pairs (a, b)
+    through Box-Muller, r = sqrt(-2 ln Ua) and (r cos 2 pi Ub, r sin 2 pi Ub),
+    whose first n values, normalised by sqrt(vecdot), give the direction
+    (r > 0, so it is never zero).  For a finite set of k points, uniform 2
+    picks point min(floor(U2 k), k - 1).
     """
     lo, hi = (float(v) for v in sigma_multiplier_range)
     if not (1.0 <= lo <= hi):
@@ -152,30 +163,83 @@ def _draw_unknowns(
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     region = uset.region
-    draws = np.empty(len(seeds))
     if isinstance(region, Ball):
         n = region.dimension
-        power = 1.0 / n
-        directions = np.empty((len(seeds), n))
-        scales = np.empty(len(seeds))
-        for i, seed in enumerate(seeds):
-            rng = np.random.default_rng(int(seed))
-            direction = rng.standard_normal(n)
-            while not any(direction.tolist()):  # essentially impossible; keeps the draw defined
-                direction = rng.standard_normal(n)
-            directions[i] = direction
-            scales[i] = rng.random() ** power
-            draws[i] = rng.random()
+        pairs = (n + 1) // 2
+        u = _uniforms(seeds, 2 + 2 * pairs)
+        r = np.sqrt(-2.0 * np.log(u[2::2]))  # (pairs, B)
+        angle = (2.0 * np.pi) * u[3::2]
+        normals = np.empty((len(seeds), 2 * pairs))
+        normals[:, 0::2] = (r * np.cos(angle)).T
+        normals[:, 1::2] = (r * np.sin(angle)).T
+        directions = normals[:, :n]
         units = directions / np.sqrt(np.vecdot(directions, directions))[:, None]
-        centers = region.center + (region.radius * scales)[:, None] * units
+        scales = region.radius * u[1] ** (1.0 / n)
+        centers = region.center + scales[:, None] * units
     else:
-        picks = np.empty(len(seeds), dtype=np.intp)
-        for i, seed in enumerate(seeds):
-            rng = np.random.default_rng(int(seed))
-            picks[i] = rng.integers(region.points.shape[0])
-            draws[i] = rng.random()
+        k = region.points.shape[0]
+        u = _uniforms(seeds, 2)
+        picks = np.minimum((u[1] * k).astype(np.intp), k - 1)
         centers = region.points[picks]
-    return centers, sigma * (lo + (hi - lo) * draws)
+    return centers, sigma * (lo + (hi - lo) * u[0])
+
+
+def _uniforms(seeds, count: int) -> np.ndarray:
+    """(count, B) uniforms in (0, 1): row k - 1 holds word k of each seed.
+
+    Word k of sub-seed s is SplitMix64 of z = s + k * GOLDEN mod 2^64
+    (z ^= z >> 30, z *= MIX_1, z ^= z >> 27, z *= MIX_2, z ^= z >> 31), and
+    its uniform is ((z >> 12) + 0.5) * 2^-52, exact in a float.  uint64
+    arrays wrap silently, and every row is one contiguous pass over the block.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)[:, None] * _SPLITMIX_GOLDEN
+    z = z + np.asarray(seeds, dtype=np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= _SPLITMIX_MIX_1
+    z ^= z >> np.uint64(27)
+    z *= _SPLITMIX_MIX_2
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(12)
+    u = z.astype(float)
+    u += 0.5
+    u *= 2.0**-52
+    return u
+
+
+def _entropy_pool(seed: int) -> np.ndarray:
+    """np.random.SeedSequence(seed).pool for a non-negative int, without numpy.random.
+
+    The seed splits into little-endian uint32 words, each hashed by
+    hashmix (INIT_A, MULT_A, a running hash constant); words beyond the
+    four pool words are mixed into every pool word after the pool words are
+    mixed into each other, as SeedSequence.mix_entropy does.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    entropy = [seed >> shift & _MASK_32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK_32
+        value = value * hash_const & _MASK_32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK_32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    return np.array(pool, dtype=np.uint32)
 
 
 def _sub_seeds(pool: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -373,12 +437,13 @@ def validate_necessity(
     """Run a necessity campaign: every true minimizer must classify as member.
 
     Per-trial sub-seeds derive deterministically from the master seed, one
-    block at a time (see _sub_seeds), and each trial draws from its own
-    Generator.  Trials go BLOCK_ROWS // n at a time, so memory stays near
-    BLOCK_ROWS * n floats: the block is drawn together, a smooth model is
-    solved as one stacked system, a kinked one trial by trial, and the
-    minimizers are classified together; the report equals the one built
-    from evaluate_trial on each sub-seed.  A NonFiniteError or a
+    block at a time (see _entropy_pool and _sub_seeds), and each trial's
+    draw is a hash of its own sub-seed (see _draw_unknowns).  Trials go
+    BLOCK_ROWS // n at a time, so memory stays near BLOCK_ROWS * n floats:
+    the block is drawn together, a smooth model is solved as one stacked
+    system, a kinked one trial by trial, and the minimizers are classified
+    together; the report equals the one built from evaluate_trial on each
+    sub-seed.  A NonFiniteError or a
     ConvergenceError carries the trial index.  With classify_sigma set above
     the sampling sigma the hypothesis is knowingly violated and
     falsifications are expected; that mode shows the campaign has teeth.
@@ -388,7 +453,7 @@ def validate_necessity(
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    pool = np.asarray(np.random.SeedSequence(int(seed)).pool, dtype=np.uint32)
+    pool = _entropy_pool(seed)
     classify_set = uset if classify_sigma is None else replace(uset, sigma=float(classify_sigma))
     sigma_c = float(classify_sigma) if classify_sigma is not None else float(sigma)
     member_count = 0

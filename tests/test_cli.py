@@ -187,6 +187,50 @@ def test_flag_validation(tmp_path):
     assert main(["check", config, "1.0,0.0", "--slack", "-0.1"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["check", "{config}", "1.5,0.0"], "--slack"),
+        (["check", "{config}", "1.5,0.0"], "--sigma-override"),
+        (["scan", "{config}", "-o", "{out}"], "--slack"),
+        (["scan", "{config}", "-o", "{out}"], "--sigma-override"),
+        (["validate", "{config}", "--trials", "5"], "--slack"),
+        (["validate", "{config}", "--trials", "5"], "--sigma-override"),
+    ],
+)
+def test_non_finite_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
+    # a NaN slack made every point outside the set a non-member, an infinite one
+    # made every point a member, and a NaN sigma override raised a traceback
+    out = tmp_path / "mask.csv"
+    argv = [a.format(config=write_config(tmp_path, REFERENCE), out=out) for a in command]
+    assert main([*argv, f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    expected = ">= 0" if flag == "--slack" else "> 0"
+    assert f"error: {flag} must be a finite number {expected}, got {float(value)}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("slack", [float("nan"), float("inf"), 10**400])
+def test_config_slack_must_be_finite(tmp_path, capsys, slack):
+    doc = json.loads(json.dumps(REFERENCE))
+    doc["slack"] = slack
+    config = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match=r"\$\.slack: expected a finite number >= 0"):
+        load_config(config)
+    assert main(["check", config, "1.5,0.0"]) == 2
+    assert "error: $.slack: expected a finite number >= 0" in capsys.readouterr().err
+
+
+def test_validate_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means falsifications were found, so a bad seed must not exit 1
+    config = write_config(tmp_path, REFERENCE)
+    assert main(["validate", config, "--trials", "5", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n" and captured.out == ""
+    assert main(["validate", config, "--trials", "5", "--seed", "0"]) == 0
+
+
 def test_scan_csv_output(tmp_path, capsys):
     config = write_config(tmp_path, REFERENCE)
     out = tmp_path / "mask.csv"
@@ -330,7 +374,7 @@ def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch, args, co
     [
         (["check", "{config}", "1.0,0.0"], ["minregion.scanner", "minregion.oracle", "numpy.random"]),
         (["scan", "{config}", "-o", "mask.csv"], ["minregion.oracle"]),
-        (["validate", "{config}", "--trials", "5"], ["minregion.scanner"]),
+        (["validate", "{config}", "--trials", "5"], ["minregion.scanner", "numpy.random"]),
     ],
 )
 def test_subcommands_import_only_what_they_run(tmp_path, args, absent):

@@ -25,7 +25,6 @@ from minregion.membership import (
     classify_point,
     classify_points,
     evaluate_general,
-    pair_score,
 )
 from minregion.scanner import GridSpec, build_grid, mask_subset, scan_region
 
@@ -36,6 +35,13 @@ def reference_function():
 
 def reference_set(sigma=2.0, radius=0.1):
     return UncertaintySet(region=Ball(center=[0.0, 0.0], radius=radius), sigma=sigma)
+
+
+def pair_score(g, x_star, x_u) -> float:
+    """<g, u> / ||x_star - x_u|| with u the unit vector from x_u to x_star: one pair's raw score."""
+    diff = np.asarray(x_star, dtype=float) - np.asarray(x_u, dtype=float)
+    dist = float(np.linalg.norm(diff))
+    return float(np.dot(g, diff / dist)) / dist
 
 
 def frame_infimum(d, cos_alpha, g_norm, eps0, sigma=1.0):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -252,57 +253,71 @@ FROZEN_PROBLEMS = {
 }
 
 
+FROZEN_DRAWS = [
+    ("ball1", 0, [0.629458399114553], 4.158684114024904, [1.074534514567324]),
+    ("ball1", 7, [0.4949635116415531], 2.715252014044469, [1.1333329917353705]),
+    ("ball1", 2**63 + 5, [0.5213112436134422], 2.5421879720839815, [1.1724022004274233]),
+    ("ball3", 0, [0.379051242420975, -0.2516308755211407, 0.19592145011465498],
+     5.544912152033206, [0.3016968553040812, 0.371729227969162, 0.16386906489647465]),
+    ("ball3", 7, [0.011174381231098762, -0.2509840122015403, 0.3010077180564918],
+     3.6203360187259586, [0.048572128693117146, 0.522216860395671, 0.1755468321539368]),
+    ("ball3", 2**63 + 5, [0.12498221222896598, -0.03649140674428458, 0.29079797779849687],
+     3.3895839627786417, [0.09974529722744843, 0.6205425991375373, 0.1555956902804753]),
+    ("finite", 1, [-0.3, 0.3], 2.154795071585948, [1.0479976957196682, -0.09664957412462769]),
+    ("finite", 11, [0.0, 0.0], 1.6666765661957714, [1.2977502500641223, -0.353930930813065]),
+    ("finite", 2**63 + 5, [0.0, 0.0], 1.6947919813893209, [1.2905269835001962, -0.34928271740346545]),
+]
+
+
 @pytest.mark.parametrize(
     "case, seed, center, sigma_u, minimizer",
-    [
-        ("ball1", 0, [0.5809360141291611], 1.6948475575133695, [1.3490672908770809]),
-        ("ball1", 7, [0.7691641402908727], 3.843880643967191, [1.1904033594661496]),
-        ("ball1", 2**63 + 5, [0.22874798689587533], 3.4520621040808894, [0.8785028793716364]),
-        ("ball3", 0, [0.11923851742678639, -0.22021392862027261, 0.39799380144181756],
-         5.2717539328810625, [0.12797612777082296, 0.40549463885940995, 0.2706736636510125]),
-        ("ball3", 7, [0.10073834581675166, -0.02069104103898073, 0.1354607273241292],
-         3.2706485111537793, [0.07812490918032264, 0.6457940473666344, 0.07653775854672383]),
-        ("ball3", 2**63 + 5, [-0.04187093511569184, -0.2631294762062269, 0.2675438277534036],
-         2.769339167209368, [0.012733488581123806, 0.605325228421479, 0.13071100513791212]),
-        ("finite", 1, [0.2, -0.1], 2.9034042078355737, [1.140373700913511, -0.29177976382424414]),
-        ("finite", 11, [0.0, 0.0], 2.023591831758224, [1.2121091066129652, -0.3012505137936169]),
-        ("finite", 2**63 + 5, [-0.3, 0.3], 2.8131380851768104,
-         [0.9054321362573129, -0.012775596630739692]),
-    ],
+    FROZEN_DRAWS,
+    ids=[f"{case}-{seed}" for case, seed, *_ in FROZEN_DRAWS],
 )
 def test_draws_and_minimizers_are_frozen(case, seed, center, sigma_u, minimizer):
-    # recorded from the per-trial implementation; validate reports depend on these bits
+    # recorded from the counter-based draw; validate reports depend on these bits
     f, uset = FROZEN_PROBLEMS[case]
     u = sample_unknown(uset, uset.sigma, seed)
     assert u.center.tolist() == center and u.sigma_u == sigma_u
     assert minimize_sum(f, u).tolist() == minimizer
 
 
-def _reference_trial(f, uset, sigma, seed, lo, hi):
-    """One trial drawn and solved on its own: (center, sigma_u, minimizer)."""
-    rng = np.random.default_rng(seed)
+def _splitmix_uniforms(seed, count):
+    """Uniforms 1..count of one sub-seed, from SplitMix64 in Python integers."""
+    mask = 2**64 - 1
+    out = []
+    for k in range(1, count + 1):
+        z = (seed + k * 0x9E3779B97F4A7C15) & mask
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        z ^= z >> 31
+        out.append(((z >> 12) + 0.5) * 2.0**-52)
+    return out
+
+
+def _reference_trial(uset, sigma, seed, lo, hi):
+    """(center, sigma_u) of one trial, computed with Python floats and math."""
     region = uset.region
     if isinstance(region, Ball):
         n = region.dimension
-        direction = rng.standard_normal(n)
-        norm = float(np.linalg.norm(direction))
-        while norm == 0.0:
-            direction = rng.standard_normal(n)
-            norm = float(np.linalg.norm(direction))
-        center = region.center + region.radius * float(rng.uniform()) ** (1.0 / n) * (direction / norm)
+        u = _splitmix_uniforms(seed, 2 + 2 * ((n + 1) // 2))
+        normals = []
+        for a, b in zip(u[2::2], u[3::2]):
+            r = math.sqrt(-2.0 * math.log(a))
+            normals += [r * math.cos(2.0 * math.pi * b), r * math.sin(2.0 * math.pi * b)]
+        direction = np.array(normals[:n])
+        center = region.center + region.radius * u[1] ** (1.0 / n) * direction / np.linalg.norm(direction)
     else:
-        center = region.points[int(rng.integers(region.points.shape[0]))]
-    sigma_u = sigma * float(rng.uniform(lo, hi))
-    A, b = sigma_u * np.eye(f.dimension), sigma_u * center
-    for t in f.terms:
-        A = A + 2.0 * t.weight * t.Q
-        b = b + 2.0 * t.weight * (t.Q @ t.m)
-    return center, sigma_u, np.linalg.solve(A, b)
+        k = region.points.shape[0]
+        u = _splitmix_uniforms(seed, 2)
+        center = region.points[min(int(u[1] * k), k - 1)]
+    return center, sigma * (lo + (hi - lo) * u[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, "finite"])
 def test_block_draw_and_solve_match_per_trial_reference(n):
-    # one block of trials has, row for row, the bits of trials drawn and solved one at a time
+    # a block's uniforms are SplitMix64 of each sub-seed, and every row has the bits
+    # of that trial drawn and solved on its own
     rng = np.random.default_rng(56)
     dim = 2 if n == "finite" else n
     terms = []
@@ -317,13 +332,67 @@ def test_block_draw_and_solve_match_per_trial_reference(n):
         region = Ball(center=rng.uniform(-1, 1, dim), radius=0.6)
     uset = UncertaintySet(region=region, sigma=1.7)
     seeds = np.random.SeedSequence(57).generate_state(1000, dtype=np.uint64).tolist()
+    seeds[:4] = [0, 1, 2**63, 2**64 - 1]
     lo, hi = 1.2, 4.5
+    count = 2 + 2 * ((dim + 1) // 2) if n != "finite" else 2
+    uniforms = oracle._uniforms(seeds, count)
     centers, sigma_u = _draw_unknowns(uset, 1.7, seeds, (lo, hi))
     minimizers = _solve_normal_equations(*_normal_equations(f, sigma_u, centers))
     for i, seed in enumerate(seeds):
-        center, s, x = _reference_trial(f, uset, 1.7, seed, lo, hi)
-        assert np.array_equal(centers[i], center) and sigma_u[i] == s
-        assert np.array_equal(minimizers[i], x)
+        assert uniforms[:, i].tolist() == _splitmix_uniforms(seed, count)
+        u = sample_unknown(uset, 1.7, seed, (lo, hi))
+        assert np.array_equal(centers[i], u.center) and sigma_u[i] == u.sigma_u
+        assert np.array_equal(minimizers[i], minimize_sum(f, u))
+        center, s = _reference_trial(uset, 1.7, seed, lo, hi)
+        assert s == sigma_u[i]
+        assert np.allclose(centers[i], center, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ball_draws_are_uniform_in_the_ball(n):
+    # 20k draws: every center lies in the ball, the share within q^(1/n) of the radius is
+    # about q (uniform in volume), and sigma_u stays in [sigma lo, sigma hi]
+    center = np.linspace(-0.5, 0.5, n)
+    uset = UncertaintySet(region=Ball(center=center, radius=0.8), sigma=2.0)
+    seeds = oracle._sub_seeds(oracle._entropy_pool(100 + n), 0, 20_000)
+    centers, sigma_u = _draw_unknowns(uset, 2.0, seeds, (1.05, 3.0))
+    radial = np.linalg.norm(centers - center, axis=1) / 0.8
+    assert np.all(radial <= 1.0 + 1e-12)
+    for q in (0.25, 0.5, 0.75):
+        share = float(np.mean(radial <= q ** (1.0 / n)))
+        assert abs(share - q) <= 4.0 * math.sqrt(q * (1.0 - q) / 20_000)
+    assert np.all((sigma_u >= 2.0 * 1.05) & (sigma_u <= 2.0 * 3.0))
+    # the direction is isotropic: the coordinate means of the unit offsets are near zero
+    units = (centers - center) / np.linalg.norm(centers - center, axis=1)[:, None]
+    assert np.all(np.abs(units.mean(axis=0)) <= 4.0 / math.sqrt(n * 20_000))
+
+
+def test_finite_set_picks_are_uniform():
+    k = 7
+    uset = UncertaintySet(region=FinitePointSet(points=np.arange(2.0 * k).reshape(k, 2)), sigma=1.0)
+    seeds = oracle._sub_seeds(oracle._entropy_pool(99), 0, 20_000)
+    centers, sigma_u = _draw_unknowns(uset, 1.0, seeds, (1.05, 3.0))
+    counts = np.bincount((centers[:, 0] / 2.0).astype(int), minlength=k)
+    p = 1.0 / k
+    assert counts.sum() == 20_000 and counts.shape == (k,)
+    assert np.all(np.abs(counts - 20_000 * p) <= 4.0 * math.sqrt(20_000 * p * (1.0 - p)))
+    assert np.all((sigma_u >= 1.05) & (sigma_u <= 3.0))
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 3, 3**90, 2**200 + 12345]
+)
+def test_entropy_pool_matches_seed_sequence(seed):
+    pool = oracle._entropy_pool(seed)
+    expected = np.random.SeedSequence(seed).pool
+    assert pool.dtype == expected.dtype and np.array_equal(pool, expected)
+
+
+def test_entropy_pool_rejects_negative_seeds():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        oracle._entropy_pool(-1)
+    with pytest.raises(ValueError):
+        validate_necessity(reference_function(), reference_set(), 2.0, trials=1, seed=-1)
 
 
 def test_sample_unknown_ball_properties():
