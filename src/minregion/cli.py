@@ -11,20 +11,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DimensionMismatchError, NonFiniteError
+from .errors import ConfigError, ConvergenceError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
 from .geometry import Ball, GridSpec
-from .membership import (
-    DEFAULT_SLACK,
-    DEFAULT_THETA_STEPS,
-    FinitePointSet,
-    UncertaintySet,
-    classify_point,
-)
+from .membership import DEFAULT_SLACK, FinitePointSet, UncertaintySet, classify_point
 
 # scanner and oracle are imported inside the subcommands that run them, so a
 # check process, which is mostly interpreter and import time, loads neither.
@@ -37,9 +31,9 @@ class ProblemConfig:
     known_function: KnownFunction
     uncertainty: UncertaintySet
     grid: GridSpec | None
-    theta_steps: int
     slack: float
     raw: dict
+    theta_steps = None  # not a field; bench/tracing.py still reads it
 
 
 def _fail(path: str, message: str):
@@ -52,32 +46,54 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _as_vector_field(value, path: str) -> list:
-    if not isinstance(value, list) or not value or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+def _number(value, path: str, low: float = -sys.float_info.max, strict: bool = False) -> float:
+    """A finite JSON number >= low (> low if strict), as a float.
+
+    value is compared unconverted, so NaN, inf and an int past the float
+    range all fail here instead of overflowing in float().
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (low < value if strict else low <= value)
+        or not value <= sys.float_info.max
     ):
+        bound = "" if low == -sys.float_info.max else f" {'>' if strict else '>='} {low:g}"
+        _fail(path, f"expected a finite number{bound}, got {value!r}")
+    return float(value)
+
+
+def _positive_number(value, path: str) -> float:
+    return _number(value, path, 0.0, strict=True)
+
+
+def _as_vector_field(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty list of numbers")
-    return [float(v) for v in value]
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _as_matrix_field(value, path: str) -> list:
     if not isinstance(value, list) or not value:
         _fail(path, "expected a matrix as a list of rows (or a flat row-major list)")
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        n = int(round(len(value) ** 0.5))
-        if n * n != len(value):
-            _fail(path, f"flat matrix of length {len(value)} is not square")
-        return [[float(value[i * n + j]) for j in range(n)] for i in range(n)]
+    if not any(isinstance(v, list) for v in value):
+        flat = _as_vector_field(value, path)
+        n = int(round(len(flat) ** 0.5))
+        if n * n != len(flat):
+            _fail(path, f"flat matrix of length {len(flat)} is not square")
+        return [flat[i * n : (i + 1) * n] for i in range(n)]
     rows = [_as_vector_field(row, f"{path}[{i}]") for i, row in enumerate(value)]
     if any(len(row) != len(rows) for row in rows):
         _fail(path, "matrix rows must form a square matrix")
     return rows
 
 
-def _positive_number(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or float(value) <= 0.0:
-        _fail(path, f"expected a positive number, got {value!r}")
-    return float(value)
+def _build(path: str, cls, **fields):
+    """cls(**fields), with a ValueError from its own checks reported under path."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _parse_known_function(doc: dict) -> KnownFunction:
@@ -92,18 +108,15 @@ def _parse_known_function(doc: dict) -> KnownFunction:
         path = f"$.known_function.terms[{i}]"
         if not isinstance(term, dict):
             _fail(path, "expected an object with Q, m, weight")
-        try:
-            terms.append(
-                QuadraticTerm(
-                    Q=_as_matrix_field(_require(term, "Q", path), f"{path}.Q"),
-                    m=_as_vector_field(_require(term, "m", path), f"{path}.m"),
-                    weight=_positive_number(term.get("weight", 1.0), f"{path}.weight"),
-                )
+        terms.append(
+            _build(
+                path,
+                QuadraticTerm,
+                Q=_as_matrix_field(_require(term, "Q", path), f"{path}.Q"),
+                m=_as_vector_field(_require(term, "m", path), f"{path}.m"),
+                weight=_positive_number(term.get("weight", 1.0), f"{path}.weight"),
             )
-        except (ValueError, DimensionMismatchError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            _fail(path, str(exc))
+        )
     kinks = []
     for i, kink in enumerate(spec.get("kinks", [])):
         path = f"$.known_function.kinks[{i}]"
@@ -112,24 +125,17 @@ def _parse_known_function(doc: dict) -> KnownFunction:
         gens_doc = _require(kink, "generators", path)
         if not isinstance(gens_doc, list) or not gens_doc:
             _fail(f"{path}.generators", "expected a nonempty list of vectors")
-        try:
-            kinks.append(
-                Kink(
-                    point=_as_vector_field(_require(kink, "point", path), f"{path}.point"),
-                    generators=tuple(
-                        _as_vector_field(g, f"{path}.generators[{j}]")
-                        for j, g in enumerate(gens_doc)
-                    ),
-                )
+        kinks.append(
+            _build(
+                path,
+                Kink,
+                point=_as_vector_field(_require(kink, "point", path), f"{path}.point"),
+                generators=tuple(
+                    _as_vector_field(g, f"{path}.generators[{j}]") for j, g in enumerate(gens_doc)
+                ),
             )
-        except (ValueError, DimensionMismatchError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            _fail(path, str(exc))
-    try:
-        return KnownFunction(terms=tuple(terms), kinks=tuple(kinks))
-    except (ValueError, DimensionMismatchError) as exc:
-        _fail("$.known_function", str(exc))
+        )
+    return _build("$.known_function", KnownFunction, terms=tuple(terms), kinks=tuple(kinks))
 
 
 def _parse_uncertainty(doc: dict, sigma: float) -> UncertaintySet:
@@ -137,35 +143,25 @@ def _parse_uncertainty(doc: dict, sigma: float) -> UncertaintySet:
     if not isinstance(spec, dict):
         _fail("$.uncertainty", "expected an object")
     kind = _require(spec, "type", "$.uncertainty")
-    try:
-        if kind == "ball":
-            region = Ball(
-                center=_as_vector_field(
-                    _require(spec, "center", "$.uncertainty"), "$.uncertainty.center"
-                ),
-                radius=_positive_number(
-                    _require(spec, "radius", "$.uncertainty"), "$.uncertainty.radius"
-                ),
-            )
-        elif kind == "points":
-            pts = _require(spec, "points", "$.uncertainty")
-            if not isinstance(pts, list) or not pts:
-                _fail("$.uncertainty.points", "expected a nonempty list of vectors")
-            region = FinitePointSet(
-                points=np.array(
-                    [
-                        _as_vector_field(p, f"$.uncertainty.points[{i}]")
-                        for i, p in enumerate(pts)
-                    ]
-                )
-            )
-        else:
-            _fail("$.uncertainty.type", f"expected 'ball' or 'points', got {kind!r}")
-        return UncertaintySet(region=region, sigma=sigma)
-    except (ValueError, DimensionMismatchError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        _fail("$.uncertainty", str(exc))
+    if kind == "ball":
+        region = _build(
+            "$.uncertainty",
+            Ball,
+            center=_as_vector_field(_require(spec, "center", "$.uncertainty"), "$.uncertainty.center"),
+            radius=_positive_number(_require(spec, "radius", "$.uncertainty"), "$.uncertainty.radius"),
+        )
+    elif kind == "points":
+        pts = _require(spec, "points", "$.uncertainty")
+        if not isinstance(pts, list) or not pts:
+            _fail("$.uncertainty.points", "expected a nonempty list of vectors")
+        region = _build(
+            "$.uncertainty",
+            FinitePointSet,
+            points=[_as_vector_field(p, f"$.uncertainty.points[{i}]") for i, p in enumerate(pts)],
+        )
+    else:
+        _fail("$.uncertainty.type", f"expected 'ball' or 'points', got {kind!r}")
+    return _build("$.uncertainty", UncertaintySet, region=region, sigma=sigma)
 
 
 def _parse_grid(doc: dict) -> GridSpec | None:
@@ -179,20 +175,17 @@ def _parse_grid(doc: dict) -> GridSpec | None:
         isinstance(c, int) and not isinstance(c, bool) for c in counts
     ):
         _fail("$.grid.counts", "expected a list of integers")
-    try:
-        return GridSpec(
-            lower=_as_vector_field(_require(spec, "lower", "$.grid"), "$.grid.lower"),
-            upper=_as_vector_field(_require(spec, "upper", "$.grid"), "$.grid.upper"),
-            counts=tuple(counts),
-        )
-    except (ValueError, DimensionMismatchError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        _fail("$.grid", str(exc))
+    return _build(
+        "$.grid",
+        GridSpec,
+        lower=_as_vector_field(_require(spec, "lower", "$.grid"), "$.grid.lower"),
+        upper=_as_vector_field(_require(spec, "upper", "$.grid"), "$.grid.upper"),
+        counts=tuple(counts),
+    )
 
 
 def load_config(path: str) -> ProblemConfig:
-    """Parse and validate a problem-definition JSON file."""
+    """Parse and validate a problem-definition JSON file; unknown top-level keys are ignored."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -208,29 +201,12 @@ def load_config(path: str) -> ProblemConfig:
     f = _parse_known_function(doc)
     uset = _parse_uncertainty(doc, sigma)
     grid = _parse_grid(doc)
-    theta_steps = doc.get("theta_steps", DEFAULT_THETA_STEPS)
-    if not isinstance(theta_steps, int) or isinstance(theta_steps, bool) or theta_steps < 2:
-        _fail("$.theta_steps", f"expected an integer >= 2, got {theta_steps!r}")
-    slack = doc.get("slack", DEFAULT_SLACK)
-    # compared unconverted, so NaN, inf and an int past the float range all fail
-    if (
-        not isinstance(slack, (int, float))
-        or isinstance(slack, bool)
-        or not 0.0 <= slack <= sys.float_info.max
-    ):
-        _fail("$.slack", f"expected a finite number >= 0, got {slack!r}")
+    slack = _number(doc.get("slack", DEFAULT_SLACK), "$.slack", 0.0)
     if f.dimension != uset.dimension:
         _fail("$", f"known_function is {f.dimension}-D but uncertainty is {uset.dimension}-D")
     if grid is not None and grid.dimension != f.dimension:
         _fail("$.grid", f"grid is {grid.dimension}-D but the problem is {f.dimension}-D")
-    return ProblemConfig(
-        known_function=f,
-        uncertainty=uset,
-        grid=grid,
-        theta_steps=int(theta_steps),
-        slack=float(slack),
-        raw=doc,
-    )
+    return ProblemConfig(known_function=f, uncertainty=uset, grid=grid, slack=slack, raw=doc)
 
 
 def _parse_point(text: str, dimension: int) -> np.ndarray:
@@ -248,25 +224,15 @@ def _parse_point(text: str, dimension: int) -> np.ndarray:
 
 
 def _apply_overrides(config: ProblemConfig, args) -> ProblemConfig:
-    theta_steps = args.theta_steps if args.theta_steps is not None else config.theta_steps
     slack = args.slack if args.slack is not None else config.slack
     uset = config.uncertainty
     if getattr(args, "sigma_override", None) is not None:
         if not (math.isfinite(args.sigma_override) and args.sigma_override > 0.0):
             raise ConfigError(f"--sigma-override must be a finite number > 0, got {args.sigma_override}")
         uset = UncertaintySet(region=uset.region, sigma=float(args.sigma_override))
-    if theta_steps < 2:
-        raise ConfigError(f"--theta-steps must be >= 2, got {theta_steps}")
     if not (math.isfinite(slack) and slack >= 0.0):
         raise ConfigError(f"--slack must be a finite number >= 0, got {slack}")
-    return ProblemConfig(
-        known_function=config.known_function,
-        uncertainty=uset,
-        grid=config.grid,
-        theta_steps=int(theta_steps),
-        slack=float(slack),
-        raw=config.raw,
-    )
+    return replace(config, uncertainty=uset, slack=float(slack))
 
 
 def _format_vector(v) -> str:
@@ -277,13 +243,7 @@ def _cmd_check(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     point = _parse_point(args.point, config.uncertainty.dimension)
     try:
-        verdict = classify_point(
-            config.known_function,
-            point,
-            config.uncertainty,
-            config.theta_steps,
-            slack=config.slack,
-        )
+        verdict = classify_point(config.known_function, point, config.uncertainty, slack=config.slack)
     except NonFiniteError as exc:
         raise ConfigError(f"point {args.point!r}: {exc.reason}") from None
     print(f"point: {_format_vector(point)}")
@@ -308,13 +268,7 @@ def _cmd_scan(args) -> int:
         raise ConfigError("PGM output is only defined for 2-D grids")
     started = time.perf_counter()
     try:
-        mask = scan_region(
-            config.known_function,
-            config.uncertainty,
-            config.grid,
-            config.theta_steps,
-            slack=config.slack,
-        )
+        mask = scan_region(config.known_function, config.uncertainty, config.grid, slack=config.slack)
     except NonFiniteError as exc:
         raise ConfigError(f"{args.config}: {exc.reason}") from None
     elapsed = time.perf_counter() - started
@@ -350,7 +304,6 @@ def _cmd_validate(args) -> int:
             sampling_sigma,
             args.trials,
             args.seed,
-            config.theta_steps,
             slack=config.slack,
             classify_sigma=classify_sigma,
         )
@@ -387,10 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, sigma_override_help):
         p.add_argument("config", help="problem definition JSON file")
-        p.add_argument(
-            "--theta-steps", type=int, default=None,
-            help="accepted for compatibility and unused: ball sets are decided in closed form",
-        )
         p.add_argument("--slack", type=float, default=None, help="additive slack on the -sigma threshold")
         p.add_argument("--sigma-override", type=float, default=None, help=sigma_override_help)
 

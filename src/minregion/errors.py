@@ -21,10 +21,6 @@ class DimensionMismatchError(ValueError):
     """Operands carry different space dimensions."""
 
 
-class KinkPointError(ValueError):
-    """A single gradient was requested where only a subdifferential exists."""
-
-
 class GridMismatchError(ValueError):
     """Two masks over different grids were combined."""
 

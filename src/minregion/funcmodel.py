@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, KinkPointError
+from .errors import DimensionMismatchError
 from .geometry import as_vector
 
 SYMMETRY_ATOL = 1e-12  # max allowed |Q - Q^T| entrywise
@@ -138,63 +138,38 @@ class KnownFunction:
             )
 
 
-@dataclass(frozen=True)
-class SubdifferentialSet:
-    """Finite generator list whose convex hull is the subdifferential."""
-
-    generators: tuple
-
-    def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
-        if not gens:
-            raise ValueError("a subdifferential needs at least one generator")
-        object.__setattr__(self, "generators", gens)
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.generators) == 1
-
-
 def gradient(f: KnownFunction, x) -> np.ndarray:
     """Gradient of the quadratic part, sum_i 2 w_i Q_i (x - m_i).
 
-    Raises KinkPointError at a registered kink; use subdifferential() there.
+    x is one point or an (N, n) array of points; at a registered kink this
+    is the smooth part only (subdifferential gives the whole set).  einsum reduces
+    each row on its own, so a row gets the same bits alone or in a batch; a
+    BLAS product rounds a single row (gemv) and a block of rows (gemm)
+    differently.
     """
-    x = as_vector(x)
-    f._check_dim(x)
-    if f.kink_at(x) is not None:
-        raise KinkPointError(
-            "gradient is undefined at a registered kink point; use subdifferential"
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != f.dimension:
+        raise DimensionMismatchError(
+            f"point of dimension {x.shape[-1]} passed to a {f.dimension}-D function"
         )
-    return _smooth_gradient(f, x)
-
-
-def _smooth_gradient(f: KnownFunction, x: np.ndarray) -> np.ndarray:
-    """Quadratic-part gradient at x, or at every row of an (N, n) array.
-
-    einsum reduces each row on its own, so a row gets the same bits alone or
-    in a batch; a BLAS product rounds a single row (gemv) and a block of
-    rows (gemm) differently.
-    """
     total = np.zeros_like(x)
     for t in f.terms:
         total = total + 2.0 * t.weight * np.einsum("...j,ij->...i", x - t.m, t.Q)
     return total
 
 
-def subdifferential(f: KnownFunction, x) -> SubdifferentialSet:
-    """Subdifferential generators of f at x.
+def subdifferential(f: KnownFunction, x) -> np.ndarray:
+    """Subdifferential generators of f at x, one per row of a (k, n) array.
 
-    Singleton gradient at smooth points; at a registered kink, each supplied
-    generator shifted by the analytic gradient of the quadratic terms.
+    The gradient alone (k = 1) at smooth points; at a registered kink, each
+    supplied generator shifted by the gradient of the quadratic terms.
     """
     x = as_vector(x)
-    f._check_dim(x)
     kink = f.kink_at(x)
-    smooth = _smooth_gradient(f, x)
+    smooth = gradient(f, x)
     if kink is None:
-        return SubdifferentialSet(generators=(smooth,))
-    return SubdifferentialSet(generators=tuple(smooth + g for g in kink.generators))
+        return smooth[None, :]
+    return smooth + np.stack(kink.generators)
 
 
 def finite_difference_check(f: KnownFunction, x, h: float = 1e-5) -> float:

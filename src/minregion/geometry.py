@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CoincidentPointsError,
     DimensionMismatchError,
     InsideBallError,
     NegativeDiscriminantError,
@@ -112,24 +111,6 @@ class GridSpec:
             np.linspace(self.lower[i], self.upper[i], self.counts[i])
             for i in range(self.dimension)
         ]
-
-    def cell_sizes(self) -> np.ndarray:
-        return (self.upper - self.lower) / (np.asarray(self.counts) - 1)
-
-
-def unit_vector(x1, x2) -> np.ndarray:
-    """Unit vector pointing from x2 toward x1.
-
-    Raises CoincidentPointsError when the points coincide exactly.
-    """
-    x1 = as_vector(x1)
-    x2 = as_vector(x2)
-    _same_dim(x1, x2)
-    diff = x1 - x2
-    norm = float(np.linalg.norm(diff))
-    if norm == 0.0:
-        raise CoincidentPointsError("unit_vector requires two distinct points")
-    return diff / norm
 
 
 def chord_length(d: float, eps0: float, theta: float) -> float:

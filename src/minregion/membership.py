@@ -31,10 +31,9 @@ from .errors import (
     InsideBallError,
     NonFiniteError,
 )
-from .funcmodel import KINK_MATCH_ATOL, KnownFunction, _smooth_gradient, subdifferential
+from .funcmodel import KINK_MATCH_ATOL, KnownFunction, gradient, subdifferential
 from .geometry import Ball, as_vector
 
-DEFAULT_THETA_STEPS = 2048  # retired sweep resolution, still echoed in reports
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
 BLOCK_ROWS = 8192  # query rows per classify_points call in scans and campaigns; bounds memory
 
@@ -146,24 +145,14 @@ def ball_score_infimum(G, X, ball: Ball, sigma: float, slack: float = DEFAULT_SL
     return member, -lift / gap, x_u
 
 
-def check_theta_steps(theta_steps) -> int:
-    """Validate the retired sweep resolution, which no longer decides anything."""
-    theta_steps = int(theta_steps)
-    if theta_steps < 2:
-        raise ValueError(f"theta_steps must be >= 2, got {theta_steps}")
-    return theta_steps
-
-
-def _visible_cap_candidates(
-    x_star: np.ndarray, ball: Ball, samples: int, seed: int
-) -> np.ndarray:
+def _visible_cap_candidates(x_star: np.ndarray, ball: Ball, samples: int) -> np.ndarray:
     """Boundary points visible from x_star, discretized.
 
     In the plane the visible cap is an arc and is sampled uniformly and
     inclusively (shrunk by a relative 1e-12 so the closed tangency test is
-    float-safe).  In higher dimensions the sphere is sampled with a seeded
-    normal-direction scheme and filtered to the cap, with the nearest
-    boundary point always included.
+    float-safe).  In higher dimensions the sphere is sampled with a
+    normal-direction scheme under a fixed seed and filtered to the cap, with
+    the nearest boundary point always included.
     """
     center = ball.center
     radius = ball.radius
@@ -176,7 +165,7 @@ def _visible_cap_candidates(
             -t_max * (1.0 - 1e-12), t_max * (1.0 - 1e-12), int(samples)
         )
         return center + radius * np.stack([np.cos(psi), np.sin(psi)], axis=1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     dirs = rng.standard_normal((int(samples), ball.dimension))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = center + radius * dirs
@@ -192,7 +181,6 @@ def evaluate_general(
     *,
     slack: float = DEFAULT_SLACK,
     boundary_samples: int = 10_000,
-    sample_seed: int = 0,
 ) -> MembershipVerdict:
     """Membership by direct minimization over explicit candidate pairs.
 
@@ -210,9 +198,7 @@ def evaluate_general(
     if isinstance(region, Ball):
         if region.contains(x_star):
             raise InsideBallError("evaluate_general requires x_star outside the ball")
-        candidates = _visible_cap_candidates(
-            x_star, region, int(boundary_samples), int(sample_seed)
-        )
+        candidates = _visible_cap_candidates(x_star, region, int(boundary_samples))
     else:
         if region.contains(x_star):
             raise CoincidentPointsError(
@@ -225,7 +211,7 @@ def evaluate_general(
     diff = x_star - candidates  # (M, n)
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     units = diff / dist[:, None]
-    for g in subdifferential(f, x_star).generators:
+    for g in subdifferential(f, x_star):
         num = units @ g
         admissible = num < 0.0
         if not bool(admissible.any()):
@@ -280,7 +266,7 @@ def _generator_table(f: KnownFunction, X: np.ndarray, rows: np.ndarray):
     gradient alone.
     """
     Xr = X if rows.size == X.shape[0] else X[rows]
-    grad = _smooth_gradient(f, Xr)
+    grad = gradient(f, Xr)
     kink_of = np.full(rows.size, -1)
     for j, k in enumerate(f.kinks):
         near = np.max(np.abs(Xr - k.point), axis=1) <= KINK_MATCH_ATOL
@@ -413,7 +399,7 @@ def classify_point(
     f: KnownFunction,
     x_star,
     uset: UncertaintySet,
-    theta_steps: int = DEFAULT_THETA_STEPS,
+    theta_steps=None,  # ignored; bench/tracing.py still passes it positionally
     *,
     slack: float = DEFAULT_SLACK,
     early_exit: bool = True,
@@ -422,11 +408,9 @@ def classify_point(
 
     Points inside the closed set are members by the interior rule (no
     witness).  Outside, the point is a member iff any generator passes, and
-    the witness is the generator with the lowest score.  theta_steps
-    (validated, >= 2) and early_exit are accepted for compatibility and
-    decide nothing.
+    the witness is the generator with the lowest score.  early_exit is
+    accepted for compatibility and decides nothing.
     """
-    check_theta_steps(theta_steps)
     x_star = as_vector(x_star)
     res = classify_points(f, uset, x_star[None, :], slack)
     if res.interior[0]:

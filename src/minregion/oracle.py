@@ -15,23 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, KinkPointError, NonFiniteError
-from .funcmodel import KnownFunction, _smooth_gradient
+from .errors import ConvergenceError, NonFiniteError
+from .funcmodel import KnownFunction, gradient
 from .geometry import Ball, as_vector
-from .membership import (
-    BLOCK_ROWS,
-    DEFAULT_SLACK,
-    DEFAULT_THETA_STEPS,
-    MembershipVerdict,
-    UncertaintySet,
-    _check_finite,
-    check_theta_steps,
-    classify_point,
-    classify_points,
-)
+from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _check_finite, classify_points
 
 DEFAULT_MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
 STATIONARITY_TOL = 1e-8
+MAX_ITERATIONS = 200_000  # subgradient steps before a multi-kink solve gives up
 # numpy SeedSequence's hash and mix constants (see _entropy_pool and _sub_seeds)
 _POOL_SIZE = 4
 _MASK_32 = 0xFFFFFFFF
@@ -63,22 +54,9 @@ class UnknownQuadratic:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "sigma_u", sigma_u)
 
-    def value(self, x) -> float:
-        x = as_vector(x)
-        return 0.5 * self.sigma_u * float(np.sum((x - self.center) ** 2))
-
     def gradient(self, x) -> np.ndarray:
         x = as_vector(x)
         return self.sigma_u * (x - self.center)
-
-
-@dataclass(frozen=True)
-class OracleSample:
-    """One end-to-end trial: the sampled term, the true minimizer, the verdict."""
-
-    unknown: UnknownQuadratic
-    minimizer: np.ndarray
-    verdict: MembershipVerdict
 
 
 @dataclass(frozen=True)
@@ -99,7 +77,6 @@ class ValidationReport:
     falsification_count: int
     worst_margin: float | None
     seed: int
-    theta_steps: int
     slack: float
     sigma_multiplier_range: tuple
     falsification_details: tuple = ()
@@ -118,7 +95,6 @@ class ValidationReport:
             "falsifications": self.falsification_count,
             "worst_margin": self.worst_margin,
             "seed": self.seed,
-            "theta_steps": self.theta_steps,
             "slack": self.slack,
             "sigma_multiplier_range": list(self.sigma_multiplier_range),
             "falsification_details": [dict(d) for d in self.falsification_details],
@@ -270,7 +246,7 @@ def minimize_sum(f: KnownFunction, u: UnknownQuadratic) -> np.ndarray:
     minimize_sum_iterative.
     """
     if f.kinks:
-        raise KinkPointError("minimize_sum handles smooth models only; use minimize_sum_iterative")
+        raise ValueError("minimize_sum handles smooth models only; use minimize_sum_iterative")
     return _solve_normal_equations(*_normal_equations(f, [u.sigma_u], [u.center]))[0]
 
 
@@ -344,7 +320,7 @@ def _interpreted_subgradient(f: KnownFunction, u: UnknownQuadratic, x: np.ndarra
     its supporting max-affine envelope; this is the convex completion of the
     declared kink subdifferentials that the iterative solver minimizes.
     """
-    g = _smooth_gradient(f, x) + u.gradient(x)
+    g = gradient(f, x) + u.gradient(x)
     for k in f.kinks:
         offsets = np.array([float(gen @ (x - k.point)) for gen in k.generators])
         g = g + k.generators[int(np.argmax(offsets))]
@@ -353,34 +329,28 @@ def _interpreted_subgradient(f: KnownFunction, u: UnknownQuadratic, x: np.ndarra
 
 def _kink_stationarity_gap(f: KnownFunction, u: UnknownQuadratic, k) -> float:
     """Distance from -grad(u + smooth part) at the kink to the generator hull."""
-    target = -(u.gradient(k.point) + _smooth_gradient(f, k.point))
+    target = -(u.gradient(k.point) + gradient(f, k.point))
     return float(np.linalg.norm(target - _hull_project(target, k.generators)))
 
 
-def minimize_sum_iterative(
-    f: KnownFunction,
-    u: UnknownQuadratic,
-    tol: float = STATIONARITY_TOL,
-    max_iter: int = 200_000,
-) -> np.ndarray:
+def minimize_sum_iterative(f: KnownFunction, u: UnknownQuadratic) -> np.ndarray:
     """Minimizer of f + u for any model; iterative only with two or more kinks.
 
     Kinks are minimized under the max-affine completion of their declared
     generators; smooth models go to minimize_sum.  A single kink at p returns
     p itself when its generator hull certifies stationarity
-    (_kink_stationarity_gap <= tol), otherwise x = A^-1 (b - s), where s
-    projects r = b - A p onto the generator hull in the A^-1 metric (the
-    dual problem): s = L _hull_project(L^-1 r, L^-1 G) with A = L L^T.  Two
-    or more kinks take subgradient steps that snap to a kink whose hull
-    certifies stationarity, and raise ConvergenceError after max_iter steps.
+    (_kink_stationarity_gap <= STATIONARITY_TOL), otherwise x = A^-1 (b - s),
+    where s projects r = b - A p onto the generator hull in the A^-1 metric
+    (the dual problem): s = L _hull_project(L^-1 r, L^-1 G) with A = L L^T.
+    Two or more kinks take subgradient steps that snap to a kink within 1e-5
+    whose hull certifies stationarity, and raise ConvergenceError after
+    MAX_ITERATIONS steps.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
     if not f.kinks:
         return minimize_sum(f, u)
     if len(f.kinks) == 1:
         kink = f.kinks[0]
-        if _kink_stationarity_gap(f, u, kink) <= tol:
+        if _kink_stationarity_gap(f, u, kink) <= STATIONARITY_TOL:
             return kink.point.copy()
         A, b = _normal_equations(f, u.sigma_u, u.center)
         L = np.linalg.cholesky(A)
@@ -389,37 +359,19 @@ def minimize_sum_iterative(
         return np.linalg.solve(A, b - L @ _hull_project(z, gens))
     step = 1.0 / float(np.linalg.eigvalsh(_normal_equations(f, u.sigma_u, u.center)[0])[-1])
     x = u.center.astype(float).copy()
-    snap_radius = max(1e-5, 10.0 * tol)
-    for iteration in range(int(max_iter)):
+    for iteration in range(MAX_ITERATIONS):
         for k in f.kinks:  # snap to a kink whose hull certifies stationarity
-            if float(np.linalg.norm(x - k.point)) <= snap_radius:
-                if _kink_stationarity_gap(f, u, k) <= tol:
+            if float(np.linalg.norm(x - k.point)) <= 1e-5:
+                if _kink_stationarity_gap(f, u, k) <= STATIONARITY_TOL:
                     return k.point.copy()
         g = _interpreted_subgradient(f, u, x)
-        if f.kink_at(x) is None and float(np.linalg.norm(g)) <= tol:
+        if f.kink_at(x) is None and float(np.linalg.norm(g)) <= STATIONARITY_TOL:
             return x
         shrink = 1.0 / (1.0 + iteration * u.sigma_u * step)
         x = x - step * shrink * g
-    raise ConvergenceError(f"no stationary point within tol={tol} after {max_iter} iterations")
-
-
-def evaluate_trial(
-    f: KnownFunction,
-    uset: UncertaintySet,
-    sigma: float,
-    seed: int,
-    theta_steps: int = DEFAULT_THETA_STEPS,
-    *,
-    slack: float = DEFAULT_SLACK,
-    sigma_multiplier_range: tuple = DEFAULT_MULTIPLIER_RANGE,
-    classify_sigma: float | None = None,
-) -> OracleSample:
-    """Sample one unknown term, minimize the sum exactly, classify the minimizer."""
-    unknown = sample_unknown(uset, sigma, seed, sigma_multiplier_range)
-    minimizer = minimize_sum_iterative(f, unknown)
-    classify_set = uset if classify_sigma is None else replace(uset, sigma=float(classify_sigma))
-    verdict = classify_point(f, minimizer, classify_set, theta_steps, slack=slack)
-    return OracleSample(unknown=unknown, minimizer=minimizer, verdict=verdict)
+    raise ConvergenceError(
+        f"no stationary point within tol={STATIONARITY_TOL} after {MAX_ITERATIONS} iterations"
+    )
 
 
 def validate_necessity(
@@ -428,7 +380,7 @@ def validate_necessity(
     sigma: float,
     trials: int,
     seed: int,
-    theta_steps: int = DEFAULT_THETA_STEPS,
+    theta_steps=None,  # ignored; bench/tracing.py still passes it positionally
     *,
     slack: float = DEFAULT_SLACK,
     sigma_multiplier_range: tuple = DEFAULT_MULTIPLIER_RANGE,
@@ -442,14 +394,13 @@ def validate_necessity(
     BLOCK_ROWS // n at a time, so memory stays near BLOCK_ROWS * n floats:
     the block is drawn together, a smooth model is solved as one stacked
     system, a kinked one trial by trial, and the minimizers are classified
-    together; the report equals the one built from evaluate_trial on each
-    sub-seed.  A NonFiniteError or a
-    ConvergenceError carries the trial index.  With classify_sigma set above
-    the sampling sigma the hypothesis is knowingly violated and
-    falsifications are expected; that mode shows the campaign has teeth.
-    theta_steps is validated and echoed in the report; it decides nothing.
+    together; the report equals the one built by drawing (sample_unknown),
+    solving (minimize_sum_iterative) and classifying (classify_point) each
+    sub-seed on its own.  A NonFiniteError or a ConvergenceError carries the
+    trial index.  With classify_sigma set above the sampling sigma the
+    hypothesis is knowingly violated and falsifications are expected; that
+    mode shows the campaign has teeth.
     """
-    theta_steps = check_theta_steps(theta_steps)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -510,7 +461,6 @@ def validate_necessity(
         falsification_count=falsification_count,
         worst_margin=worst_margin,
         seed=int(seed),
-        theta_steps=theta_steps,
         slack=float(slack),
         sigma_multiplier_range=(float(sigma_multiplier_range[0]), float(sigma_multiplier_range[1])),
         falsification_details=tuple(falsifications),

@@ -17,14 +17,7 @@ import numpy as np
 from .errors import DimensionMismatchError, GridMismatchError, NonFiniteError
 from .funcmodel import KnownFunction
 from .geometry import Ball, GridSpec  # GridSpec is also importable from here
-from .membership import (
-    BLOCK_ROWS,
-    DEFAULT_SLACK,
-    DEFAULT_THETA_STEPS,
-    UncertaintySet,
-    check_theta_steps,
-    classify_points,
-)
+from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, classify_points
 
 
 @dataclass(frozen=True)
@@ -32,7 +25,6 @@ class MaskMetadata:
     """Scan parameters recorded with a mask; eps0 for balls, point_count for finite sets."""
 
     sigma: float
-    theta_steps: int
     slack: float
     eps0: float | None = None
     point_count: int | None = None
@@ -76,17 +68,15 @@ def scan_region(
     f: KnownFunction,
     uset: UncertaintySet,
     spec: GridSpec,
-    theta_steps: int = DEFAULT_THETA_STEPS,
+    theta_steps=None,  # ignored; bench/tracing.py still passes it positionally
     *,
     slack: float = DEFAULT_SLACK,
 ) -> RegionMask:
     """Classify every grid point; membership[i] matches classify_point on point i.
 
     A NonFiniteError carries the flat index of the grid point (its row in
-    build_grid(spec)) and names the point.  theta_steps is validated and
-    recorded in the mask metadata; it decides nothing.
+    build_grid(spec)) and names the point.
     """
-    theta_steps = check_theta_steps(theta_steps)
     if f.dimension != spec.dimension or uset.dimension != spec.dimension:
         raise DimensionMismatchError("function, set, and grid dimensions must agree")
     axes = spec.axes()
@@ -106,13 +96,7 @@ def scan_region(
         eps0, point_count = uset.region.radius, None
     else:
         eps0, point_count = None, uset.region.points.shape[0]
-    meta = MaskMetadata(
-        sigma=uset.sigma,
-        theta_steps=theta_steps,
-        slack=float(slack),
-        eps0=eps0,
-        point_count=point_count,
-    )
+    meta = MaskMetadata(sigma=uset.sigma, slack=float(slack), eps0=eps0, point_count=point_count)
     return RegionMask(grid=spec, membership=member, metadata=meta)
 
 
@@ -150,8 +134,7 @@ def write_mask_csv(mask: RegionMask, path: str):
     )
     grid = mask.grid
     header = (
-        f"# sigma={_format_float(meta.sigma)}, {size_field}, "
-        f"theta_steps={meta.theta_steps}, slack={_format_float(meta.slack)}\n"
+        f"# sigma={_format_float(meta.sigma)}, {size_field}, slack={_format_float(meta.slack)}\n"
         "# grid lower=" + ",".join(_format_float(v) for v in grid.lower)
         + " upper=" + ",".join(_format_float(v) for v in grid.upper)
         + " counts=" + ",".join(str(c) for c in grid.counts) + "\n"
@@ -173,7 +156,8 @@ def read_mask_csv(path: str) -> RegionMask:
     Raises ValueError for a file that is not a mask CSV, a header that lacks
     a field, a row that does not parse or has the wrong number of columns, a
     wrong row count, or coordinates that are not exactly the declared
-    grid's, in grid order.
+    grid's, in grid order.  Other header fields are ignored, so files with
+    a field this writer no longer emits still load.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = []  # the two header lines and the first data line
@@ -200,7 +184,7 @@ def read_mask_csv(path: str) -> RegionMask:
     for part in grid_part:
         key, _, value = part.partition("=")
         grid_fields[key] = value
-    required = ((fields, ("sigma", "theta_steps", "slack")), (grid_fields, ("lower", "upper", "counts")))
+    required = ((fields, ("sigma", "slack")), (grid_fields, ("lower", "upper", "counts")))
     for table, keys in required:
         for key in keys:
             if key not in table:
@@ -220,7 +204,6 @@ def read_mask_csv(path: str) -> RegionMask:
             raise ValueError(f"{path}: data coordinates do not match the declared grid")
     meta = MaskMetadata(
         sigma=float(fields["sigma"]),
-        theta_steps=int(fields["theta_steps"]),
         slack=float(fields["slack"]),
         eps0=float(fields["eps0"]) if "eps0" in fields else None,
         point_count=int(fields["points"]) if "points" in fields else None,

@@ -37,7 +37,11 @@ def test_load_config_reference(tmp_path):
     assert config.known_function.dimension == 2
     assert config.uncertainty.sigma == 2.0
     assert config.grid.counts == (41, 41)
-    assert config.theta_steps == 2048 and config.slack == 1e-9
+    assert config.slack == 1e-9
+    # a leftover "theta_steps" is ignored like any other unknown top-level key
+    legacy = load_config(write_config(tmp_path, dict(REFERENCE, theta_steps=2048), name="legacy.json"))
+    assert legacy.theta_steps is None and legacy.slack == 1e-9 and legacy.grid.counts == (41, 41)
+    assert legacy.raw == dict(config.raw, theta_steps=2048)
 
 
 def test_load_config_flat_matrix(tmp_path):
@@ -181,10 +185,14 @@ def test_check_sigma_override_flips_verdict(tmp_path):
     assert main(["check", config, "1.2,0.0", "--sigma-override", "-1.0"]) == 2
 
 
-def test_flag_validation(tmp_path):
+def test_flag_validation(tmp_path, capsys):
     config = write_config(tmp_path, REFERENCE)
-    assert main(["check", config, "1.0,0.0", "--theta-steps", "1"]) == 2
     assert main(["check", config, "1.0,0.0", "--slack", "-0.1"]) == 2
+    # --theta-steps is not a flag: argparse rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["check", config, "1.0,0.0", "--theta-steps", "2048"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --theta-steps 2048" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -211,6 +219,31 @@ def test_non_finite_flags_are_usage_errors(tmp_path, capsys, command, flag, valu
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "keys, value, field",
+    [
+        (("sigma",), 10**400, "$.sigma"),
+        (("sigma",), float("nan"), "$.sigma"),
+        (("uncertainty", "center", 1), 10**400, "$.uncertainty.center[1]"),
+        (("known_function", "terms", 0, "weight"), 10**400, "$.known_function.terms[0].weight"),
+        (("known_function", "terms", 0, "Q"), [1.0, 0.0, 0.0, 10**400], "$.known_function.terms[0].Q[3]"),
+    ],
+    ids=["sigma", "nan-sigma", "center", "weight", "flat-Q"],
+)
+def test_config_numbers_must_be_finite(tmp_path, capsys, keys, value, field):
+    # exit 1 would read as "non-member", so a number outside the float range, or
+    # NaN, is a usage error that names its own field
+    doc = json.loads(json.dumps(REFERENCE))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    config = write_config(tmp_path, doc)
+    assert main(["check", config, "1.0,0.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}: expected a finite number") and captured.out == ""
+
+
 @pytest.mark.parametrize("slack", [float("nan"), float("inf"), 10**400])
 def test_config_slack_must_be_finite(tmp_path, capsys, slack):
     doc = json.loads(json.dumps(REFERENCE))
@@ -220,6 +253,33 @@ def test_config_slack_must_be_finite(tmp_path, capsys, slack):
         load_config(config)
     assert main(["check", config, "1.5,0.0"]) == 2
     assert "error: $.slack: expected a finite number >= 0" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_call_forms(tmp_path):
+    # bench/tracing.py replays the CLI in-process with exactly these calls, and
+    # swaps scanner.build_grid and membership.subdifferential for recording wrappers
+    from minregion import membership, scanner
+
+    assert callable(scanner.build_grid) and callable(membership.subdifferential)
+    cfg = load_config(write_config(tmp_path, REFERENCE))
+    assert cfg.theta_steps is None
+    f, sigma = cfg.known_function, float(cfg.raw["sigma"])
+    uset = membership.UncertaintySet(region=cfg.uncertainty.region, sigma=sigma)
+    verdict = membership.classify_point(f, np.array([1.0, 0.0]), uset, cfg.theta_steps, slack=cfg.slack)
+    assert verdict.member and not verdict.interior
+    mask = scanner.scan_region(f, cfg.uncertainty, cfg.grid, cfg.theta_steps, slack=cfg.slack)
+    scanner.write_mask_pgm(mask, str(tmp_path / "mask.pgm"))
+    scanner.write_mask_csv(mask, str(tmp_path / "mask.csv"))
+    assert np.array_equal(scanner.read_mask_csv(str(tmp_path / "mask.csv")).membership, mask.membership)
+    report = oracle.validate_necessity(f, uset, sigma, 50, 3, cfg.theta_steps, slack=cfg.slack).to_dict()
+    got = dict(member=0, inside_set=0, falsifications=0)
+    for s in np.random.SeedSequence(3).generate_state(50, dtype=np.uint64):
+        u = oracle.sample_unknown(uset, sigma, int(s))
+        x = oracle.minimize_sum_iterative(f, u)
+        assert np.array_equal(x, oracle.minimize_sum(f, u))
+        v = membership.classify_point(f, x, uset, cfg.theta_steps, slack=cfg.slack)
+        got["inside_set" if v.interior else "member" if v.member else "falsifications"] += 1
+    assert {key: report[key] for key in got} == got
 
 
 def test_validate_negative_seed_is_a_usage_error(tmp_path, capsys):

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from minregion.errors import DimensionMismatchError, KinkPointError
+from minregion.errors import DimensionMismatchError
 from minregion.funcmodel import (
     Kink,
     KnownFunction,
     QuadraticTerm,
-    _smooth_gradient,
     finite_difference_check,
     gradient,
     subdifferential,
@@ -59,11 +58,11 @@ def test_batched_gradient_is_bitwise_per_row():
     for n in (1, 2, 3, 5):
         f = random_psd_function(rng, n, terms=2)
         X = rng.uniform(-3.0, 3.0, (257, n))
-        batch = _smooth_gradient(f, X)
+        batch = gradient(f, X)
         assert batch.shape == X.shape
         for i in (0, 1, 128, 256):
             assert np.array_equal(batch[i], gradient(f, X[i]))
-            assert np.array_equal(batch[i : i + 1], _smooth_gradient(f, X[i : i + 1]))
+            assert np.array_equal(batch[i : i + 1], gradient(f, X[i : i + 1]))
         expected = sum(2.0 * t.weight * (X - t.m) @ t.Q.T for t in f.terms)
         assert np.allclose(batch, expected, rtol=1e-12, atol=1e-12)
 
@@ -112,8 +111,7 @@ def test_finite_difference_agreement():
 def test_subdifferential_smooth_is_singleton():
     f = reference_function()
     sd = subdifferential(f, [1.0, 0.0])
-    assert sd.is_singleton
-    assert np.array_equal(sd.generators[0], [-2.0, 0.0])
+    assert np.array_equal(sd, [[-2.0, 0.0]])
 
 
 def test_subdifferential_at_kink():
@@ -122,20 +120,22 @@ def test_subdifferential_at_kink():
         kinks=(Kink(point=[0.0, 0.0], generators=([-1.0, 0.0], [1.0, 0.0])),),
     )
     sd = subdifferential(f, [0.0, 0.0])
-    assert not sd.is_singleton
-    # smooth gradient (-4, 0) plus each declared generator
-    gens = sorted(tuple(g) for g in sd.generators)
-    assert gens == [(-5.0, 0.0), (-3.0, 0.0)]
+    # smooth gradient (-4, 0) plus each declared generator, in declared order
+    assert np.array_equal(sd, [[-5.0, 0.0], [-3.0, 0.0]])
 
 
-def test_gradient_raises_at_kink():
+def test_gradient_at_kink_is_the_smooth_part():
+    # the kink's generators only enter through subdifferential
     f = KnownFunction(
         terms=(QuadraticTerm(Q=np.eye(1), m=[0.0]),),
         kinks=(Kink(point=[1.0], generators=([-1.0], [1.0])),),
     )
-    with pytest.raises(KinkPointError):
-        gradient(f, [1.0])
+    assert np.array_equal(gradient(f, [1.0]), [2.0])
     assert np.array_equal(gradient(f, [1.0 + 1e-9]), [2.0 + 2e-9])
+    assert np.array_equal(subdifferential(f, [1.0]), [[1.0], [3.0]])
+    assert finite_difference_check(f, [1.0]) < 1e-6
+    with pytest.raises(DimensionMismatchError):
+        gradient(f, [1.0, 0.0])
 
 
 def test_kink_at_is_exact_match():

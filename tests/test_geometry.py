@@ -3,47 +3,8 @@
 import numpy as np
 import pytest
 
-from minregion.errors import (
-    CoincidentPointsError,
-    DimensionMismatchError,
-    InsideBallError,
-    NotOnBoundaryError,
-)
-from minregion.geometry import (
-    Ball,
-    chord_length,
-    unit_vector,
-    visible_cap_contains,
-)
-
-
-def test_unit_vector_examples():
-    assert np.allclose(unit_vector([1.0, 0.0], [0.0, 0.0]), [1.0, 0.0])
-    assert np.allclose(unit_vector([0.0, 3.0, 4.0], [0.0, 0.0, 0.0]), [0.0, 0.6, 0.8])
-    # points from x2 toward x1
-    u = unit_vector([0.0, 0.0], [2.0, 0.0])
-    assert np.allclose(u, [-1.0, 0.0])
-
-
-def test_unit_vector_norm_property():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        x1 = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
-        x2 = rng.standard_normal(n)
-        u = unit_vector(x1, x2)
-        assert abs(float(np.linalg.norm(u)) - 1.0) < 1e-12
-        assert float(np.dot(u, x1 - x2)) > 0.0
-
-
-def test_unit_vector_coincident_raises():
-    with pytest.raises(CoincidentPointsError):
-        unit_vector([1.0, 2.0], [1.0, 2.0])
-
-
-def test_unit_vector_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        unit_vector([1.0, 2.0], [1.0])
+from minregion.errors import InsideBallError, NotOnBoundaryError
+from minregion.geometry import Ball, chord_length, visible_cap_contains
 
 
 def test_chord_length_endpoint_identities():

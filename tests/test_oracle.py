@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from minregion import oracle
-from minregion.errors import KinkPointError, NonFiniteError
+from minregion.errors import NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
-from minregion.membership import FinitePointSet, UncertaintySet
+from minregion.membership import FinitePointSet, UncertaintySet, classify_point
 from minregion.oracle import (
     STATIONARITY_TOL,
     UnknownQuadratic,
-    evaluate_trial,
     minimize_sum,
     minimize_sum_iterative,
     sample_unknown,
@@ -98,7 +97,7 @@ def test_minimize_sum_rejects_kinks():
         terms=(QuadraticTerm(Q=np.eye(1), m=[0.0]),),
         kinks=(Kink(point=[1.0], generators=([-1.0], [1.0])),),
     )
-    with pytest.raises(KinkPointError):
+    with pytest.raises(ValueError, match="smooth models only"):
         minimize_sum(f, UnknownQuadratic(center=[0.0], sigma_u=1.0))
 
 
@@ -161,7 +160,8 @@ def test_iterative_single_kink_tie_face():
 def _completed_objective(f, u, x):
     """f + u with the kink's generators completed to a max-affine envelope."""
     (kink,) = f.kinks
-    return f.value(x) + u.value(x) + max(float(g @ (x - kink.point)) for g in kink.generators)
+    unknown = 0.5 * u.sigma_u * float(np.sum((x - u.center) ** 2))
+    return f.value(x) + unknown + max(float(g @ (x - kink.point)) for g in kink.generators)
 
 
 def test_iterative_single_kink_is_minimal():
@@ -443,15 +443,6 @@ def test_sample_unknown_range_validation():
         sample_unknown(reference_set(), -1.0, 0)
 
 
-def test_evaluate_trial_verdict_is_member():
-    sample = evaluate_trial(reference_function(), reference_set(), 2.0, seed=123)
-    assert sample.verdict.member
-    # the sampled term really is admissible and really is minimized
-    assert sample.unknown.sigma_u >= 2.0
-    grad = 2.0 * (sample.minimizer - [2.0, 0.0]) + sample.unknown.gradient(sample.minimizer)
-    assert float(np.linalg.norm(grad)) < 1e-8
-
-
 def test_validate_necessity_clean_campaign():
     report = validate_necessity(reference_function(), reference_set(), 2.0, trials=300, seed=9)
     assert report.passed
@@ -522,14 +513,16 @@ def test_validate_necessity_detects_violated_hypothesis():
 
 
 def _report_from_trials(f, uset, sigma, trials, seed, classify_sigma=None):
-    """A validation report built from one evaluate_trial call per sub-seed."""
+    """A validation report built trial by trial: draw, solve and classify each sub-seed alone."""
     seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     sigma_c = sigma if classify_sigma is None else classify_sigma
+    classify_set = uset if classify_sigma is None else UncertaintySet(region=uset.region, sigma=classify_sigma)
     member = interior = 0
     details, margins = [], []
     for t, sub_seed in enumerate(seeds):
-        sample = evaluate_trial(f, uset, sigma, int(sub_seed), classify_sigma=classify_sigma)
-        verdict = sample.verdict
+        unknown = sample_unknown(uset, sigma, int(sub_seed))
+        minimizer = minimize_sum_iterative(f, unknown)
+        verdict = classify_point(f, minimizer, classify_set)
         if verdict.interior:
             interior += 1
             continue
@@ -541,9 +534,9 @@ def _report_from_trials(f, uset, sigma, trials, seed, classify_sigma=None):
             details.append(
                 {
                     "trial": t,
-                    "minimizer": [float(v) for v in sample.minimizer],
-                    "center": [float(v) for v in sample.unknown.center],
-                    "sigma_u": sample.unknown.sigma_u,
+                    "minimizer": [float(v) for v in minimizer],
+                    "center": [float(v) for v in unknown.center],
+                    "sigma_u": unknown.sigma_u,
                     "best_score": verdict.best_score,
                 }
             )
@@ -556,7 +549,6 @@ def _report_from_trials(f, uset, sigma, trials, seed, classify_sigma=None):
         "falsifications": trials - member - interior,
         "worst_margin": min(margins) if margins else None,
         "seed": seed,
-        "theta_steps": 2048,
         "slack": 1e-9,
         "sigma_multiplier_range": [1.05, 3.0],
         "falsification_details": details,

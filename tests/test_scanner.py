@@ -48,7 +48,7 @@ def test_grid_spec_properties():
     spec = GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(401, 401))
     assert spec.dimension == 2
     assert spec.point_count == 160801
-    assert np.allclose(spec.cell_sizes(), [0.01, 0.01])
+    assert all(np.allclose(np.diff(ax), 0.01) for ax in spec.axes())
     with pytest.raises(ValueError):
         GridSpec(lower=[0.0], upper=[0.0], counts=(5,))
     with pytest.raises(ValueError):
@@ -253,7 +253,7 @@ def _small_mask(metadata):
     )
 
 
-SMALL_EPS0_HEADER = "# sigma=1.0, eps0=0.1, theta_steps=2, slack=0.0\n"
+SMALL_EPS0_HEADER = "# sigma=1.0, eps0=0.1, slack=0.0\n"
 SMALL_CSV_BODY = (
     "# grid lower=0.0,0.0 upper=2.0,1.0 counts=3,2\n"
     "0.0,0.0,1\n0.0,1.0,0\n1.0,0.0,0\n1.0,1.0,0\n2.0,0.0,0\n2.0,1.0,1\n"
@@ -261,18 +261,28 @@ SMALL_CSV_BODY = (
 
 
 @pytest.mark.parametrize(
-    "metadata, first_line",
+    "metadata, first_line, written",
     [
-        (MaskMetadata(sigma=1.0, theta_steps=2, slack=0.0, eps0=0.1), SMALL_EPS0_HEADER),
-        (MaskMetadata(sigma=0.5, theta_steps=64, slack=1e-09, point_count=16),
-         "# sigma=0.5, points=16, theta_steps=64, slack=1e-09\n"),
+        (MaskMetadata(sigma=1.0, slack=0.0, eps0=0.1), SMALL_EPS0_HEADER, True),
+        (MaskMetadata(sigma=0.5, slack=1e-09, point_count=16),
+         "# sigma=0.5, points=16, slack=1e-09\n", True),
+        # the reader ignores header fields it does not use, such as an old theta_steps=
+        (MaskMetadata(sigma=2.0, slack=1e-09, eps0=0.1),
+         "# sigma=2.0, eps0=0.1, slack=1e-09\n", False),
     ],
-    ids=["eps0", "points"],
+    ids=["eps0", "points", "theta-steps-header"],
 )
-def test_csv_frozen_bytes(tmp_path, metadata, first_line):
+def test_csv_frozen_bytes(tmp_path, metadata, first_line, written):
     path = tmp_path / "mask.csv"
-    write_mask_csv(_small_mask(metadata), str(path))
-    assert path.read_bytes() == (first_line + SMALL_CSV_BODY).encode("ascii")
+    data = (first_line + SMALL_CSV_BODY).encode("ascii")
+    if written:
+        write_mask_csv(_small_mask(metadata), str(path))
+        assert path.read_bytes() == data
+    else:
+        path.write_bytes(data)
+    back = read_mask_csv(str(path))
+    assert back.metadata == metadata
+    assert np.array_equal(back.membership, _small_mask(metadata).membership)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +302,7 @@ def test_csv_matches_per_row_formula(tmp_path, lower, upper, counts):
     mask = RegionMask(
         grid=spec,
         membership=flags,
-        metadata=MaskMetadata(sigma=2 / 3, theta_steps=64, slack=1e-9, eps0=1 / 7),
+        metadata=MaskMetadata(sigma=2 / 3, slack=1e-9, eps0=1 / 7),
     )
     path = tmp_path / "mask.csv"
     write_mask_csv(mask, str(path))
@@ -301,7 +311,7 @@ def test_csv_matches_per_row_formula(tmp_path, lower, upper, counts):
         ",".join(repr(float(v)) for v in row) + f",{int(flag)}\n"
         for row, flag in zip(build_grid(spec), flags)
     ]
-    assert header[0] == "# sigma=0.6666666666666666, eps0=0.14285714285714285, theta_steps=64, slack=1e-09\n"
+    assert header[0] == "# sigma=0.6666666666666666, eps0=0.14285714285714285, slack=1e-09\n"
     assert path.read_bytes() == "".join(header + rows).encode("ascii")
     assert np.array_equal(read_mask_csv(str(path)).membership, flags)
 
@@ -312,7 +322,7 @@ def test_csv_write_memory_is_bounded(tmp_path):
     mask = RegionMask(
         grid=spec,
         membership=np.random.default_rng(3).random(spec.point_count) < 0.5,
-        metadata=MaskMetadata(sigma=2.0, theta_steps=64, slack=1e-9, eps0=0.1),
+        metadata=MaskMetadata(sigma=2.0, slack=1e-9, eps0=0.1),
     )
     tracemalloc.start()
     try:
@@ -336,7 +346,6 @@ def test_csv_write_memory_is_bounded(tmp_path):
         pytest.param("1.0,0.0,0\n", "# note\n1.0,0.0,0\n", None, id="comment-row"),
         pytest.param("1.0,0.0,0\n", "1.0,zero,0\n", None, id="garbage-field"),
         pytest.param("sigma=1.0, ", "", "sigma=", id="no-sigma"),
-        pytest.param("theta_steps=2, ", "", "theta_steps=", id="no-theta-steps"),
         pytest.param(", slack=0.0", "", "slack=", id="no-slack"),
         pytest.param("lower=0.0,0.0 ", "", "lower=", id="no-lower"),
         pytest.param(" upper=2.0,1.0", "", "upper=", id="no-upper"),
@@ -362,7 +371,7 @@ def test_csv_rejects_bad_rows(tmp_path, old, new, error):
 
 def test_pgm_frozen_bytes(tmp_path):
     # PGM rows run top-down in x2, columns left-right in x1
-    mask = _small_mask(MaskMetadata(sigma=1.0, theta_steps=2, slack=0.0, eps0=0.1))
+    mask = _small_mask(MaskMetadata(sigma=1.0, slack=0.0, eps0=0.1))
     path = tmp_path / "mask.pgm"
     write_mask_pgm(mask, str(path))
     assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 0, 255, 255, 0, 0])
@@ -373,7 +382,7 @@ def test_pgm_rejects_non_2d(tmp_path):
     mask = RegionMask(
         grid=spec,
         membership=np.zeros(8, dtype=bool),
-        metadata=MaskMetadata(sigma=1.0, theta_steps=2, slack=0.0, eps0=0.1),
+        metadata=MaskMetadata(sigma=1.0, slack=0.0, eps0=0.1),
     )
     with pytest.raises(DimensionMismatchError):
         write_mask_pgm(mask, str(tmp_path / "mask.pgm"))
@@ -401,5 +410,5 @@ def test_region_mask_shape_validation():
         RegionMask(
             grid=spec,
             membership=np.zeros(4, dtype=bool),
-            metadata=MaskMetadata(sigma=1.0, theta_steps=2, slack=0.0),
+            metadata=MaskMetadata(sigma=1.0, slack=0.0),
         )
