@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, NonFiniteError
+from .errors import ConfigError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
 from .geometry import Ball, GridSpec
 from .membership import DEFAULT_SLACK, FinitePointSet, UncertaintySet, classify_point
@@ -117,8 +117,11 @@ def _parse_known_function(doc: dict) -> KnownFunction:
                 weight=_positive_number(term.get("weight", 1.0), f"{path}.weight"),
             )
         )
+    kinks_doc = spec.get("kinks", [])
+    if not isinstance(kinks_doc, list):
+        _fail("$.known_function.kinks", "expected a list")
     kinks = []
-    for i, kink in enumerate(spec.get("kinks", [])):
+    for i, kink in enumerate(kinks_doc):
         path = f"$.known_function.kinks[{i}]"
         if not isinstance(kink, dict):
             _fail(path, "expected an object with point and generators")
@@ -175,13 +178,16 @@ def _parse_grid(doc: dict) -> GridSpec | None:
         isinstance(c, int) and not isinstance(c, bool) for c in counts
     ):
         _fail("$.grid.counts", "expected a list of integers")
-    return _build(
+    grid = _build(
         "$.grid",
         GridSpec,
         lower=_as_vector_field(_require(spec, "lower", "$.grid"), "$.grid.lower"),
         upper=_as_vector_field(_require(spec, "upper", "$.grid"), "$.grid.upper"),
         counts=tuple(counts),
     )
+    if math.prod(grid.counts) > np.iinfo(np.intp).max:
+        _fail("$.grid.counts", f"the point count exceeds the index range {np.iinfo(np.intp).max}")
+    return grid
 
 
 def load_config(path: str) -> ProblemConfig:
@@ -271,6 +277,9 @@ def _cmd_scan(args) -> int:
         mask = scan_region(config.known_function, config.uncertainty, config.grid, slack=config.slack)
     except NonFiniteError as exc:
         raise ConfigError(f"{args.config}: {exc.reason}") from None
+    except MemoryError:
+        count = config.grid.point_count
+        raise ConfigError(f"$.grid.counts: {count} grid points do not fit in memory") from None
     elapsed = time.perf_counter() - started
     if args.format == "csv":
         write_mask_csv(mask, args.output)
@@ -309,8 +318,6 @@ def _cmd_validate(args) -> int:
         )
     except NonFiniteError as exc:
         raise ConfigError(f"{args.config}: minimizer of trial {exc.row}: {exc.reason}") from None
-    except ConvergenceError as exc:  # the message names the trial
-        raise ConfigError(f"{args.config}: {exc}") from None
     payload = dict(report.to_dict(), config=config.raw)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.report is not None:

@@ -42,4 +42,4 @@ class NonFiniteError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """Raised by nothing since every solve is exact; bench/tracing.py still catches it."""

@@ -15,14 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, NonFiniteError
-from .funcmodel import KnownFunction, gradient
+from .errors import NonFiniteError
+from .funcmodel import KINK_MATCH_ATOL, KnownFunction
 from .geometry import Ball, as_vector
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _check_finite, classify_points
 
 DEFAULT_MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
-STATIONARITY_TOL = 1e-8
-MAX_ITERATIONS = 200_000  # subgradient steps before a multi-kink solve gives up
 # numpy SeedSequence's hash and mix constants (see _entropy_pool and _sub_seeds)
 _POOL_SIZE = 4
 _MASK_32 = 0xFFFFFFFF
@@ -53,10 +51,6 @@ class UnknownQuadratic:
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "sigma_u", sigma_u)
-
-    def gradient(self, x) -> np.ndarray:
-        x = as_vector(x)
-        return self.sigma_u * (x - self.center)
 
 
 @dataclass(frozen=True)
@@ -238,16 +232,41 @@ def _sub_seeds(pool: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def minimize_sum(f: KnownFunction, u: UnknownQuadratic) -> np.ndarray:
-    """Exact minimizer of f + u for smooth f, via the normal equations.
+    """Exact minimizer of f + u for any model: the one-trial case of _minimize_block."""
+    return _minimize_block(f, [u.sigma_u], [u.center])[0]
 
-    (sum_i 2 w_i Q_i + sigma_u I) x = sum_i 2 w_i Q_i m_i + sigma_u * center:
-    the one-trial case of _solve_normal_equations.  The system is positive
-    definite because sigma_u > 0.  Models with kinks must go through
-    minimize_sum_iterative.
+
+minimize_sum_iterative = minimize_sum  # bench/tracing.py still calls it for kinked models
+
+
+def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
+    """Rows x_i minimizing f + u_i exactly, for B unknown terms at once.
+
+    The smooth part of f + u_i has gradient A_i x - b_i (_normal_equations).
+    Each kink adds its max-affine completion max_i <g_ki, x - p_k>, whose
+    dual has one multiplier simplex per kink: with H stacking the generators
+    and c_ki = <g_ki, p_k>, lam minimizes
+    1/2 lam^T (H A^-1 H^T) lam - lam^T (H A^-1 b - c) (_multipliers), and
+    x = A^-1 (b - H^T lam).  Without kinks this is one stacked solve of the
+    normal equations.  A row within KINK_MATCH_ATOL of a kink point, the
+    classifier's own tolerance, becomes that point bit for bit.  Every row
+    has the bits of a one-row call.
     """
+    A, b = _normal_equations(f, sigma_u, centers)
     if f.kinks:
-        raise ValueError("minimize_sum handles smooth models only; use minimize_sum_iterative")
-    return _solve_normal_equations(*_normal_equations(f, [u.sigma_u], [u.center]))[0]
+        blocks = [np.stack(k.generators) for k in f.kinks]
+        H = np.concatenate(blocks)
+        c = np.concatenate([g @ k.point for g, k in zip(blocks, f.kinks)])
+        m = H.shape[0]
+        rhs = np.concatenate([np.broadcast_to(H.T, (*b.shape, m)), b[..., None]], axis=-1)
+        W = np.linalg.solve(A, rhs)  # (A^-1 H^T, A^-1 b), one LAPACK call per trial
+        G = np.einsum("ij,...jk->...ik", H, W[..., :m])
+        lam = _multipliers(G, np.einsum("ij,...j->...i", H, W[..., m]) - c, _supports(blocks))
+        b = b - np.einsum("...i,ij->...j", lam, H)
+    x = _solve_normal_equations(A, b)
+    for k in f.kinks:
+        x[np.max(np.abs(x - k.point), axis=-1) <= KINK_MATCH_ATOL] = k.point
+    return x
 
 
 def _normal_equations(f: KnownFunction, sigma_u, centers) -> tuple:
@@ -284,94 +303,66 @@ def _solve_normal_equations(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hull_project(z: np.ndarray, gens) -> np.ndarray:
-    """Euclidean projection of z onto the convex hull of finitely many points.
+def _supports(blocks) -> list:
+    """The supports (S, E) that _multipliers tries, for generator blocks (m_k, n).
 
-    The projection lies on a face spanned by at most n + 1 generators: each
-    support V of 1..min(k, n + 1) generators is projected onto its affine
-    hull by the bordered KKT system [[V V^T, 1], [1^T, 0]], and the nearest
-    candidate with all weights >= 0 wins, at a cost of sum_{s <= n+1} C(k, s)
-    solves.  A one-generator support is the generator itself, bit for bit.
+    S indexes the stacked generators, taking at least one from every block
+    and at most n + K in all; E (|S|, K) marks the block of each index.  The
+    bordered matrix [[0, E^T], [E, H_S M H_S^T]] is singular, for any
+    positive definite M, exactly when some v != 0 has H_S^T v = 0 and
+    E^T v = 0.  That does not involve M, so the rank of [H_S, E] decides it
+    once from the generators; singular supports are dropped.
     """
-    M = np.stack(gens)
-    sq = np.sum((z - M) ** 2, axis=1)  # the supports of one generator
-    best, best_dist = M[int(np.argmin(sq))], float(np.min(sq))
-    for size in range(2, min(M.shape[0], M.shape[1] + 1) + 1):
-        kkt = np.ones((size + 1, size + 1))
-        kkt[size, size] = 0.0
-        for support in itertools.combinations(M, size):
-            V = np.stack(support)
-            kkt[:size, :size] = V @ V.T
-            try:
-                lam = np.linalg.solve(kkt, np.append(V @ z, 1.0))[:size]
-            except np.linalg.LinAlgError:  # affinely dependent support
-                continue
-            p = lam @ V
-            dist = float((z - p) @ (z - p))
-            if np.all(lam >= 0.0) and dist < best_dist:
-                best, best_dist = p, dist
-    return best
+    n, K = blocks[0].shape[1], len(blocks)
+    H = np.concatenate(blocks)
+    choices = []
+    for lo, g in zip(np.cumsum([0] + [g.shape[0] for g in blocks]), blocks):
+        rows = range(lo, lo + g.shape[0])
+        sizes = range(1, min(len(rows), n + 1) + 1)
+        choices.append([S for size in sizes for S in itertools.combinations(rows, size)])
+    supports = []
+    for parts in itertools.product(*choices):
+        S = np.array(sum(parts, ()))
+        if S.size > n + K:
+            continue
+        E = np.repeat(np.eye(K), [len(part) for part in parts], axis=0)
+        if np.linalg.matrix_rank(np.hstack([H[S], E])) == S.size:
+            supports.append((S, E))
+    return supports
 
 
-def _interpreted_subgradient(f: KnownFunction, u: UnknownQuadratic, x: np.ndarray) -> np.ndarray:
-    """Steepest-known subgradient of f + u at x under the kink completion.
+def _multipliers(G: np.ndarray, d: np.ndarray, supports) -> np.ndarray:
+    """Rows lam_i minimizing 1/2 lam^T G_i lam - d_i^T lam over one simplex per block.
 
-    Away from registered kinks each kink contributes the generator active in
-    its supporting max-affine envelope; this is the convex completion of the
-    declared kink subdifferentials that the iterative solver minimizes.
+    G (B, m, m) is positive semidefinite and supports is _supports of the
+    blocks.  Each support's bordered KKT system [[0, E^T], [E, G_SS]]
+    [mu; lam_S] = [1; d_S] is solved for the whole block with one stacked
+    np.linalg.solve; among the candidates with lam >= 0, the first with the
+    least objective wins.  Some optimum is a vertex of its face, whose
+    support is nonsingular, so it is among the candidates.  With the border
+    first, LU pivots on the E rows, so a block of one generator gets
+    lam = 1 exactly.  A row with no finite candidate (only from non-finite
+    input) is NaN.
     """
-    g = gradient(f, x) + u.gradient(x)
-    for k in f.kinks:
-        offsets = np.array([float(gen @ (x - k.point)) for gen in k.generators])
-        g = g + k.generators[int(np.argmax(offsets))]
-    return g
-
-
-def _kink_stationarity_gap(f: KnownFunction, u: UnknownQuadratic, k) -> float:
-    """Distance from -grad(u + smooth part) at the kink to the generator hull."""
-    target = -(u.gradient(k.point) + gradient(f, k.point))
-    return float(np.linalg.norm(target - _hull_project(target, k.generators)))
-
-
-def minimize_sum_iterative(f: KnownFunction, u: UnknownQuadratic) -> np.ndarray:
-    """Minimizer of f + u for any model; iterative only with two or more kinks.
-
-    Kinks are minimized under the max-affine completion of their declared
-    generators; smooth models go to minimize_sum.  A single kink at p returns
-    p itself when its generator hull certifies stationarity
-    (_kink_stationarity_gap <= STATIONARITY_TOL), otherwise x = A^-1 (b - s),
-    where s projects r = b - A p onto the generator hull in the A^-1 metric
-    (the dual problem): s = L _hull_project(L^-1 r, L^-1 G) with A = L L^T.
-    Two or more kinks take subgradient steps that snap to a kink within 1e-5
-    whose hull certifies stationarity, and raise ConvergenceError after
-    MAX_ITERATIONS steps.
-    """
-    if not f.kinks:
-        return minimize_sum(f, u)
-    if len(f.kinks) == 1:
-        kink = f.kinks[0]
-        if _kink_stationarity_gap(f, u, kink) <= STATIONARITY_TOL:
-            return kink.point.copy()
-        A, b = _normal_equations(f, u.sigma_u, u.center)
-        L = np.linalg.cholesky(A)
-        z = np.linalg.solve(L, b - A @ kink.point)  # L^-1 r
-        gens = np.linalg.solve(L, np.stack(kink.generators).T).T
-        return np.linalg.solve(A, b - L @ _hull_project(z, gens))
-    step = 1.0 / float(np.linalg.eigvalsh(_normal_equations(f, u.sigma_u, u.center)[0])[-1])
-    x = u.center.astype(float).copy()
-    for iteration in range(MAX_ITERATIONS):
-        for k in f.kinks:  # snap to a kink whose hull certifies stationarity
-            if float(np.linalg.norm(x - k.point)) <= 1e-5:
-                if _kink_stationarity_gap(f, u, k) <= STATIONARITY_TOL:
-                    return k.point.copy()
-        g = _interpreted_subgradient(f, u, x)
-        if f.kink_at(x) is None and float(np.linalg.norm(g)) <= STATIONARITY_TOL:
-            return x
-        shrink = 1.0 / (1.0 + iteration * u.sigma_u * step)
-        x = x - step * shrink * g
-    raise ConvergenceError(
-        f"no stationary point within tol={STATIONARITY_TOL} after {MAX_ITERATIONS} iterations"
-    )
+    B, m = d.shape
+    best = np.full(B, np.inf)
+    lam = np.full((B, m), np.nan)
+    for S, E in supports:
+        s, K = E.shape
+        kkt = np.zeros((B, K + s, K + s))
+        kkt[:, :K, K:] = E.T
+        kkt[:, K:, :K] = E
+        kkt[:, K:, K:] = G[:, S[:, None], S]
+        rhs = np.ones((B, K + s))
+        rhs[:, K:] = d[:, S]
+        cand = np.linalg.solve(kkt, rhs[..., None])[:, K:, 0]
+        quadratic = np.vecdot(cand, np.einsum("...ij,...j->...i", kkt[:, K:, K:], cand))
+        value = 0.5 * quadratic - np.vecdot(rhs[:, K:], cand)
+        rows = np.flatnonzero(np.all(cand >= 0.0, axis=1) & (value < best))
+        best[rows] = value[rows]
+        lam[rows] = 0.0
+        lam[rows[:, None], S] = cand[rows]
+    return lam
 
 
 def validate_necessity(
@@ -392,14 +383,12 @@ def validate_necessity(
     block at a time (see _entropy_pool and _sub_seeds), and each trial's
     draw is a hash of its own sub-seed (see _draw_unknowns).  Trials go
     BLOCK_ROWS // n at a time, so memory stays near BLOCK_ROWS * n floats:
-    the block is drawn together, a smooth model is solved as one stacked
-    system, a kinked one trial by trial, and the minimizers are classified
-    together; the report equals the one built by drawing (sample_unknown),
-    solving (minimize_sum_iterative) and classifying (classify_point) each
-    sub-seed on its own.  A NonFiniteError or a ConvergenceError carries the
-    trial index.  With classify_sigma set above the sampling sigma the
-    hypothesis is knowingly violated and falsifications are expected; that
-    mode shows the campaign has teeth.
+    the block is drawn, solved (_minimize_block) and classified together;
+    the report equals the one built by drawing (sample_unknown), solving
+    (minimize_sum) and classifying (classify_point) each sub-seed on its
+    own.  A NonFiniteError carries the trial index.  With classify_sigma
+    set above the sampling sigma the hypothesis is knowingly violated and
+    falsifications are expected; that mode shows the campaign has teeth.
     """
     trials = int(trials)
     if trials < 1:
@@ -416,17 +405,7 @@ def validate_necessity(
         stop = min(start + block, trials)
         centers, sigma_u = _draw_unknowns(uset, sigma, _sub_seeds(pool, start, stop), sigma_multiplier_range)
         try:
-            if f.kinks:
-                minimizers = np.empty_like(centers)
-                for i in range(stop - start):
-                    try:
-                        minimizers[i] = minimize_sum_iterative(
-                            f, UnknownQuadratic(center=centers[i], sigma_u=sigma_u[i])
-                        )
-                    except ConvergenceError as exc:
-                        raise ConvergenceError(f"trial {start + i}: {exc}") from None
-            else:
-                minimizers = _solve_normal_equations(*_normal_equations(f, sigma_u, centers))
+            minimizers = _minimize_block(f, sigma_u, centers)
             res = classify_points(f, classify_set, minimizers, slack)
         except NonFiniteError as exc:
             raise NonFiniteError(start + exc.row, exc.reason) from None

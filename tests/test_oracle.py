@@ -13,19 +13,20 @@ from minregion.errors import NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
 from minregion.membership import FinitePointSet, UncertaintySet, classify_point
+from minregion.funcmodel import gradient
 from minregion.oracle import (
-    STATIONARITY_TOL,
     UnknownQuadratic,
     minimize_sum,
     minimize_sum_iterative,
     sample_unknown,
     validate_necessity,
     _draw_unknowns,
-    _hull_project,
-    _kink_stationarity_gap,
+    _minimize_block,
+    _multipliers,
     _normal_equations,
     _solve_normal_equations,
     _sub_seeds,
+    _supports,
 )
 
 
@@ -65,9 +66,7 @@ def test_minimize_sum_stationarity():
         )
         u = UnknownQuadratic(center=rng.uniform(-1, 1, n), sigma_u=float(rng.uniform(0.1, 10.0)))
         x = minimize_sum(f, u)
-        from minregion.funcmodel import gradient
-
-        total = gradient(f, x) + u.gradient(x)
+        total = gradient(f, x) + u.sigma_u * (x - u.center)
         assert float(np.linalg.norm(total)) < 1e-10
 
 
@@ -90,15 +89,6 @@ def test_minimize_sum_rejects_overflow():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="coordinates are not finite"):
             minimize_sum(f, UnknownQuadratic(center=[0.0, 0.0], sigma_u=2.0))
-
-
-def test_minimize_sum_rejects_kinks():
-    f = KnownFunction(
-        terms=(QuadraticTerm(Q=np.eye(1), m=[0.0]),),
-        kinks=(Kink(point=[1.0], generators=([-1.0], [1.0])),),
-    )
-    with pytest.raises(ValueError, match="smooth models only"):
-        minimize_sum(f, UnknownQuadratic(center=[0.0], sigma_u=1.0))
 
 
 def test_iterative_matches_closed_form_smooth():
@@ -158,10 +148,19 @@ def test_iterative_single_kink_tie_face():
 
 
 def _completed_objective(f, u, x):
-    """f + u with the kink's generators completed to a max-affine envelope."""
-    (kink,) = f.kinks
+    """f + u with each kink's generators completed to a max-affine envelope."""
     unknown = 0.5 * u.sigma_u * float(np.sum((x - u.center) ** 2))
-    return f.value(x) + unknown + max(float(g @ (x - kink.point)) for g in kink.generators)
+    kinks = sum(max(float(g @ (x - k.point)) for g in k.generators) for k in f.kinks)
+    return f.value(x) + unknown + kinks
+
+
+def _assert_locally_minimal(f, u, x, rng):
+    value = _completed_objective(f, u, x)
+    for radius in (1e-6, 1e-3):
+        steps = rng.standard_normal((50, x.shape[0]))
+        steps *= radius / np.linalg.norm(steps, axis=1, keepdims=True)
+        for step in steps:
+            assert value <= _completed_objective(f, u, x + step) + 1e-12
 
 
 def test_iterative_single_kink_is_minimal():
@@ -177,19 +176,59 @@ def test_iterative_single_kink_is_minimal():
         )
         u = UnknownQuadratic(center=rng.uniform(-1, 1, n), sigma_u=float(rng.uniform(0.5, 5.0)))
         x = minimize_sum_iterative(f, u)
-        at_kink = _kink_stationarity_gap(f, u, f.kinks[0]) <= STATIONARITY_TOL
-        assert np.array_equal(x, f.kinks[0].point) == at_kink
+        # the kink point is the minimizer iff the generator hull holds minus the smooth gradient there
+        p = f.kinks[0].point
+        at_kink = _in_hull(-(gradient(f, p) + u.sigma_u * (p - u.center)), gens, 1e-9)
+        assert np.array_equal(x, p) == at_kink
         at_kink_count += at_kink
-        value = _completed_objective(f, u, x)
-        for radius in (1e-6, 1e-3):
-            steps = rng.standard_normal((50, n))
-            steps *= radius / np.linalg.norm(steps, axis=1, keepdims=True)
-            for step in steps:
-                assert value <= _completed_objective(f, u, x + step) + 1e-12
+        _assert_locally_minimal(f, u, x, rng)
     assert 0 < at_kink_count < 200  # both branches ran
 
 
+def _hull_project(z, gens):
+    """Euclidean projection of z onto the hull of gens, by _multipliers.
+
+    Minimizing 1/2 ||V^T lam - z||^2 over the simplex is the one-kink case
+    with Gram matrix V V^T and linear term V z.
+    """
+    V = np.stack(gens)
+    lam = _multipliers((V @ V.T)[None], (V @ z)[None], _supports([V]))[0]
+    assert np.all(lam >= 0.0) and abs(float(lam.sum()) - 1.0) <= 1e-12
+    return lam @ V
+
+
+def test_kinked_minimizers_are_exact_alone_and_in_blocks():
+    # random 1-3-D models with 1-3 kinks: every row is a local minimum of the completed
+    # objective, a row at a kink point is that point bit for bit, and a row has the same
+    # bits solved alone as in its block
+    rng = np.random.default_rng(58)
+    at_kink = off_kink = 0
+    for _ in range(40):
+        n, K = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        a = rng.standard_normal((n, n))
+        term = QuadraticTerm(Q=a @ a.T, m=rng.uniform(-2, 2, n), weight=float(rng.uniform(0.2, 2.0)))
+        kinks = tuple(
+            Kink(
+                point=rng.uniform(-1, 1, n),
+                generators=tuple(rng.standard_normal((int(rng.integers(1, 4)), n)) * rng.uniform(0.5, 4.0)),
+            )
+            for _ in range(K)
+        )
+        f = KnownFunction(terms=(term,), kinks=kinks)
+        sigma_u, centers = rng.uniform(0.5, 5.0, 6), rng.uniform(-1.5, 1.5, (6, n))
+        for x, s, c in zip(_minimize_block(f, sigma_u, centers), sigma_u, centers):
+            u = UnknownQuadratic(center=c, sigma_u=s)
+            assert np.array_equal(minimize_sum(f, u), x)
+            _assert_locally_minimal(f, u, x, rng)
+            near = [k.point for k in kinks if np.max(np.abs(x - k.point)) <= 1e-9]
+            assert all(np.array_equal(x, p) for p in near)
+            at_kink += bool(near)
+            off_kink += not near
+    assert at_kink > 20 and off_kink > 20  # both kinds of rows ran
+
+
 def test_hull_project_cases():
+    # a one-generator support gets multiplier 1 exactly, so the generator itself
     assert np.array_equal(_hull_project(np.array([5.0, 5.0]), (np.array([1.0, 2.0]),)), [1.0, 2.0])
     seg = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert np.allclose(_hull_project(np.array([1.0, 1.0]), seg), [0.5, 0.5])
@@ -574,10 +613,20 @@ def _campaign(case):
         trials = 50
     elif case == "falsified":
         classify_sigma = 40.0
+    elif case in ("tie", "two_kinks"):
+        # +-3e1 at (0.5, 0) leaves most minimizers on the tie face x1 = 0.5, off the kink point
+        kinks = [Kink(point=[0.5, 0.0], generators=([3.0, 0.0], [-3.0, 0.0]))]
+        if case == "two_kinks":
+            kinks.append(Kink(point=[0.0, 0.5], generators=([0.0, 3.0], [0.0, -3.0])))
+        f = KnownFunction(terms=reference_function().terms, kinks=tuple(kinks))
+        uset = reference_set(radius=0.5)
     return f, uset, trials, classify_sigma
 
 
-@pytest.mark.parametrize("case", ["ball", "finite", "kink", "falsified"])
+CAMPAIGNS = ["ball", "finite", "kink", "falsified", "tie", "two_kinks"]
+
+
+@pytest.mark.parametrize("case", CAMPAIGNS)
 def test_validate_necessity_equals_per_trial_loop(case):
     # the batched campaign reports exactly what classifying trial by trial does
     f, uset, trials, classify_sigma = _campaign(case)
@@ -589,7 +638,7 @@ def test_validate_necessity_equals_per_trial_loop(case):
         assert report["falsifications"] > 0 and report["falsification_details"]
 
 
-@pytest.mark.parametrize("case", ["ball", "finite", "kink", "falsified"])
+@pytest.mark.parametrize("case", CAMPAIGNS)
 def test_validate_necessity_block_edges(case, monkeypatch):
     # blocks of 7 trials put block edges inside the campaign; the report must not move
     f, uset, trials, classify_sigma = _campaign(case)
