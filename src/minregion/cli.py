@@ -108,15 +108,18 @@ def _parse_known_function(doc: dict) -> KnownFunction:
         path = f"$.known_function.terms[{i}]"
         if not isinstance(term, dict):
             _fail(path, "expected an object with Q, m, weight")
-        terms.append(
-            _build(
-                path,
-                QuadraticTerm,
-                Q=_as_matrix_field(_require(term, "Q", path), f"{path}.Q"),
-                m=_as_vector_field(_require(term, "m", path), f"{path}.m"),
-                weight=_positive_number(term.get("weight", 1.0), f"{path}.weight"),
-            )
+        built = _build(
+            path,
+            QuadraticTerm,
+            Q=_as_matrix_field(_require(term, "Q", path), f"{path}.Q"),
+            m=_as_vector_field(_require(term, "m", path), f"{path}.m"),
+            weight=_positive_number(term.get("weight", 1.0), f"{path}.weight"),
         )
+        # gradients and the oracle's normal equations scale Q by 2 * weight;
+        # Python floats overflow to inf here without a numpy warning
+        if not math.isfinite(2.0 * built.weight * float(np.max(np.abs(built.Q)))):
+            _fail(f"{path}.weight", f"2 * weight * Q overflows for weight {built.weight!r}")
+        terms.append(built)
     kinks_doc = spec.get("kinks", [])
     if not isinstance(kinks_doc, list):
         _fail("$.known_function.kinks", "expected a list")

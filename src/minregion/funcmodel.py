@@ -142,20 +142,31 @@ def gradient(f: KnownFunction, x) -> np.ndarray:
     """Gradient of the quadratic part, sum_i 2 w_i Q_i (x - m_i).
 
     x is one point or an (N, n) array of points; at a registered kink this
-    is the smooth part only (subdifferential gives the whole set).  einsum reduces
-    each row on its own, so a row gets the same bits alone or in a batch; a
-    BLAS product rounds a single row (gemv) and a block of rows (gemm)
-    differently.
+    is the smooth part only (subdifferential gives the whole set).  The sum
+    runs over the coordinate columns d_j = x[..., j] - m_j, left to right:
+    component i of a term is 2 w (d_0 Q_i0 + d_1 Q_i1 + ...).  Each point is
+    therefore summed on its own, in the same order, and gets the same bits
+    alone or in a batch; a BLAS product rounds a single row (gemv) and a
+    block of rows (gemm) differently.  For x = C.T with C an (n, N)
+    C-contiguous column block, the result is the transpose of an (n, N)
+    C-contiguous block too, so a column-major caller copies nothing.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != f.dimension:
         raise DimensionMismatchError(
             f"point of dimension {x.shape[-1]} passed to a {f.dimension}-D function"
         )
-    total = np.zeros_like(x)
+    cols = np.moveaxis(x, -1, 0)
+    total = np.zeros(cols.shape)
     for t in f.terms:
-        total = total + 2.0 * t.weight * np.einsum("...j,ij->...i", x - t.m, t.Q)
-    return total
+        scale = 2.0 * t.weight
+        d = [c - m for c, m in zip(cols, t.m)]
+        for i, q in enumerate(t.Q):
+            s = d[0] * q[0]
+            for dj, qj in zip(d[1:], q[1:]):
+                s += dj * qj
+            total[i] += scale * s
+    return np.moveaxis(total, 0, -1)
 
 
 def subdifferential(f: KnownFunction, x) -> np.ndarray:

@@ -10,12 +10,16 @@ where u(x1, x2) is the unit vector from x2 toward x1 and sigma is the
 strong-convexity constant of the unknown term.  classify_points decides this
 for a batch of query points and is the only decision path: classify_point,
 the grid scanner and the necessity oracle each reduce its per-generator
-results.  For ball sets the minimum of the score over the whole ball has a
-closed form (ball_score_infimum), which also yields the minimizing x_u; for
-finite sets it is the minimum over the listed points.  Points inside the
-closed set are always candidates (an admissible unknown term minimizing
-there can be constructed directly), so they are classified member without a
-score.  evaluate_general checks the condition independently, over explicit
+results.  It computes on contiguous coordinate columns, one (n, N) block per
+call, and returns scores and verdicts only.  For ball sets the minimum of
+the score over the whole ball has a closed form (ball_score_infimum); for
+finite sets it is the minimum of <g, d>/||d||^2, d = x_star - x_u, over the
+listed points.  The set point attaining the minimum is derived only by
+classify_point, for the generator it reports (ball_witness, or the first
+finite-set point with that score).  Points inside the closed set are always
+candidates (an admissible unknown term minimizing there can be constructed
+directly), so they are classified member without a score.
+evaluate_general checks the condition independently, over explicit
 candidate lists, as a cross-check.
 """
 
@@ -112,37 +116,54 @@ class MembershipVerdict:
     interior: bool = False
 
 
-def ball_score_infimum(G, X, ball: Ball, sigma: float, slack: float = DEFAULT_SLACK):
-    """Exact minimum of the pair score over the whole ball, row by row.
+def _column_dot(a, b):
+    """a[0] b[0] + a[1] b[1] + ..., summed left to right over the coordinates.
 
-    Row i pairs a nonzero generator G[i] with a query point X[i] strictly
-    outside the ball (drop zero rows first); a single row of X is paired
-    with every row of G.
-    Inversion about x* maps the ball to the ball with center
-    (c - x*)/((d - eps0)(d + eps0)) and radius eps0/((d - eps0)(d + eps0)),
-    and turns the score into -<g, w>, which is linear in the image point w.
-    Its minimum is therefore attained where the image ball is tangent to a
-    plane normal to g:
+    a and b are coordinate columns (n, ...) or one point's coordinates (n,),
+    so a pair is summed in the same order whatever the batch around it.
+    """
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total += x * y
+    return total
 
-        score = -(||g|| eps0 + <g, c - x*>) / ((d - eps0)(d + eps0)),
-        w*    = (c - x* + eps0 g/||g||) / ((d - eps0)(d + eps0)),
-        x_u   = x* + w*/||w*||^2,
 
-    with d = ||c - x*||; x_u lies on the sphere.  Returns (member, score,
-    x_u), where member is the division-free test
+def ball_score_infimum(G, g_norm, delta, d, ball: Ball, sigma: float, slack: float = DEFAULT_SLACK):
+    """Exact minimum of the pair score over the whole ball, one pair per column.
+
+    G (n, M) holds nonzero generators as coordinate columns and g_norm their
+    norms; delta (n, M) holds c - x* for query points x* strictly outside
+    the ball, and d = ||c - x*||.  Inversion about x* maps the ball to the
+    ball with center (c - x*)/((d - eps0)(d + eps0)) and radius
+    eps0/((d - eps0)(d + eps0)), and turns the score into -<g, w>, which is
+    linear in the image point w.  Its minimum is therefore attained where
+    the image ball is tangent to a plane normal to g (ball_witness):
+
+        score = -(||g|| eps0 + <g, c - x*>) / ((d - eps0)(d + eps0)).
+
+    Returns (member, score), where member is the division-free test
 
         ||g|| eps0 + <g, c - x*>  >=  (sigma - slack)(d - eps0)(d + eps0).
     """
     eps0 = ball.radius
-    delta = ball.center - X
-    d = np.sqrt(np.einsum("ij,ij->i", delta, delta))
     gap = (d - eps0) * (d + eps0)
-    g_norm = np.sqrt(np.einsum("ij,ij->i", G, G))
-    lift = g_norm * eps0 + np.einsum("ij,ij->i", G, delta)
+    lift = g_norm * eps0 + _column_dot(G, delta)
     member = lift >= (float(sigma) - float(slack)) * gap
-    w = (delta + (eps0 / g_norm)[:, None] * G) / gap[:, None]
-    x_u = X + w / np.einsum("ij,ij->i", w, w)[:, None]
-    return member, -lift / gap, x_u
+    return member, -lift / gap
+
+
+def ball_witness(g, x_star, ball: Ball) -> np.ndarray:
+    """The ball point where the pair score of (g, x_star) attains ball_score_infimum.
+
+    The image ball touches the plane at w* = (c - x* + eps0 g/||g||) /
+    ((d - eps0)(d + eps0)); inverting back gives x_u = x* + w*/||w*||^2, on
+    the sphere.  g is nonzero and x_star lies strictly outside the ball.
+    """
+    eps0 = ball.radius
+    delta = ball.center - x_star
+    d = np.sqrt(_column_dot(delta, delta))
+    w = (delta + (eps0 / np.sqrt(_column_dot(g, g))) * g) / ((d - eps0) * (d + eps0))
+    return x_star + w / _column_dot(w, w)
 
 
 def _visible_cap_candidates(x_star: np.ndarray, ball: Ball, samples: int) -> np.ndarray:
@@ -235,9 +256,11 @@ class GeneratorVerdicts:
     interior[i] marks row i as inside the closed set; such rows own no
     generators.  Every other row owns its subdifferential generators, in
     declared order (zero ones are dropped for balls, having no descent
-    direction): generator j belongs to row owner[j], is g[j], reaches its
-    lowest score score[j] at the set point x_u[j], and passes iff member[j].
-    A finite set with no admissible point for a generator gives score inf.
+    direction): generator j belongs to row owner[j], is g[j], reaches
+    score[j] as its lowest score over the set, and passes iff member[j].  A
+    finite set with no admissible point for a generator gives score inf.
+    The set point that attains a score is not computed here; classify_point
+    derives it for the one generator it reports.
     """
 
     interior: np.ndarray
@@ -245,7 +268,6 @@ class GeneratorVerdicts:
     g: np.ndarray
     member: np.ndarray
     score: np.ndarray
-    x_u: np.ndarray
 
 
 def _check_finite(values: np.ndarray, rows: np.ndarray, reason: str):
@@ -256,102 +278,142 @@ def _check_finite(values: np.ndarray, rows: np.ndarray, reason: str):
         raise NonFiniteError(int(rows[first]), reason)
 
 
-def _generator_table(f: KnownFunction, X: np.ndarray, rows: np.ndarray):
-    """(owner, Xg, G): the subdifferential generators G at X[rows], row by row.
+def _generator_table(f: KnownFunction, cols: np.ndarray, interior: np.ndarray):
+    """(owner, take, G): the subdifferential generators of the rows outside the set.
 
-    Generator i belongs to row owner[i] and is paired with Xg[i] =
-    X[owner[i]].  A row at a registered kink (the first within
-    KINK_MATCH_ATOL, as in KnownFunction.kink_at) gets the smooth gradient
-    plus each generator of that kink; every other row gets the smooth
-    gradient alone.
+    cols is the (n, N) column block of the query points.  Column i of G
+    (n, M) belongs to row owner[i], and cols[:, take] are the matching
+    query points: take is a full slice, which copies nothing, when owner
+    lists every row once and in order, and owner itself otherwise.  A row at a
+    registered kink (the first within KINK_MATCH_ATOL, as in
+    KnownFunction.kink_at) gets the smooth gradient plus each generator of
+    that kink; every other row gets the smooth gradient alone.
     """
-    Xr = X if rows.size == X.shape[0] else X[rows]
-    grad = gradient(f, Xr)
+    rows = np.flatnonzero(~interior)
+    take = slice(None) if rows.size == interior.size else rows
+    Xr = cols[:, take]
+    grad = gradient(f, Xr.T).T
     kink_of = np.full(rows.size, -1)
     for j, k in enumerate(f.kinks):
-        near = np.max(np.abs(Xr - k.point), axis=1) <= KINK_MATCH_ATOL
+        near = np.max(np.abs(Xr - k.point[:, None]), axis=0) <= KINK_MATCH_ATOL
         kink_of[near & (kink_of < 0)] = j
     if np.all(kink_of < 0):
-        return rows, Xr, grad
-    owners, gens = [rows[kink_of < 0]], [grad[kink_of < 0]]
+        return rows, take, grad
+    owners, gens = [rows[kink_of < 0]], [grad[:, kink_of < 0]]
     for j, k in enumerate(f.kinks):
         for gen in k.generators:
             owners.append(rows[kink_of == j])
-            gens.append(grad[kink_of == j] + gen)
+            gens.append(grad[:, kink_of == j] + gen[:, None])
     owner = np.concatenate(owners)
-    return owner, X[owner], np.concatenate(gens)
+    return owner, owner, np.concatenate(gens, axis=1)
 
 
 def _point_chunks(rows: int, points: np.ndarray):
-    """(start, columns) chunks of points, each about BLOCK_ROWS row-point pairs.
+    """The points as (n, chunk, 1) coordinate columns, about BLOCK_ROWS row-point pairs each.
 
-    columns is the chunk transposed to (n, chunk), so columns[j] holds the
-    chunk's j-th coordinates.  A chunk of fewer than 6 points costs more in
-    its argmin and take_along_axis than it saves in loop steps, so with
-    rows > BLOCK_ROWS // 6 (a scan block, a campaign block) every chunk is
-    one point.
+    Against (n, rows) query columns a chunk broadcasts to (chunk, rows)
+    arrays, reduced over the chunk axis one contiguous row at a time, so
+    even a chunk of two points costs less per pair than two one-point
+    chunks; a scan block of BLOCK_ROWS rows takes one point per chunk.
     """
-    step = BLOCK_ROWS // max(1, rows)
-    if step < 6:
-        step = 1
+    step = max(1, BLOCK_ROWS // max(1, rows))
     for k in range(0, points.shape[0], step):
-        yield k, points[k : k + step].T
+        yield points[k : k + step].T[:, :, None]
 
 
-def _finite_set_interior(X: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Rows of X equal to a point of the set, compared one coordinate column at a time."""
-    xcols = X.T.copy()[:, :, None]  # (n, N, 1): contiguous coordinate columns
-    interior = np.zeros((X.shape[0], 1), dtype=bool)
-    for _, pcols in _point_chunks(X.shape[0], points):
-        equal = xcols[0] == pcols[0]
-        for x, p in zip(xcols[1:], pcols[1:]):
-            equal &= x == p
-        interior |= equal if equal.shape[1] == 1 else equal.any(axis=1, keepdims=True)
-    return interior[:, 0]
+def _fold(ufunc, values: np.ndarray) -> np.ndarray:
+    """ufunc reduced over the chunk axis of (chunk, rows) values; a view for one-point chunks."""
+    return values[0] if values.shape[0] == 1 else ufunc.reduce(values, axis=0)
 
 
-def _finite_set_scores(G, Xg, points: np.ndarray, threshold: float):
-    """Lowest admissible pair score over the points for each pair (G[i], Xg[i]).
+def _finite_set_interior(cols: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rows of the (n, N) column block equal to a point of the set.
 
-    Pairs with <g, u> >= 0 are not admissible; a row with none scores inf,
-    and ties keep the first point.  Points go in chunks of about BLOCK_ROWS
-    row-point pairs (see _point_chunks): one point per chunk for more than
-    BLOCK_ROWS // 6 rows, BLOCK_ROWS // N points in (N, chunk) arrays,
-    followed by an argmin, for fewer rows.  The arithmetic runs on
-    contiguous coordinate columns, and the coordinate sums go left to right:
-
-        dist = sqrt(d_0 d_0 + d_1 d_1 + ...),  d_j = x_j - p_j,
-        num  = (d_0/dist) g_0 + (d_1/dist) g_1 + ...,
-        score = num/dist where num < 0.
-
-    Returns (member, score, x_u) with member = score <= threshold.
+    Only rows whose first coordinate is some point's first coordinate (a
+    binary search) can be; those are compared in full, one coordinate at a
+    time.
     """
-    best = np.full(Xg.shape[0], np.inf)
-    arg = np.zeros(Xg.shape[0], dtype=np.intp)
-    xcols = Xg.T.copy()[:, :, None]  # (n, N, 1): contiguous coordinate columns
-    gcols = G.T.copy()[:, :, None]
-    for k, pcols in _point_chunks(Xg.shape[0], points):
-        diff = [x - p for x, p in zip(xcols, pcols)]
-        dist = np.square(diff[0])
-        for d in diff[1:]:
-            dist += np.square(d)
-        np.sqrt(dist, out=dist)
-        for d, g in zip(diff, gcols):  # d becomes (d/dist)*g in place
-            d /= dist
-            d *= g
-        num = diff[0]
-        for d in diff[1:]:
-            num += d
-        score = num / dist
-        np.copyto(score, np.inf, where=~(num < 0.0))
-        first = 0
-        if score.shape[1] > 1:
-            first = np.argmin(score, axis=1)
-            score = np.take_along_axis(score, first[:, None], axis=1)
-        better = score[:, 0] < best
-        np.copyto(best, score[:, 0], where=better)
-        np.copyto(arg, k + first, where=better)
-    return best <= threshold, best, points[arg]
+    interior = np.zeros(cols.shape[1], dtype=bool)
+    first = np.sort(points[:, 0])
+    near = first[np.minimum(np.searchsorted(first, cols[0]), first.size - 1)]
+    hits = np.flatnonzero(near == cols[0])
+    if hits.size:
+        sub = cols[:, hits]
+        equal_any = np.zeros(hits.size, dtype=bool)
+        for pcols in _point_chunks(hits.size, points):
+            equal = sub[0] == pcols[0]
+            for x, p in zip(sub[1:], pcols[1:]):
+                equal &= x == p
+            equal_any |= _fold(np.logical_or, equal)
+        interior[hits] = equal_any
+    return interior
+
+
+def _pair_scores(xcols, gcols, pcols, work: np.ndarray):
+    """(score, num, dist2) of every (query, generator, set point) pair, by broadcasting.
+
+    xcols, gcols and pcols have the coordinate as their first axis.  With
+    d_j = x_j - p_j, num = d_0 g_0 + d_1 g_1 + ... and
+    dist2 = d_0 d_0 + d_1 d_1 + ..., both summed left to right, and the pair
+    score <g, u(x*, x_u)> / ||x* - x_u|| is num / dist2.  The pair is
+    admissible iff num < 0.  work, of shape (2n + 1,) + the pair shape,
+    receives every intermediate, so nothing is allocated: a coordinate's
+    d_j g_j and d_j d_j go in one pair of rows and are summed in one call.
+    """
+    n = len(xcols)
+    terms = work[: 2 * n].reshape((2, n) + work.shape[1:])  # terms[0, j] = d_j g_j, terms[1, j] = d_j d_j
+    d = np.subtract(xcols, pcols, out=terms[1])
+    np.multiply(d, gcols, out=terms[0])
+    np.multiply(d, d, out=d)
+    sums = terms[:, 0]  # (num, dist2)
+    for j in range(1, n):
+        sums += terms[:, j]
+    return np.divide(sums[0], sums[1], out=work[2 * n]), sums[0], sums[1]
+
+
+def _finite_set_scores(G, Xg, owner, points: np.ndarray) -> np.ndarray:
+    """Lowest admissible pair score over the points for each column pair (G[:, i], Xg[:, i]).
+
+    A pair with no admissible point scores inf.  Points go in chunks of
+    about BLOCK_ROWS row-point pairs (_point_chunks), and no pair is
+    masked: best is the np.fmin of every score, low the minimum of every
+    num.  An admissible score is <= -0.0 and any other is >= -0.0 or nan,
+    which np.fmin skips; so a row with low < 0 has an admissible point, and
+    its lowest admissible score is best in value and -|best| in sign too.
+
+    A pair whose num or dist2 overflowed would slip through the same
+    reductions.  Every |d_j| is at most reach, so when
+    n reach max(reach, max |g|) < 2^1000 no sum can overflow; otherwise
+    high, the maximum of every num and dist2, is kept too, and a non-finite
+    low or high raises NonFiniteError naming the row owner[i].
+    """
+    n, rows = Xg.shape
+    reach = float(np.abs(Xg).max(initial=0.0)) + float(np.abs(points).max())
+    exposed = not n * reach * max(reach, float(np.abs(G).max(initial=0.0))) < 2.0**1000
+    best = np.full(rows, np.inf)
+    low = np.zeros(rows)
+    high = np.zeros((2, rows))
+    xcols, gcols = Xg[:, None, :], G[:, None, :]  # against (n, chunk, 1) points
+    work = None
+    for pcols in _point_chunks(rows, points):
+        if work is None:
+            work = np.empty((2 * n + 1, pcols.shape[1], rows))
+        score, num, dist2 = _pair_scores(xcols, gcols, pcols, work[:, : pcols.shape[1]])
+        np.fmin(best, _fold(np.fmin, score), out=best)
+        np.minimum(low, _fold(np.minimum, num), out=low)
+        if exposed:
+            np.maximum(high[0], _fold(np.maximum, num), out=high[0])
+            np.maximum(high[1], _fold(np.maximum, dist2), out=high[1])
+    if exposed:
+        _check_finite(np.vstack([low, high]).T, owner, "score overflows")
+    return np.where(low < 0.0, -np.abs(best), np.inf)
+
+
+def _finite_set_witness(g, x_star, points: np.ndarray, score: float) -> np.ndarray:
+    """The first admissible point whose pair with (g, x_star) scores exactly score."""
+    work = np.empty((2 * points.shape[1] + 1, points.shape[0]))
+    scores, num, _ = _pair_scores(x_star[:, None], g[:, None], points.T, work)
+    return points[int(np.argmax((num < 0.0) & (scores == score)))]
 
 
 def classify_points(
@@ -359,40 +421,48 @@ def classify_points(
 ) -> GeneratorVerdicts:
     """Membership kernel: score every subdifferential generator of every row of X.
 
-    X is an (N, n) array of query points.  Rows inside the closed set are
-    marked interior; every other row contributes one entry per generator
-    (see GeneratorVerdicts), scored with ball_score_infimum for a ball and
-    over the listed points for a finite set.  A row is a member iff it is
-    interior or any of its generators passes.  Raises NonFiniteError, naming
-    the row, for a non-finite query row, a gradient that overflows, or a
-    score left undefined by overflow.
+    X is an (N, n) array of query points.  The kernel runs on its
+    coordinate columns, X.T as an (n, N) C-contiguous block, which costs no
+    copy when X is itself the transpose of such a block (a scan block).
+    Rows inside the closed set are marked interior; every other row
+    contributes one entry per generator (see GeneratorVerdicts), scored
+    with ball_score_infimum for a ball and over the listed points for a
+    finite set (_finite_set_scores).  A row is a member iff it is interior
+    or any of its generators passes.  Raises NonFiniteError, naming the
+    row, for a non-finite query row, a gradient that overflows, or a score
+    that overflow leaves undefined.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != uset.dimension or f.dimension != uset.dimension:
         raise DimensionMismatchError("function, point, and set dimensions must agree")
     _check_finite(X, np.arange(X.shape[0]), "coordinates are not finite")
+    cols = np.ascontiguousarray(X.T)
     region = uset.region
-    if isinstance(region, Ball):
-        delta = region.center - X
-        interior = np.sqrt(np.einsum("ij,ij->i", delta, delta)) <= region.radius
-    else:
-        interior = _finite_set_interior(X, region.points)
     # overflow is checked below and reported as NonFiniteError, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        owner, Xg, G = _generator_table(f, X, np.flatnonzero(~interior))
-        _check_finite(G, owner, "gradient overflows")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if isinstance(region, Ball):
-            keep = np.einsum("ij,ij->i", G, G) > 0.0  # zero ones have no descent direction
-            if not keep.all():
-                owner, Xg, G = owner[keep], Xg[keep], G[keep]
-            member, score, x_u = ball_score_infimum(G, Xg, region, uset.sigma, slack)
+            delta = region.center[:, None] - cols  # c - x*, shared by the interior test and the score
+            d = np.sqrt(_column_dot(delta, delta))
+            interior = d <= region.radius
         else:
-            member, score, x_u = _finite_set_scores(
-                G, Xg, region.points, -uset.sigma + float(slack)
+            interior = _finite_set_interior(cols, region.points)
+        owner, take, G = _generator_table(f, cols, interior)
+        _check_finite(G.T, owner, "gradient overflows")
+        if isinstance(region, Ball):
+            gg = _column_dot(G, G)
+            keep = gg > 0.0  # zero generators have no descent direction
+            if not keep.all():
+                owner, G, gg = owner[keep], G[:, keep], gg[keep]
+                take = owner
+            member, score = ball_score_infimum(
+                G, np.sqrt(gg), delta[:, take], d[take], region, uset.sigma, slack
             )
+        else:
+            score = _finite_set_scores(G, cols[:, take], owner, region.points)
+            member = score <= -uset.sigma + float(slack)
     if np.isnan(score).any():
         raise NonFiniteError(int(owner[np.argmax(np.isnan(score))]), "score overflows")
-    return GeneratorVerdicts(interior, owner, G, member, score, x_u)
+    return GeneratorVerdicts(interior, owner, G.T, member, score)
 
 
 def classify_point(
@@ -408,8 +478,10 @@ def classify_point(
 
     Points inside the closed set are members by the interior rule (no
     witness).  Outside, the point is a member iff any generator passes, and
-    the witness is the generator with the lowest score.  early_exit is
-    accepted for compatibility and decides nothing.
+    the witness is the generator with the lowest score together with the set
+    point where that score is attained: the tangency point for a ball
+    (ball_witness), the first point scoring it for a finite set.
+    early_exit is accepted for compatibility and decides nothing.
     """
     x_star = as_vector(x_star)
     res = classify_points(f, uset, x_star[None, :], slack)
@@ -418,8 +490,13 @@ def classify_point(
     if not np.any(res.score < np.inf):
         return MembershipVerdict(member=False)
     k = int(np.argmin(res.score))
+    g, score = res.g[k], res.score[k]
+    region = uset.region
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(region, Ball):
+            x_u = ball_witness(g, x_star, region)
+        else:
+            x_u = _finite_set_witness(g, x_star, region.points, score)
     return MembershipVerdict(
-        member=bool(res.member.any()),
-        best_score=float(res.score[k]),
-        witness=Witness(x_u=res.x_u[k], g=res.g[k]),
+        member=bool(res.member.any()), best_score=float(score), witness=Witness(x_u=x_u, g=g)
     )

@@ -2,9 +2,11 @@
 
 scan_region streams the grid through the membership kernel,
 classify_points, in blocks of BLOCK_ROWS points, and keeps one flag per
-point: interior, or any generator passes.  classify_point is the same
-kernel on one row, so the two agree by construction, and memory stays
-bounded whatever the grid size.
+point: interior, or any generator passes.  Each block is built as
+contiguous coordinate columns, the layout the kernel computes in, and
+handed over as a transposed view, so nothing is stacked or copied on the
+way.  classify_point is the same kernel on one row, so the two agree by
+construction, and memory stays bounded whatever the grid size.
 """
 
 from __future__ import annotations
@@ -58,10 +60,13 @@ def build_grid(spec: GridSpec) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, spec.dimension)
 
 
-def _grid_rows(axes: list, counts: tuple, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the grid that build_grid would return."""
+def _grid_columns(axes: list, counts: tuple, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of build_grid's grid, as an (n, stop - start) column block."""
     index = np.unravel_index(np.arange(start, stop), counts)
-    return np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
+    cols = np.empty((len(axes), stop - start))
+    for ax, i, col in zip(axes, index, cols):
+        np.take(ax, i, out=col)
+    return cols
 
 
 def scan_region(
@@ -83,11 +88,11 @@ def scan_region(
     member = np.zeros(spec.point_count, dtype=bool)
     for start in range(0, spec.point_count, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, spec.point_count)
-        X = _grid_rows(axes, spec.counts, start, stop)
+        cols = _grid_columns(axes, spec.counts, start, stop)
         try:
-            res = classify_points(f, uset, X, slack)
+            res = classify_points(f, uset, cols.T, slack)  # a view: the kernel runs on cols
         except NonFiniteError as exc:
-            point = ", ".join(repr(float(v)) for v in X[exc.row])
+            point = ", ".join(repr(float(v)) for v in cols[:, exc.row])
             raise NonFiniteError(start + exc.row, f"grid point [{point}]: {exc.reason}") from None
         block = member[start:stop]
         block[res.interior] = True

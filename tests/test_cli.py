@@ -117,11 +117,12 @@ def test_overflow_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: point '1e308,1e308': gradient overflows" in captured.err
     assert "member:" not in captured.out
+    # 2 * weight * Q is finite, so the config loads; the gradient overflows off the ball
     heavy = json.loads(json.dumps(REFERENCE))
-    heavy["known_function"]["terms"][0]["weight"] = 1e308
+    heavy["known_function"]["terms"][0]["weight"] = 8e307
     heavy = write_config(tmp_path, heavy, name="heavy.json")
-    assert main(["check", heavy, "1.0,0.0"]) == 2
-    assert "error: point '1.0,0.0': gradient overflows" in capsys.readouterr().err
+    assert main(["check", heavy, "--", "-1.0,0.0"]) == 2
+    assert "error: point '-1.0,0.0': gradient overflows" in capsys.readouterr().err
     assert main(["check", heavy, "0.05,0.0"]) == 0  # inside the ball: no gradient needed
     capsys.readouterr()
     assert main(["scan", heavy, "-o", str(tmp_path / "m.csv")]) == 2
@@ -129,13 +130,54 @@ def test_overflow_is_a_usage_error(tmp_path, capsys):
     assert f"error: {heavy}: grid point [-1.0, -2.0]: gradient overflows" in err
     assert not (tmp_path / "m.csv").exists()
     kinked = json.loads(json.dumps(REFERENCE))
-    kinked["known_function"]["terms"][0]["weight"] = 1e308
+    kinked["known_function"]["terms"][0]["weight"] = 8e307
     kinked["known_function"]["kinks"] = [{"point": [0.5, 0.0], "generators": [[3.0, 0.0], [-3.0, 0.0]]}]
     kinked = write_config(tmp_path, kinked, name="kinked.json")
     with np.errstate(over="ignore", invalid="ignore"):  # the normal equations overflow first
         for path in (heavy, kinked):
             assert main(["validate", path, "--trials", "3"]) == 2
             assert "minimizer of trial 0: coordinates are not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["check", "--", "1.0,0.0"], ["scan", "-o", "m.csv"], ["validate", "--trials", "3"]])
+def test_overflowing_term_weight_is_rejected_on_load(tmp_path, command):
+    # 2 * weight * Q overflows: every command names the field and prints nothing else
+    doc = json.loads(json.dumps(REFERENCE))
+    doc["known_function"]["terms"].append({"Q": [[1.0, 0.0], [0.0, 1.0]], "m": [0.0, 1.0], "weight": 1e308})
+    config = write_config(tmp_path, doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "minregion", command[0], config, *command[1:]],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(minregion.__file__))),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: $.known_function.terms[1].weight: 2 * weight * Q overflows for weight 1e+308\n"
+    )
+
+
+OVERFLOWING_POINTS = {
+    "known_function": {"terms": [{"Q": [[1.0, 0.0], [0.0, 1.0]], "m": [2e200, 0.0]}]},
+    "uncertainty": {"type": "points", "points": [[0.0, 0.0]]},
+    "sigma": 1.0,
+    "grid": {"lower": [-1.0, -1.0], "upper": [1e200, 1.0], "counts": [3, 3]},
+}
+
+
+def test_finite_set_score_overflow_is_a_usage_error(tmp_path, capsys):
+    # at (1e200, 0) the score is -2e400 / 1e400 = -2: both sums overflow, so
+    # the point is neither dropped as inadmissible nor called a non-member
+    config = write_config(tmp_path, OVERFLOWING_POINTS)
+    with np.errstate(all="raise"):
+        assert main(["check", config, "--", "1e200,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: point '1e200,0': score overflows\n"
+        assert "member:" not in captured.out
+        assert main(["check", config, "--", "1e100,0"]) == 0  # the sums fit: a member
+        capsys.readouterr()
+        assert main(["scan", config, "-o", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {config}: grid point [5e+199, -1.0]: score overflows\n"
+    assert not (tmp_path / "m.csv").exists()
 
 
 TWO_KINKS = {

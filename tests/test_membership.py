@@ -22,6 +22,7 @@ from minregion.membership import (
     FinitePointSet,
     UncertaintySet,
     ball_score_infimum,
+    ball_witness,
     classify_point,
     classify_points,
     evaluate_general,
@@ -44,16 +45,24 @@ def pair_score(g, x_star, x_u) -> float:
     return float(np.dot(g, diff / dist)) / dist
 
 
+def ball_infimum(g, x_star, ball, sigma=1.0):
+    """(member, score, x_u) of one pair: ball_score_infimum, with the norms it takes, and ball_witness."""
+    G = np.asarray(g, dtype=float)[:, None]
+    delta = (ball.center - np.asarray(x_star, dtype=float))[:, None]
+    member, score = ball_score_infimum(
+        G, np.sqrt(np.sum(G * G, axis=0)), delta, np.sqrt(np.sum(delta * delta, axis=0)), ball, sigma
+    )
+    return bool(member[0]), float(score[0]), ball_witness(G[:, 0], np.asarray(x_star, dtype=float), ball)
+
+
 def frame_infimum(d, cos_alpha, g_norm, eps0, sigma=1.0):
-    """ball_score_infimum on the planar frame: x* = (d, 0), ball at the origin.
+    """ball_infimum on the planar frame: x* = (d, 0), ball at the origin.
 
     alpha is the angle between g and the direction from x* to the center.
     """
     sin_alpha = np.sqrt(max(0.0, 1.0 - cos_alpha * cos_alpha))
-    G = np.array([[-g_norm * cos_alpha, g_norm * sin_alpha]])
-    X = np.array([[d, 0.0]])
-    member, score, x_u = ball_score_infimum(G, X, Ball(center=[0.0, 0.0], radius=eps0), sigma)
-    return bool(member[0]), float(score[0]), x_u[0]
+    g = [-g_norm * cos_alpha, g_norm * sin_alpha]
+    return ball_infimum(g, [d, 0.0], Ball(center=[0.0, 0.0], radius=eps0), sigma)
 
 
 def test_pair_score_examples():
@@ -75,12 +84,10 @@ def test_pair_score_matches_sweep_kernel():
         x_star = np.array([d, 0.0])
         x_arc = eps0 * np.array([np.cos(theta), np.sin(theta)])
         g = g_norm * np.array([-np.cos(alpha), np.sin(alpha)])
-        _, score, x_u = ball_score_infimum(
-            g[None], x_star[None], Ball(center=[0.0, 0.0], radius=eps0), 1.0
-        )
+        _, score, x_u = ball_infimum(g, x_star, Ball(center=[0.0, 0.0], radius=eps0))
         scale = g_norm / (d - eps0)
-        assert abs(pair_score(g, x_star, x_u[0]) - float(score[0])) <= 1e-9 * scale
-        assert float(score[0]) <= pair_score(g, x_star, x_arc) + 1e-12 * scale
+        assert abs(pair_score(g, x_star, x_u) - score) <= 1e-9 * scale
+        assert score <= pair_score(g, x_star, x_arc) + 1e-12 * scale
 
 
 def sphere_samples(center, radius, count=40_000):
@@ -182,6 +189,66 @@ def test_scan_equals_classify_on_random_problems(problem):
 
 
 @st.composite
+def layout_problems(draw):
+    """A 1- to 4-D model with 0-2 kinks (the first on a grid point), a ball or a finite set, and its grid."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = {1: (9,), 2: (7, 6), 3: (5, 4, 4), 4: (4, 3, 3, 3)}[n]
+    lower = rng.uniform(-2.0, 0.0, n)
+    spec = GridSpec(lower=lower, upper=lower + rng.uniform(1.0, 3.0, n), counts=counts)
+    pts = build_grid(spec)
+    kink_points = [pts[rng.integers(pts.shape[0])], rng.uniform(spec.lower, spec.upper)]
+    kinks = tuple(
+        Kink(point=p, generators=tuple(rng.uniform(-4.0, 4.0, (int(rng.integers(1, 4)), n))))
+        for p in kink_points[: draw(st.integers(0, 2))]
+    )
+    a = rng.standard_normal((n, n))
+    term = QuadraticTerm(Q=a.T @ a, m=rng.uniform(spec.lower, spec.upper), weight=float(rng.uniform(0.2, 3.0)))
+    if draw(st.booleans()):
+        region = Ball(center=rng.uniform(spec.lower, spec.upper), radius=float(rng.uniform(0.05, 0.6)))
+    else:
+        points = rng.uniform(spec.lower, spec.upper, (int(rng.integers(1, 6)), n))
+        points[0] = pts[rng.integers(pts.shape[0])]  # one set point on the grid: an interior row
+        region = FinitePointSet(points=points)
+    uset = UncertaintySet(region=region, sigma=float(rng.uniform(0.2, 5.0)))
+    return KnownFunction(terms=(term,), kinks=kinks), uset, spec
+
+
+def left_to_right_pair_score(g, x_star, x_u) -> float:
+    """num / dist2 in Python floats, with both sums taken left to right over the coordinates."""
+    d = [float(x) - float(p) for x, p in zip(x_star, x_u)]
+    num = d[0] * float(g[0])
+    dist2 = d[0] * d[0]
+    for dj, gj in zip(d[1:], g[1:]):
+        num += dj * float(gj)
+        dist2 += dj * dj
+    return num / dist2
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(layout_problems())
+def test_column_layout_agrees_with_classify_point(problem):
+    # the scan runs on column blocks; every grid point must get classify_point's
+    # verdict, and each witness must reproduce the reported score from its pair
+    f, uset, spec = problem
+    mask = scan_region(f, uset, spec)
+    ball = isinstance(uset.region, Ball)
+    for x, flag in zip(build_grid(spec), mask.membership):
+        verdict = classify_point(f, x, uset)
+        assert verdict.member == flag
+        if verdict.best_score is None:
+            continue
+        w = verdict.witness
+        if ball:
+            d = float(np.linalg.norm(x - uset.region.center))
+            scale = float(np.linalg.norm(w.g)) / (d - uset.region.radius)
+            assert abs(pair_score(w.g, x, w.x_u) - verdict.best_score) <= 1e-9 * scale
+        else:
+            assert any(np.array_equal(w.x_u, p) for p in uset.region.points)
+            assert left_to_right_pair_score(w.g, x, w.x_u) == verdict.best_score
+
+
+@st.composite
 def nesting_problems(draw):
     """A 2-D model with a kink at a grid point, a set inside a larger one, and two sigmas."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -249,6 +316,13 @@ def test_classify_points_rejects_non_finite():
         # |x*|^2 overflows although the gradient does not
         with pytest.raises(NonFiniteError, match="score overflows"):
             classify_point(f, [1e160, 1e160], reference_set())
+        # finite sets: ||d||^2 and <g, d> overflow at row 1, whose score is -2;
+        # the pair must not drop out as inadmissible
+        far = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2e200, 0.0]),))
+        origin = UncertaintySet(region=FinitePointSet(points=[[0.0, 0.0]]), sigma=1.0)
+        with pytest.raises(NonFiniteError, match="row 1: score overflows"):
+            classify_points(far, origin, [[1e100, 0.0], [1e200, 0.0], [1e200, 0.0]])
+        assert classify_point(far, [1e100, 0.0], origin).member
         heavy = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0], weight=1e308),))
         finite = UncertaintySet(region=FinitePointSet(points=[[0.0, 0.0]]), sigma=2.0)
         for uset in (reference_set(), finite):
@@ -591,29 +665,21 @@ def test_finite_point_set_contains_is_exact():
     assert not region.contains([0.1 + 1e-15, 0.2])
 
 
-def einsum_finite_set_scores(G, Xg, points, threshold):
-    """The finite-set scorer as it stood before the column-wise kernel.
+def left_to_right_finite_set_scores(G, X, points):
+    """The finite-set score over all row-point pairs at once, coordinate by coordinate.
 
-    It contracts (N, chunk, n) differences with einsum, which sums the
-    coordinates of 1-D and 2-D problems in the same order as the column-wise
-    kernel; from n = 3 on it pairs them differently.
+    num = d_0 g_0 + d_1 g_1 + ... and dist2 = d_0 d_0 + d_1 d_1 + ..., with
+    d_j = x_j - p_j, are summed left to right as the kernel sums them, and
+    the lowest num / dist2 over the pairs with num < 0 is taken per row.
     """
-    best = np.full(Xg.shape[0], np.inf)
-    arg = np.zeros(Xg.shape[0], dtype=np.intp)
-    step = max(1, BLOCK_ROWS // max(1, Xg.shape[0]))
-    for k in range(0, points.shape[0], step):
-        diff = Xg[:, None, :] - points[None, k : k + step, :]
-        dist = np.sqrt(np.einsum("ikj,ikj->ik", diff, diff))
-        num = np.einsum("ikj,ij->ik", diff / dist[:, :, None], G)
-        score = np.where(num < 0.0, num / dist, np.inf)
-        first = 0
-        if score.shape[1] > 1:
-            first = np.argmin(score, axis=1)
-            score = np.take_along_axis(score, first[:, None], axis=1)
-        better = score[:, 0] < best
-        np.copyto(best, score[:, 0], where=better)
-        np.copyto(arg, k + first, where=better)
-    return best <= threshold, best, points[arg]
+    d = X[:, None, :] - points[None, :, :]  # (N, k, n)
+    num = d[..., 0] * G[:, None, 0]
+    dist2 = d[..., 0] * d[..., 0]
+    for j in range(1, X.shape[1]):
+        num = num + d[..., j] * G[:, None, j]
+        dist2 = dist2 + d[..., j] * d[..., j]
+    with np.errstate(invalid="ignore"):
+        return np.where(num < 0.0, num / dist2, np.inf).min(axis=1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -622,26 +688,18 @@ def einsum_finite_set_scores(G, Xg, points, threshold):
     [(1, 20000), (64, 2000), (5000, 16), (8192, 16), (7, 3), (1, 1), (4096, 16), (3000, 200), (1100, 40)],
 )
 def test_finite_set_scores_match_einsum_reference(rows, count, n):
+    # the reference is left_to_right_finite_set_scores: every chunking the
+    # kernel picks for these sizes must give its scores bit for bit
     rng = np.random.default_rng([rows, count, n])
     X = rng.standard_normal((rows, n))
     G = rng.standard_normal((rows, n))
     points = rng.standard_normal((count, n))
     points[0] = X[0]  # a coincident pair scores nan and is never admissible
-    with np.errstate(invalid="ignore"):
-        member, score, x_u = membership._finite_set_scores(G, X, points, -2.0)
-        ref_member, ref_score, ref_x_u = einsum_finite_set_scores(G, X, points, -2.0)
-    assert np.array_equal(member, ref_member)
-    assert np.array_equal(x_u, ref_x_u)
-    if n <= 2:
-        assert np.array_equal(score, ref_score)
-        return
-    # the coordinate sums are reordered, and num may cancel, so the bound is
-    # on the magnitude of the summed terms, not on the score itself
-    finite = np.isfinite(ref_score)
-    assert np.array_equal(np.isfinite(score), finite)
-    D = (X - ref_x_u)[finite]
-    magnitude = np.sum(np.abs(D * G[finite]), axis=1) / np.sum(D * D, axis=1)
-    assert np.all(np.abs(score[finite] - ref_score[finite]) <= 4 * n * np.spacing(magnitude))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = membership._finite_set_scores(G.T.copy(), X.T.copy(), np.arange(rows), points)
+    ref = left_to_right_finite_set_scores(G, X, points)
+    assert np.array_equal(score, ref)
+    assert np.array_equal(np.signbit(score), np.signbit(ref))
 
 
 @pytest.mark.parametrize("rows", [1, 1000, BLOCK_ROWS])  # one chunk, chunks of 8 points, one-point chunks
@@ -652,11 +710,27 @@ def test_finite_set_ties_keep_the_first_point(rows, first, second):
     points = np.array([[2.0, float(k)] for k in range(10)])
     points[first] = [0.0, 1.0]
     points[second] = [0.0, -1.0]
-    X = np.tile([1.0, 0.0], (rows, 1))
-    G = np.tile([-1.0, 0.0], (rows, 1))
-    member, score, x_u = membership._finite_set_scores(G, X, points, -2.0)
-    assert np.allclose(score, -0.5) and not member.any()
-    assert np.all(x_u == points[min(first, second)])
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[1.5, 0.0]),))
+    uset = UncertaintySet(region=FinitePointSet(points=points), sigma=2.0)
+    res = classify_points(f, uset, np.tile([1.0, 0.0], (rows, 1)))
+    assert np.all(res.score == -0.5) and not res.member.any()
+    verdict = classify_point(f, [1.0, 0.0], uset)
+    assert verdict.best_score == -0.5 and verdict.witness.g.tolist() == [-1.0, 0.0]
+    assert np.array_equal(verdict.witness.x_u, points[min(first, second)])
+
+
+def test_finite_set_underflowing_score_stays_admissible():
+    # at x* = 0, g = -2e-300 and the point -1e30 give num = -2e-270 < 0 and
+    # num / dist2 = -2e-330, which underflows to -0.0: still an admissible
+    # pair, with the lowest score -0.0; a zero num (g = 0 at x* = 1) is not
+    f = KnownFunction(terms=(QuadraticTerm(Q=[[1e-300]], m=[1.0]),))
+    uset = UncertaintySet(region=FinitePointSet(points=[[-1e30], [5.0]]), sigma=1.0)
+    res = classify_points(f, uset, [[0.0], [1.0]])
+    assert res.score[0] == 0.0 and np.signbit(res.score[0]) and not res.member[0]
+    assert res.score[1] == np.inf
+    verdict = classify_point(f, [0.0], uset)
+    assert verdict.best_score == 0.0 and np.signbit(verdict.best_score)
+    assert verdict.witness.x_u.tolist() == [-1e30]
 
 
 def test_finite_set_interior_is_exact():
@@ -676,7 +750,8 @@ def test_finite_set_interior_is_exact():
     assert res.owner.tolist() == [1, 2, 4]
     # one ulp from a set point the score is finite, and very negative
     assert np.all(np.isfinite(res.score[:2])) and res.member[:2].all()
-    assert res.x_u[:2].tolist() == [p.tolist(), p.tolist()]
+    for x in X[1:3]:
+        assert np.array_equal(classify_point(f, x, uset).witness.x_u, p)
     # many rows take the one-point-per-chunk path, which must agree
     many = np.repeat(X, BLOCK_ROWS // 2, axis=0)
     assert np.array_equal(classify_points(f, uset, many).interior, np.repeat(res.interior, BLOCK_ROWS // 2))
