@@ -115,10 +115,13 @@ def _parse_known_function(doc: dict) -> KnownFunction:
             m=_as_vector_field(_require(term, "m", path), f"{path}.m"),
             weight=_positive_number(term.get("weight", 1.0), f"{path}.weight"),
         )
-        # gradients and the oracle's normal equations scale Q by 2 * weight;
-        # Python floats overflow to inf here without a numpy warning
+        # gradients and the oracle's normal equations scale Q and Q m by 2 * weight;
+        # Python floats overflow to inf here without a numpy warning, numpy under errstate
         if not math.isfinite(2.0 * built.weight * float(np.max(np.abs(built.Q)))):
             _fail(f"{path}.weight", f"2 * weight * Q overflows for weight {built.weight!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(2.0 * built.weight * (built.Q @ built.m))):
+                _fail(path, f"2 * weight * Q m overflows for weight {built.weight!r}")
         terms.append(built)
     kinks_doc = spec.get("kinks", [])
     if not isinstance(kinks_doc, list):
@@ -262,7 +265,7 @@ def _cmd_check(args) -> int:
     if verdict.best_score is not None:
         print(f"best_score: {verdict.best_score!r} (threshold {-config.uncertainty.sigma + config.slack!r})")
     w = verdict.witness
-    if w is not None and w.x_u is not None:
+    if w is not None:
         print(f"witness: x_u={_format_vector(w.x_u)}, g={_format_vector(w.g)}")
     return 0 if verdict.member else 1
 

@@ -6,7 +6,7 @@ gradient sum_i 2 w_i Q_i (x - m_i).  Nonsmooth behavior is modeled by
 registering kink points: at a registered point the subdifferential is the
 finite generator list supplied for it, shifted by the analytic gradient of
 the quadratic terms.  Everywhere else the subdifferential is the singleton
-gradient.
+gradient.  kink_index is the one rule for which kink a point is at.
 """
 
 from __future__ import annotations
@@ -123,19 +123,30 @@ class KnownFunction:
         return total
 
     def kink_at(self, x) -> Kink | None:
-        """The registered kink at x (componentwise within 1e-12), if any."""
+        """The registered kink at x (see kink_index), if any."""
         x = as_vector(x)
         self._check_dim(x)
-        for k in self.kinks:
-            if np.max(np.abs(x - k.point)) <= KINK_MATCH_ATOL:
-                return k
-        return None
+        j = int(kink_index(self, x))
+        return self.kinks[j] if j >= 0 else None
 
     def _check_dim(self, x: np.ndarray):
         if x.shape[0] != self.dimension:
             raise DimensionMismatchError(
                 f"point of dimension {x.shape[0]} passed to a {self.dimension}-D function"
             )
+
+
+def kink_index(f: KnownFunction, cols: np.ndarray) -> np.ndarray:
+    """Index into f.kinks of the kink at each point of cols, (n,) or (n, N); -1 for none.
+
+    A point is at the first kink, in declared order, whose point it matches
+    to within KINK_MATCH_ATOL in every coordinate.
+    """
+    index = np.full(cols.shape[1:], -1)
+    for j, k in enumerate(f.kinks):
+        near = np.max(np.abs(cols.T - k.point), axis=-1) <= KINK_MATCH_ATOL
+        index[near & (index < 0)] = j
+    return index
 
 
 def gradient(f: KnownFunction, x) -> np.ndarray:

@@ -8,17 +8,17 @@ point x_u in the uncertainty set satisfy
 
 where u(x1, x2) is the unit vector from x2 toward x1 and sigma is the
 strong-convexity constant of the unknown term.  classify_points decides this
-for a batch of query points and is the only decision path: classify_point,
-the grid scanner and the necessity oracle each reduce its per-generator
-results.  It computes on contiguous coordinate columns, one (n, N) block per
-call, and returns scores and verdicts only.  For ball sets the minimum of
-the score over the whole ball has a closed form (ball_score_infimum); for
-finite sets it is the minimum of <g, d>/||d||^2, d = x_star - x_u, over the
-listed points.  The set point attaining the minimum is derived only by
-classify_point, for the generator it reports (ball_witness, or the first
-finite-set point with that score).  Points inside the closed set are always
-candidates (an admissible unknown term minimizing there can be constructed
-directly), so they are classified member without a score.
+for a batch of query points and is the only decision path: it returns one
+verdict, score and generator per query row, which classify_point, the grid
+scanner and the necessity oracle read as they are.  For ball sets the
+minimum of the score over the whole ball has a closed form
+(ball_score_infimum); for finite sets it is the minimum of <g, d>/||d||^2,
+d = x_star - x_u, over the listed points.  The set point attaining the
+minimum is derived only by classify_point, for the row it reports
+(ball_witness, or the first finite-set point with that score).  Points
+inside the closed set are always candidates (an admissible unknown term
+minimizing there can be constructed directly), so they are classified
+member without a score.
 evaluate_general checks the condition independently, over explicit
 candidate lists, as a cross-check.
 """
@@ -35,7 +35,7 @@ from .errors import (
     InsideBallError,
     NonFiniteError,
 )
-from .funcmodel import KINK_MATCH_ATOL, KnownFunction, gradient, subdifferential
+from .funcmodel import KnownFunction, gradient, kink_index, subdifferential
 from .geometry import Ball, as_vector
 
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
@@ -97,8 +97,8 @@ class UncertaintySet:
 class Witness:
     """Candidate pair (x_u, g) attaining a verdict's best_score."""
 
-    x_u: np.ndarray | None = None
-    g: np.ndarray | None = None
+    x_u: np.ndarray
+    g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -250,62 +250,27 @@ def evaluate_general(
 
 
 @dataclass(frozen=True)
-class GeneratorVerdicts:
-    """Per-generator results of classify_points over N query rows.
+class RowVerdicts:
+    """classify_points' results, one entry per query row.
 
-    interior[i] marks row i as inside the closed set; such rows own no
-    generators.  Every other row owns its subdifferential generators, in
-    declared order (zero ones are dropped for balls, having no descent
-    direction): generator j belongs to row owner[j], is g[j], reaches
-    score[j] as its lowest score over the set, and passes iff member[j].  A
-    finite set with no admissible point for a generator gives score inf.
-    The set point that attains a score is not computed here; classify_point
-    derives it for the one generator it reports.
+    interior[i] marks row i inside the closed set, a member with score inf.
+    Any other row is scored over its generators (the smooth gradient, or at a
+    registered kink each kink generator shifted by it): score[i] is the lowest
+    score over the set, inf when no generator has one, g[i] the first generator
+    in declared order that attains it, and member[i] whether any passes.
     """
 
     interior: np.ndarray
-    owner: np.ndarray
-    g: np.ndarray
     member: np.ndarray
     score: np.ndarray
+    g: np.ndarray
 
 
-def _check_finite(values: np.ndarray, rows: np.ndarray, reason: str):
-    """Raise NonFiniteError for the first row of values holding a non-finite entry."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = int(np.argmin(finite.reshape(values.shape[0], -1).all(axis=1)))
-        raise NonFiniteError(int(rows[first]), reason)
-
-
-def _generator_table(f: KnownFunction, cols: np.ndarray, interior: np.ndarray):
-    """(owner, take, G): the subdifferential generators of the rows outside the set.
-
-    cols is the (n, N) column block of the query points.  Column i of G
-    (n, M) belongs to row owner[i], and cols[:, take] are the matching
-    query points: take is a full slice, which copies nothing, when owner
-    lists every row once and in order, and owner itself otherwise.  A row at a
-    registered kink (the first within KINK_MATCH_ATOL, as in
-    KnownFunction.kink_at) gets the smooth gradient plus each generator of
-    that kink; every other row gets the smooth gradient alone.
-    """
-    rows = np.flatnonzero(~interior)
-    take = slice(None) if rows.size == interior.size else rows
-    Xr = cols[:, take]
-    grad = gradient(f, Xr.T).T
-    kink_of = np.full(rows.size, -1)
-    for j, k in enumerate(f.kinks):
-        near = np.max(np.abs(Xr - k.point[:, None]), axis=0) <= KINK_MATCH_ATOL
-        kink_of[near & (kink_of < 0)] = j
-    if np.all(kink_of < 0):
-        return rows, take, grad
-    owners, gens = [rows[kink_of < 0]], [grad[:, kink_of < 0]]
-    for j, k in enumerate(f.kinks):
-        for gen in k.generators:
-            owners.append(rows[kink_of == j])
-            gens.append(grad[:, kink_of == j] + gen[:, None])
-    owner = np.concatenate(owners)
-    return owner, owner, np.concatenate(gens, axis=1)
+def _raise_first(bad: np.ndarray, reason: str, rows=None):
+    """Raise NonFiniteError for the first True of bad, naming it rows[i] (default i)."""
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise NonFiniteError(first if rows is None else int(rows[first]), reason)
 
 
 def _point_chunks(rows: int, points: np.ndarray):
@@ -371,12 +336,13 @@ def _pair_scores(xcols, gcols, pcols, work: np.ndarray):
     return np.divide(sums[0], sums[1], out=work[2 * n]), sums[0], sums[1]
 
 
-def _finite_set_scores(G, Xg, owner, points: np.ndarray) -> np.ndarray:
-    """Lowest admissible pair score over the points for each column pair (G[:, i], Xg[:, i]).
+def _finite_set_scores(G, X, points: np.ndarray) -> np.ndarray:
+    """Lowest admissible pair score over the points for generators G at query points X.
 
-    A pair with no admissible point scores inf.  Points go in chunks of
-    about BLOCK_ROWS row-point pairs (_point_chunks), and no pair is
-    masked: best is the np.fmin of every score, low the minimum of every
+    G and X broadcast as (n, ...) arrays; the result drops the coordinate
+    axis.  A generator with no admissible point scores inf.  Points go in
+    chunks of about BLOCK_ROWS row-point pairs (_point_chunks), and no pair
+    is masked: best is the np.fmin of every score, low the minimum of every
     num.  An admissible score is <= -0.0 and any other is >= -0.0 or nan,
     which np.fmin skips; so a row with low < 0 has an admissible point, and
     its lowest admissible score is best in value and -|best| in sign too.
@@ -384,9 +350,11 @@ def _finite_set_scores(G, Xg, owner, points: np.ndarray) -> np.ndarray:
     A pair whose num or dist2 overflowed would slip through the same
     reductions.  Every |d_j| is at most reach, so when
     n reach max(reach, max |g|) < 2^1000 no sum can overflow; otherwise
-    high, the maximum of every num and dist2, is kept too, and a non-finite
-    low or high raises NonFiniteError naming the row owner[i].
+    high, the maximum of every num and dist2, is kept too, and a generator
+    whose low or high is not finite scores nan.
     """
+    shape = np.broadcast_shapes(G.shape, X.shape)
+    G, Xg = (np.broadcast_to(a, shape).reshape(shape[0], -1) for a in (G, X))
     n, rows = Xg.shape
     reach = float(np.abs(Xg).max(initial=0.0)) + float(np.abs(points).max())
     exposed = not n * reach * max(reach, float(np.abs(G).max(initial=0.0))) < 2.0**1000
@@ -404,9 +372,29 @@ def _finite_set_scores(G, Xg, owner, points: np.ndarray) -> np.ndarray:
         if exposed:
             np.maximum(high[0], _fold(np.maximum, num), out=high[0])
             np.maximum(high[1], _fold(np.maximum, dist2), out=high[1])
+    score = np.where(low < 0.0, -np.abs(best), np.inf)
     if exposed:
-        _check_finite(np.vstack([low, high]).T, owner, "score overflows")
-    return np.where(low < 0.0, -np.abs(best), np.inf)
+        score[~(np.isfinite(low) & np.isfinite(high).all(axis=0))] = np.nan
+    return score.reshape(shape[1:])
+
+
+def _scores(uset: UncertaintySet, slack: float, G, *query) -> tuple:
+    """(member, score) of generators G (n, ...) over the set, broadcast against the query rows.
+
+    query is (c - x*, ||c - x*||) for a ball, x* for a finite set.  A ball
+    scores a zero generator (no descent direction) inf; nan marks overflow.
+    """
+    region = uset.region
+    if isinstance(region, Ball):
+        gg = _column_dot(G, G)
+        gg[gg == np.inf] = np.nan
+        member, score = ball_score_infimum(G, np.sqrt(gg), *query, region, uset.sigma, slack)
+        flat = gg == 0.0
+        if flat.any():
+            member[flat], score[flat] = False, np.inf
+        return member, score
+    score = _finite_set_scores(G, *query, region.points)
+    return score <= -uset.sigma + float(slack), score
 
 
 def _finite_set_witness(g, x_star, points: np.ndarray, score: float) -> np.ndarray:
@@ -418,51 +406,53 @@ def _finite_set_witness(g, x_star, points: np.ndarray, score: float) -> np.ndarr
 
 def classify_points(
     f: KnownFunction, uset: UncertaintySet, X, slack: float = DEFAULT_SLACK
-) -> GeneratorVerdicts:
-    """Membership kernel: score every subdifferential generator of every row of X.
+) -> RowVerdicts:
+    """Membership kernel: one verdict per row of X, an (N, n) array (see RowVerdicts).
 
-    X is an (N, n) array of query points.  The kernel runs on its
-    coordinate columns, X.T as an (n, N) C-contiguous block, which costs no
-    copy when X is itself the transpose of such a block (a scan block).
-    Rows inside the closed set are marked interior; every other row
-    contributes one entry per generator (see GeneratorVerdicts), scored
-    with ball_score_infimum for a ball and over the listed points for a
-    finite set (_finite_set_scores).  A row is a member iff it is interior
-    or any of its generators passes.  Raises NonFiniteError, naming the
-    row, for a non-finite query row, a gradient that overflows, or a score
-    that overflow leaves undefined.
+    The kernel runs on X.T as an (n, N) C-contiguous block, which costs no
+    copy when X is the transpose of such a block (a scan block).  Every row
+    is scored with its smooth gradient in one pass; the rows at a registered
+    kink (kink_index) are then rescored as one (m, R) block per kink, whose
+    axis-0 any and argmin give the member flag, the score and the generator.
+    NonFiniteError names a non-finite query row, or a row outside the set
+    whose gradient or score overflows; rows inside never raise.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != uset.dimension or f.dimension != uset.dimension:
         raise DimensionMismatchError("function, point, and set dimensions must agree")
-    _check_finite(X, np.arange(X.shape[0]), "coordinates are not finite")
     cols = np.ascontiguousarray(X.T)
+    _raise_first(~np.isfinite(cols).all(axis=0), "coordinates are not finite")
     region = uset.region
     # overflow is checked below and reported as NonFiniteError, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if isinstance(region, Ball):
-            delta = region.center[:, None] - cols  # c - x*, shared by the interior test and the score
+            delta = region.center[:, None] - cols  # c - x*, shared by the interior test and the scores
             d = np.sqrt(_column_dot(delta, delta))
             interior = d <= region.radius
+            query = (delta, d)
         else:
             interior = _finite_set_interior(cols, region.points)
-        owner, take, G = _generator_table(f, cols, interior)
-        _check_finite(G.T, owner, "gradient overflows")
-        if isinstance(region, Ball):
-            gg = _column_dot(G, G)
-            keep = gg > 0.0  # zero generators have no descent direction
-            if not keep.all():
-                owner, G, gg = owner[keep], G[:, keep], gg[keep]
-                take = owner
-            member, score = ball_score_infimum(
-                G, np.sqrt(gg), delta[:, take], d[take], region, uset.sigma, slack
-            )
-        else:
-            score = _finite_set_scores(G, cols[:, take], owner, region.points)
-            member = score <= -uset.sigma + float(slack)
-    if np.isnan(score).any():
-        raise NonFiniteError(int(owner[np.argmax(np.isnan(score))]), "score overflows")
-    return GeneratorVerdicts(interior, owner, G.T, member, score)
+            query = (cols,)
+        outside = ~interior
+        G = gradient(f, cols.T).T
+        _raise_first(~np.isfinite(G).all(axis=0) & outside, "gradient overflows")
+        member, score = _scores(uset, slack, G, *query)
+        at = kink_index(f, cols) if f.kinks else None
+        _raise_first(np.isnan(score) & (outside if at is None else outside & (at < 0)), "score overflows")
+        for j, k in enumerate(f.kinks):
+            rows = np.flatnonzero(at == j)
+            if not rows.size:
+                continue
+            Gk = G[:, rows][:, None, :] + np.stack(k.generators).T[:, :, None]
+            _raise_first(~np.isfinite(Gk).all(axis=(0, 1)) & outside[rows], "gradient overflows", rows)
+            kink_member, kink_score = _scores(uset, slack, Gk, *(q[..., None, rows] for q in query))
+            _raise_first(np.isnan(kink_score).any(axis=0) & outside[rows], "score overflows", rows)
+            best, each = np.argmin(kink_score, axis=0), np.arange(rows.size)
+            member[rows], score[rows] = kink_member.any(axis=0), kink_score[best, each]
+            G[:, rows] = Gk[:, best, each]
+    member |= interior
+    np.copyto(score, np.inf, where=interior)
+    return RowVerdicts(interior, member, score, G.T)
 
 
 def classify_point(
@@ -474,12 +464,11 @@ def classify_point(
     slack: float = DEFAULT_SLACK,
     early_exit: bool = True,
 ) -> MembershipVerdict:
-    """Full membership decision for one query point: classify_points with N = 1.
+    """Full membership decision for one query point: row 0 of classify_points.
 
     Points inside the closed set are members by the interior rule (no
-    witness).  Outside, the point is a member iff any generator passes, and
-    the witness is the generator with the lowest score together with the set
-    point where that score is attained: the tangency point for a ball
+    witness).  Outside, the witness is the row's generator g with the set
+    point where its score is attained: the tangency point for a ball
     (ball_witness), the first point scoring it for a finite set.
     early_exit is accepted for compatibility and decides nothing.
     """
@@ -487,10 +476,9 @@ def classify_point(
     res = classify_points(f, uset, x_star[None, :], slack)
     if res.interior[0]:
         return MembershipVerdict(member=True, interior=True)
-    if not np.any(res.score < np.inf):
+    g, score = res.g[0], res.score[0]
+    if score == np.inf:
         return MembershipVerdict(member=False)
-    k = int(np.argmin(res.score))
-    g, score = res.g[k], res.score[k]
     region = uset.region
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if isinstance(region, Ball):
@@ -498,5 +486,5 @@ def classify_point(
         else:
             x_u = _finite_set_witness(g, x_star, region.points, score)
     return MembershipVerdict(
-        member=bool(res.member.any()), best_score=float(score), witness=Witness(x_u=x_u, g=g)
+        member=bool(res.member[0]), best_score=float(score), witness=Witness(x_u=x_u, g=g)
     )

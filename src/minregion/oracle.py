@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteError
-from .funcmodel import KINK_MATCH_ATOL, KnownFunction
+from .funcmodel import KnownFunction, kink_index
 from .geometry import Ball, as_vector
-from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _check_finite, classify_points
+from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _raise_first, classify_points
 
 DEFAULT_MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
 # numpy SeedSequence's hash and mix constants (see _entropy_pool and _sub_seeds)
@@ -248,9 +248,9 @@ def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
     and c_ki = <g_ki, p_k>, lam minimizes
     1/2 lam^T (H A^-1 H^T) lam - lam^T (H A^-1 b - c) (_multipliers), and
     x = A^-1 (b - H^T lam).  Without kinks this is one stacked solve of the
-    normal equations.  A row within KINK_MATCH_ATOL of a kink point, the
-    classifier's own tolerance, becomes that point bit for bit.  Every row
-    has the bits of a one-row call.
+    normal equations.  A row at a kink by the classifier's own rule
+    (kink_index) becomes that kink's point bit for bit.  Every row has the
+    bits of a one-row call.
     """
     A, b = _normal_equations(f, sigma_u, centers)
     if f.kinks:
@@ -264,8 +264,9 @@ def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
         lam = _multipliers(G, np.einsum("ij,...j->...i", H, W[..., m]) - c, _supports(blocks))
         b = b - np.einsum("...i,ij->...j", lam, H)
     x = _solve_normal_equations(A, b)
-    for k in f.kinks:
-        x[np.max(np.abs(x - k.point), axis=-1) <= KINK_MATCH_ATOL] = k.point
+    at = kink_index(f, x.T)
+    for j, k in enumerate(f.kinks):
+        x[at == j] = k.point
     return x
 
 
@@ -292,7 +293,7 @@ def _solve_normal_equations(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     ArithmeticError.
     """
     x = np.linalg.solve(A, b[..., None])[..., 0]
-    _check_finite(x, np.arange(x.shape[0]), "coordinates are not finite")
+    _raise_first(~np.isfinite(x).all(axis=-1), "coordinates are not finite")
     r = (A @ x[..., None])[..., 0] - b
     squared = np.vecdot(r, r)
     poor = ~(squared <= 1e-20 * np.maximum(1.0, np.vecdot(b, b)))  # a NaN residual is poor
@@ -409,25 +410,21 @@ def validate_necessity(
             res = classify_points(f, classify_set, minimizers, slack)
         except NonFiniteError as exc:
             raise NonFiniteError(start + exc.row, exc.reason) from None
-        passed = res.interior.copy()
-        passed[res.owner[res.member]] = True
-        best = np.full(stop - start, np.inf)
-        np.minimum.at(best, res.owner, res.score)
         interior_count += int(np.count_nonzero(res.interior))
-        member_count += int(np.count_nonzero(passed & ~res.interior))
-        scored = ~res.interior & (best < np.inf)
+        member_count += int(np.count_nonzero(res.member & ~res.interior))
+        scored = res.score < np.inf
         if scored.any():
-            margin = float(np.min(-sigma_c - best[scored]))
+            margin = float(np.min(-sigma_c - res.score[scored]))
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
-        for i in np.flatnonzero(~passed)[: 20 - len(falsifications)]:
+        for i in np.flatnonzero(~res.member)[: 20 - len(falsifications)]:
             falsifications.append(
                 {
                     "trial": start + int(i),
                     "minimizer": [float(v) for v in minimizers[i]],
                     "center": [float(v) for v in centers[i]],
                     "sigma_u": float(sigma_u[i]),
-                    "best_score": float(best[i]) if best[i] < np.inf else None,
+                    "best_score": float(res.score[i]) if res.score[i] < np.inf else None,
                 }
             )
     falsification_count = trials - interior_count - member_count

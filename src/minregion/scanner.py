@@ -1,12 +1,10 @@
 """Grid scans of the candidate-minimizer region, plus mask serialization.
 
 scan_region streams the grid through the membership kernel,
-classify_points, in blocks of BLOCK_ROWS points, and keeps one flag per
-point: interior, or any generator passes.  Each block is built as
-contiguous coordinate columns, the layout the kernel computes in, and
-handed over as a transposed view, so nothing is stacked or copied on the
-way.  classify_point is the same kernel on one row, so the two agree by
-construction, and memory stays bounded whatever the grid size.
+classify_points, in blocks of BLOCK_ROWS points built by build_grid, and
+keeps each row's member flag.  classify_point is the same kernel on one
+row, so the two agree by construction, and memory stays bounded whatever
+the grid size.
 """
 
 from __future__ import annotations
@@ -54,19 +52,26 @@ class RegionMask:
         return int(np.count_nonzero(self.membership))
 
 
-def build_grid(spec: GridSpec) -> np.ndarray:
-    """All grid points as an (N, n) array, last axis varying fastest."""
-    mesh = np.meshgrid(*spec.axes(), indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, spec.dimension)
+def build_grid(spec: GridSpec, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 of the grid (stop clipped to its end), last axis varying fastest.
 
-
-def _grid_columns(axes: list, counts: tuple, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of build_grid's grid, as an (n, stop - start) column block."""
-    index = np.unravel_index(np.arange(start, stop), counts)
-    cols = np.empty((len(axes), stop - start))
-    for ax, i, col in zip(axes, index, cols):
-        np.take(ax, i, out=col)
-    return cols
+    The (N, n) rows are the transpose of an (n, N) C-contiguous block, the
+    layout classify_points computes in.  Along an axis that changes every
+    step rows, the block meets runs first..last of step equal values each,
+    cycling through the axis, and cuts the outer two.
+    """
+    stop = spec.point_count if stop is None else min(stop, spec.point_count)
+    cols = np.empty((spec.dimension, stop - start))
+    step = 1
+    for ax, col in zip(reversed(spec.axes()), cols[::-1]):
+        first, last = start // step, (stop - 1) // step
+        runs = np.tile(ax, last // ax.size - first // ax.size + 1)[first % ax.size :][: last - first + 1]
+        if step == 1:
+            col[:] = runs
+        else:
+            col[:] = np.repeat(runs, np.diff(np.clip(np.arange(first, last + 2) * step, start, stop)))
+        step *= ax.size
+    return cols.T
 
 
 def scan_region(
@@ -84,19 +89,15 @@ def scan_region(
     """
     if f.dimension != spec.dimension or uset.dimension != spec.dimension:
         raise DimensionMismatchError("function, set, and grid dimensions must agree")
-    axes = spec.axes()
-    member = np.zeros(spec.point_count, dtype=bool)
+    member = np.empty(spec.point_count, dtype=bool)
     for start in range(0, spec.point_count, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, spec.point_count)
-        cols = _grid_columns(axes, spec.counts, start, stop)
+        rows = build_grid(spec, start, start + BLOCK_ROWS)
         try:
-            res = classify_points(f, uset, cols.T, slack)  # a view: the kernel runs on cols
+            res = classify_points(f, uset, rows, slack)
         except NonFiniteError as exc:
-            point = ", ".join(repr(float(v)) for v in cols[:, exc.row])
+            point = ", ".join(repr(float(v)) for v in rows[exc.row])
             raise NonFiniteError(start + exc.row, f"grid point [{point}]: {exc.reason}") from None
-        block = member[start:stop]
-        block[res.interior] = True
-        block[res.owner[res.member]] = True
+        member[start : start + BLOCK_ROWS] = res.member
     if isinstance(uset.region, Ball):
         eps0, point_count = uset.region.radius, None
     else:
@@ -144,7 +145,7 @@ def write_mask_csv(mask: RegionMask, path: str):
         + " upper=" + ",".join(_format_float(v) for v in grid.upper)
         + " counts=" + ",".join(str(c) for c in grid.counts) + "\n"
     )
-    # build_grid is a meshgrid of these same axes, so the strings are exact
+    # build_grid copies the values of these same axes, so the strings are exact
     labels = [[_format_float(v) for v in ax] for ax in grid.axes()]
     tails = [(f"{x},0\n", f"{x},1\n") for x in labels[-1]]
     flags = mask.membership.reshape(-1, grid.counts[-1])

@@ -117,9 +117,9 @@ def test_overflow_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: point '1e308,1e308': gradient overflows" in captured.err
     assert "member:" not in captured.out
-    # 2 * weight * Q is finite, so the config loads; the gradient overflows off the ball
+    # 2 * weight * Q and 2 * weight * Q m are finite, so the config loads; the gradient overflows off the ball
     heavy = json.loads(json.dumps(REFERENCE))
-    heavy["known_function"]["terms"][0]["weight"] = 8e307
+    heavy["known_function"]["terms"][0]["weight"] = 4e307
     heavy = write_config(tmp_path, heavy, name="heavy.json")
     assert main(["check", heavy, "--", "-1.0,0.0"]) == 2
     assert "error: point '-1.0,0.0': gradient overflows" in capsys.readouterr().err
@@ -129,14 +129,6 @@ def test_overflow_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {heavy}: grid point [-1.0, -2.0]: gradient overflows" in err
     assert not (tmp_path / "m.csv").exists()
-    kinked = json.loads(json.dumps(REFERENCE))
-    kinked["known_function"]["terms"][0]["weight"] = 8e307
-    kinked["known_function"]["kinks"] = [{"point": [0.5, 0.0], "generators": [[3.0, 0.0], [-3.0, 0.0]]}]
-    kinked = write_config(tmp_path, kinked, name="kinked.json")
-    with np.errstate(over="ignore", invalid="ignore"):  # the normal equations overflow first
-        for path in (heavy, kinked):
-            assert main(["validate", path, "--trials", "3"]) == 2
-            assert "minimizer of trial 0: coordinates are not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["check", "--", "1.0,0.0"], ["scan", "-o", "m.csv"], ["validate", "--trials", "3"]])
@@ -154,6 +146,43 @@ def test_overflowing_term_weight_is_rejected_on_load(tmp_path, command):
     assert proc.stderr == (
         "error: $.known_function.terms[1].weight: 2 * weight * Q overflows for weight 1e+308\n"
     )
+
+
+@pytest.mark.parametrize("command", [["check", "--", "-1.0,0.0"], ["scan", "-o", "m.csv"], ["validate", "--trials", "3"]])
+def test_overflowing_normal_equations_are_rejected_on_load(tmp_path, command):
+    # 2 * weight * Q is finite but 2 * weight * Q m is not: every command names
+    # the term and prints nothing else, where validate used to warn and blame a trial
+    doc = json.loads(json.dumps(REFERENCE))
+    doc["known_function"]["terms"][0]["weight"] = 8e307
+    config = write_config(tmp_path, doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "minregion", command[0], config, *command[1:]],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(minregion.__file__))),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: $.known_function.terms[0]: 2 * weight * Q m overflows for weight 8e+307\n"
+
+
+def test_ball_score_overflow_is_a_usage_error(tmp_path, capsys):
+    # the gradient at (1, 0) is (1e160, 0), whose g.g overflows: no score, not a
+    # member with score -inf; with weight 1 the same point is a non-member
+    doc = {
+        "known_function": {"terms": [{"Q": [[1.0, 0.0], [0.0, 1.0]], "m": [0.5, 0.0], "weight": 1e160}]},
+        "uncertainty": {"type": "ball", "center": [0.0, 0.0], "radius": 0.1},
+        "sigma": 2.0,
+        "grid": {"lower": [-1.0, -2.0], "upper": [3.0, 2.0], "counts": [3, 3]},
+    }
+    config = write_config(tmp_path, doc)
+    assert main(["check", config, "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: point '1,0': score overflows\n" and captured.out == ""
+    assert main(["scan", config, "-o", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {config}: grid point [-1.0, -2.0]: score overflows\n"
+    assert not (tmp_path / "m.csv").exists()
+    doc["known_function"]["terms"][0]["weight"] = 1.0
+    assert main(["check", write_config(tmp_path, doc, name="light.json"), "1,0"]) == 1
+    assert "member: no\nbest_score: 0.9090909090909091 " in capsys.readouterr().out
 
 
 OVERFLOWING_POINTS = {

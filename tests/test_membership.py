@@ -15,7 +15,7 @@ from minregion.errors import (
     InsideBallError,
     NonFiniteError,
 )
-from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
+from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm, gradient, kink_index
 from minregion.geometry import Ball
 from minregion.membership import (
     BLOCK_ROWS,
@@ -27,6 +27,7 @@ from minregion.membership import (
     classify_points,
     evaluate_general,
 )
+from minregion.oracle import _minimize_block
 from minregion.scanner import GridSpec, build_grid, mask_subset, scan_region
 
 
@@ -280,28 +281,86 @@ def test_masks_nest_in_sigma_and_set(problem):
     assert mask_subset(base, scan_region(f, UncertaintySet(region=large, sigma=sigma), spec))
 
 
-def test_classify_points_generator_table():
+def test_classify_points_kink_rows():
     # rows: inside the ball, at a kink, smooth, and the zero-gradient minimizer
     f = KnownFunction(
         terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0]),),
-        kinks=(Kink(point=[1.0, 0.0], generators=([-5.0, 0.0], [2.0, 0.0], [0.0, 3.0])),),
+        kinks=(Kink(point=[1.0, 0.0], generators=([-5.0, 1.0], [2.0, 0.0], [-5.0, -1.0])),),
     )
     X = np.array([[0.05, 0.0], [1.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
     res = classify_points(f, reference_set(), X)
     assert res.interior.tolist() == [True, False, False, False]
-    # kink generators in declared order, each shifted by the smooth gradient
-    # (-2, 0); the shifted (2, 0) is zero and dropped, as is row 3's gradient
-    assert res.owner.tolist() == [2, 1, 1]
-    assert res.g.tolist() == [[-2.0, 1.0], [-7.0, 0.0], [-2.0, 3.0]]
-    for row in (1, 2, 3):
-        verdict = classify_point(f, X[row], reference_set())
-        assert verdict.member == bool(res.member[res.owner == row].any())
-    assert classify_point(f, X[1], reference_set()).witness.g.tolist() == [-7.0, 0.0]
-    # finite sets keep zero generators: no admissible point, score inf
+    assert res.member[0] and res.score[0] == np.inf
+    # each kink generator is shifted by the smooth gradient (-2, 0): (-7, 1) and
+    # (-7, -1) score exactly alike, and the first declared is reported; the
+    # shifted (2, 0) is zero, as is row 3's gradient, and has no score
+    assert res.g[1:].tolist() == [[-7.0, 1.0], [-2.0, 1.0], [0.0, 0.0]]
+    assert res.score[3] == np.inf and not res.member[3]
+    swapped = KnownFunction(terms=f.terms, kinks=(Kink(point=[1.0, 0.0], generators=([-5.0, -1.0], [-5.0, 1.0])),))
+    assert classify_points(swapped, reference_set(), X).g[1].tolist() == [-7.0, -1.0]
+    alone = KnownFunction(terms=f.terms, kinks=(Kink(point=[1.0, 0.0], generators=([2.0, 0.0],)),))
     finite = UncertaintySet(region=FinitePointSet(points=[[0.0, 0.0]]), sigma=2.0)
-    res = classify_points(f, finite, X)
-    assert res.owner.tolist() == [0, 2, 3, 1, 1, 1]
-    assert res.score[res.owner == 3][0] == np.inf and not res.member[res.owner == 3][0]
+    for uset in (reference_set(), finite):
+        # a zero generator scores inf, for a ball (no descent direction) and a
+        # finite set (no admissible point) alike, and the row's other generators decide
+        assert classify_points(alone, uset, X[1:2]).score[0] == np.inf
+        res = classify_points(f, uset, X)
+        for row in (1, 2, 3):
+            verdict = classify_point(f, X[row], uset)
+            assert verdict.member == res.member[row]
+            assert verdict.best_score == (None if res.score[row] == np.inf else res.score[row])
+    assert classify_point(f, X[1], reference_set()).witness.g.tolist() == [-7.0, 1.0]
+
+
+@st.composite
+def row_problems(draw):
+    """A 1- to 3-D model with 0-2 kinks, a ball or a finite set, and query rows.
+
+    Row 0 is the first kink's point, when there is one, and row 1 lies inside
+    the set; a kink may carry the generator that cancels the smooth gradient.
+    """
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    term = QuadraticTerm(Q=a.T @ a, m=rng.uniform(-1.0, 1.0, n), weight=float(rng.uniform(0.2, 3.0)))
+    X = rng.uniform(-2.0, 2.0, (12, n))
+    kinks = []
+    for p in [X[0], rng.uniform(-2.0, 2.0, n)][: draw(st.integers(0, 2))]:
+        gens = list(rng.uniform(-4.0, 4.0, (int(rng.integers(1, 4)), n)))
+        if draw(st.booleans()):
+            gens.append(-gradient(KnownFunction(terms=(term,)), p))
+        kinks.append(Kink(point=p, generators=tuple(gens)))
+    if draw(st.booleans()):
+        region = Ball(center=rng.uniform(-1.0, 1.0, n), radius=float(rng.uniform(0.05, 0.8)))
+        X[1] = region.center + rng.uniform(-0.5, 0.5, n) * region.radius / np.sqrt(n)
+    else:
+        region = FinitePointSet(points=rng.uniform(-1.0, 1.0, (int(rng.integers(1, 6)), n)))
+        X[1] = region.points[-1]
+    uset = UncertaintySet(region=region, sigma=float(rng.uniform(0.2, 5.0)))
+    return KnownFunction(terms=(term,), kinks=tuple(kinks)), uset, X, rng
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(row_problems())
+def test_rows_agree_with_classify_point(problem):
+    # row i of the kernel is classify_point(X[i]), bit for bit; and the oracle
+    # snaps a minimizer to a kink exactly where kink_index puts it at that kink
+    f, uset, X, rng = problem
+    res = classify_points(f, uset, X)
+    assert res.interior[1] and res.member[1] and res.score[1] == np.inf
+    for i, x in enumerate(X):
+        verdict = classify_point(f, x, uset)
+        assert verdict.interior == res.interior[i] and verdict.member == res.member[i]
+        if verdict.best_score is None:
+            assert res.score[i] == np.inf
+            continue
+        assert np.float64(verdict.best_score).tobytes() == res.score[i].tobytes()
+        assert verdict.witness.g.tobytes() == res.g[i].tobytes()
+    sigma_u = uset.sigma * rng.uniform(1.0, 3.0, 64)
+    minimizers = _minimize_block(f, sigma_u, rng.uniform(-2.0, 2.0, (64, X.shape[1])))
+    at = kink_index(f, minimizers.T)
+    for j, k in enumerate(f.kinks):
+        assert np.array_equal(np.all(minimizers == k.point, axis=1), at == j)
 
 
 def test_classify_points_rejects_non_finite():
@@ -696,7 +755,7 @@ def test_finite_set_scores_match_einsum_reference(rows, count, n):
     points = rng.standard_normal((count, n))
     points[0] = X[0]  # a coincident pair scores nan and is never admissible
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = membership._finite_set_scores(G.T.copy(), X.T.copy(), np.arange(rows), points)
+        score = membership._finite_set_scores(G.T.copy(), X.T.copy(), points)
     ref = left_to_right_finite_set_scores(G, X, points)
     assert np.array_equal(score, ref)
     assert np.array_equal(np.signbit(score), np.signbit(ref))
@@ -747,9 +806,10 @@ def test_finite_set_interior_is_exact():
     ])
     res = classify_points(f, uset, X)
     assert res.interior.tolist() == [True, False, False, True, False]
-    assert res.owner.tolist() == [1, 2, 4]
+    assert res.member.tolist() == [True, True, True, True, False]
+    assert res.score[[0, 3]].tolist() == [np.inf, np.inf]
     # one ulp from a set point the score is finite, and very negative
-    assert np.all(np.isfinite(res.score[:2])) and res.member[:2].all()
+    assert np.all(np.isfinite(res.score[1:3]))
     for x in X[1:3]:
         assert np.array_equal(classify_point(f, x, uset).witness.x_u, p)
     # many rows take the one-point-per-chunk path, which must agree
@@ -772,5 +832,5 @@ def test_finite_set_memory_is_bounded(rows, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.owner.size == rows
+    assert res.score.shape == (rows,)
     assert peak < 2 * 2**20
