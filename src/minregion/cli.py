@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, TooManySupportsError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
 from .geometry import Ball, GridSpec
 from .membership import DEFAULT_SLACK, FinitePointSet, UncertaintySet, classify_point
@@ -308,22 +308,20 @@ def _cmd_validate(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    sampling_sigma = float(config.raw["sigma"])
-    classify_sigma = (
-        float(args.sigma_override) if args.sigma_override is not None else None
-    )
     try:
+        # draws use the configured sigma; --sigma-override sets only the classifying one
         report = validate_necessity(
             config.known_function,
-            UncertaintySet(region=config.uncertainty.region, sigma=sampling_sigma),
-            sampling_sigma,
+            config.uncertainty,
+            float(config.raw["sigma"]),
             args.trials,
             args.seed,
             slack=config.slack,
-            classify_sigma=classify_sigma,
         )
     except NonFiniteError as exc:
         raise ConfigError(f"{args.config}: minimizer of trial {exc.row}: {exc.reason}") from None
+    except TooManySupportsError as exc:
+        raise ConfigError(f"$.known_function.kinks: {exc}") from None
     payload = dict(report.to_dict(), config=config.raw)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.report is not None:

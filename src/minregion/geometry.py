@@ -33,6 +33,18 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _column_dot(a, b):
+    """a[0] b[0] + a[1] b[1] + ..., summed left to right over the coordinates.
+
+    a and b are coordinate columns (n, ...) or one point's coordinates (n,),
+    so a pair is summed in the same order whatever the batch around it.
+    """
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total += x * y
+    return total
+
+
 def _same_dim(*vectors: np.ndarray) -> int:
     n = vectors[0].shape[0]
     for v in vectors[1:]:
@@ -66,10 +78,12 @@ class Ball:
         return self.center.shape[0]
 
     def contains(self, x) -> bool:
-        """Closed-ball membership."""
+        """Closed-ball membership, by the classification kernel's own expression."""
         x = as_vector(x)
         _same_dim(self.center, x)
-        return float(np.linalg.norm(x - self.center)) <= self.radius
+        with np.errstate(over="ignore"):  # an overflowing distance is inf: outside
+            delta = self.center - x
+            return bool(np.sqrt(_column_dot(delta, delta)) <= self.radius)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteError,
 )
 from .funcmodel import KnownFunction, gradient, kink_index, subdifferential
-from .geometry import Ball, as_vector
+from .geometry import Ball, _column_dot, as_vector
 
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
 BLOCK_ROWS = 8192  # query rows per classify_points call in scans and campaigns; bounds memory
@@ -114,18 +114,6 @@ class MembershipVerdict:
     best_score: float | None = None
     witness: Witness | None = None
     interior: bool = False
-
-
-def _column_dot(a, b):
-    """a[0] b[0] + a[1] b[1] + ..., summed left to right over the coordinates.
-
-    a and b are coordinate columns (n, ...) or one point's coordinates (n,),
-    so a pair is summed in the same order whatever the batch around it.
-    """
-    total = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        total += x * y
-    return total
 
 
 def ball_score_infimum(G, g_norm, delta, d, ball: Ball, sigma: float, slack: float = DEFAULT_SLACK):

@@ -11,16 +11,18 @@ falsification and indicates a defect.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, TooManySupportsError
 from .funcmodel import KnownFunction, kink_index
 from .geometry import Ball, as_vector
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _raise_first, classify_points
 
-DEFAULT_MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
+MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
+MAX_SUPPORT_COMBINATIONS = 200_000  # generator subsets _supports may try for one model
 # numpy SeedSequence's hash and mix constants (see _entropy_pool and _sub_seeds)
 _POOL_SIZE = 4
 _MASK_32 = 0xFFFFFFFF
@@ -72,7 +74,6 @@ class ValidationReport:
     worst_margin: float | None
     seed: int
     slack: float
-    sigma_multiplier_range: tuple
     falsification_details: tuple = ()
 
     @property
@@ -90,45 +91,36 @@ class ValidationReport:
             "worst_margin": self.worst_margin,
             "seed": self.seed,
             "slack": self.slack,
-            "sigma_multiplier_range": list(self.sigma_multiplier_range),
+            "sigma_multiplier_range": list(MULTIPLIER_RANGE),
             "falsification_details": [dict(d) for d in self.falsification_details],
         }
 
 
-def sample_unknown(
-    uset: UncertaintySet,
-    sigma: float,
-    seed: int,
-    sigma_multiplier_range: tuple = DEFAULT_MULTIPLIER_RANGE,
-) -> UnknownQuadratic:
+def sample_unknown(uset: UncertaintySet, sigma: float, seed: int) -> UnknownQuadratic:
     """Draw an admissible unknown term, deterministically in the seed.
 
     seed is a sub-seed in [0, 2^64).  The one-trial case of _draw_unknowns,
     which describes the draw.
     """
-    centers, sigma_u = _draw_unknowns(uset, sigma, (seed,), sigma_multiplier_range)
+    centers, sigma_u = _draw_unknowns(uset, sigma, (seed,))
     return UnknownQuadratic(center=centers[0], sigma_u=sigma_u[0])
 
 
-def _draw_unknowns(
-    uset: UncertaintySet, sigma: float, seeds, sigma_multiplier_range: tuple
-) -> tuple:
+def _draw_unknowns(uset: UncertaintySet, sigma: float, seeds) -> tuple:
     """(centers (B, n), sigma_u (B,)): one admissible unknown term per seed.
 
     A trial's draw is a pure function of its own sub-seed (see _uniforms),
     so a block of trials has, row for row, the bits of one-trial calls.
-    Uniform 1 gives sigma_u = sigma * (lo + (hi - lo) * U1), with the
-    multiplier range inside [1, inf) so every draw is sigma-strongly convex.
-    The center is uniform over the region.  For a ball, uniform 2 gives the
-    distance radius * U2^(1/n), and uniforms 3, 4, ... go in pairs (a, b)
-    through Box-Muller, r = sqrt(-2 ln Ua) and (r cos 2 pi Ub, r sin 2 pi Ub),
-    whose first n values, normalised by sqrt(vecdot), give the direction
-    (r > 0, so it is never zero).  For a finite set of k points, uniform 2
-    picks point min(floor(U2 k), k - 1).
+    Uniform 1 gives sigma_u = sigma * (lo + (hi - lo) * U1) over
+    MULTIPLIER_RANGE = (lo, hi), so every draw is sigma-strongly convex; the
+    draw uses this sigma, not uset.sigma.  The center is uniform over the
+    region.  For a ball, uniform 2 gives the distance radius * U2^(1/n),
+    and uniforms 3, 4, ... go in pairs (a, b) through Box-Muller,
+    r = sqrt(-2 ln Ua) and (r cos 2 pi Ub, r sin 2 pi Ub), whose first n
+    values, normalised by sqrt(vecdot), give the direction (r > 0, so it
+    is never zero).  For a finite set of k points, uniform 2 picks point
+    min(floor(U2 k), k - 1).
     """
-    lo, hi = (float(v) for v in sigma_multiplier_range)
-    if not (1.0 <= lo <= hi):
-        raise ValueError(f"multiplier range must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
     sigma = float(sigma)
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -151,6 +143,7 @@ def _draw_unknowns(
         u = _uniforms(seeds, 2)
         picks = np.minimum((u[1] * k).astype(np.intp), k - 1)
         centers = region.points[picks]
+    lo, hi = MULTIPLIER_RANGE
     return centers, sigma * (lo + (hi - lo) * u[0])
 
 
@@ -244,26 +237,26 @@ def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
 
     The smooth part of f + u_i has gradient A_i x - b_i (_normal_equations).
     Each kink adds its max-affine completion max_i <g_ki, x - p_k>, whose
-    dual has one multiplier simplex per kink: with H stacking the generators
-    and c_ki = <g_ki, p_k>, lam minimizes
+    dual has one multiplier simplex per kink: with H (m, n) stacking the
+    generators and c_ki = <g_ki, p_k>, lam minimizes
     1/2 lam^T (H A^-1 H^T) lam - lam^T (H A^-1 b - c) (_multipliers), and
-    x = A^-1 (b - H^T lam).  Without kinks this is one stacked solve of the
-    normal equations.  A row at a kink by the classifier's own rule
-    (kink_index) becomes that kink's point bit for bit.  Every row has the
-    bits of a one-row call.
+    x = A^-1 b - A^-1 H^T lam, both parts from one stacked solve of
+    A W = [H^T | b].  A smooth model has m = 0, so x is that solve's A^-1 b.
+    A row at a kink by the classifier's own rule (kink_index) becomes that
+    kink's point bit for bit.  Every row has the bits of a one-row call.
     """
     A, b = _normal_equations(f, sigma_u, centers)
-    if f.kinks:
-        blocks = [np.stack(k.generators) for k in f.kinks]
-        H = np.concatenate(blocks)
-        c = np.concatenate([g @ k.point for g, k in zip(blocks, f.kinks)])
-        m = H.shape[0]
-        rhs = np.concatenate([np.broadcast_to(H.T, (*b.shape, m)), b[..., None]], axis=-1)
-        W = np.linalg.solve(A, rhs)  # (A^-1 H^T, A^-1 b), one LAPACK call per trial
+    H = np.concatenate([np.empty((0, f.dimension)), *(k.generators for k in f.kinks)])
+    m = H.shape[0]
+    rhs = np.concatenate([np.broadcast_to(H.T, (*b.shape, m)), b[..., None]], axis=-1)
+    W = _solve_normal_equations(A, rhs)  # (A^-1 H^T, A^-1 b), one LAPACK call per trial
+    x = W[..., m]
+    if m:  # the dual step: x = A^-1 b - A^-1 H^T lam
+        c = np.concatenate([np.stack(k.generators) @ k.point for k in f.kinks])
         G = np.einsum("ij,...jk->...ik", H, W[..., :m])
-        lam = _multipliers(G, np.einsum("ij,...j->...i", H, W[..., m]) - c, _supports(blocks))
-        b = b - np.einsum("...i,ij->...j", lam, H)
-    x = _solve_normal_equations(A, b)
+        supports = _supports(H, [len(k.generators) for k in f.kinks])
+        lam = _multipliers(G, np.einsum("ij,...j->...i", H, x) - c, supports)
+        x = x - np.einsum("...ij,...j->...i", W[..., :m], lam)
     at = kink_index(f, x.T)
     for j, k in enumerate(f.kinks):
         x[at == j] = k.point
@@ -285,42 +278,48 @@ def _normal_equations(f: KnownFunction, sigma_u, centers) -> tuple:
     return A, b
 
 
-def _solve_normal_equations(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows x_i with A_i x_i = b_i, from one stacked LAPACK solve.
+def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """W_i with A_i W_i = rhs_i, for rhs (..., n, k), from one stacked LAPACK solve.
 
     A row whose solution is not finite raises NonFiniteError naming it; a
-    residual above 1e-10 max(1, ||b_i||), or one that is NaN, raises
-    ArithmeticError.
+    residual entry above 1e-10 max(1, max |rhs column|), or a NaN one,
+    raises ArithmeticError.  Nothing is squared, so the test cannot overflow.
     """
-    x = np.linalg.solve(A, b[..., None])[..., 0]
-    _raise_first(~np.isfinite(x).all(axis=-1), "coordinates are not finite")
-    r = (A @ x[..., None])[..., 0] - b
-    squared = np.vecdot(r, r)
-    poor = ~(squared <= 1e-20 * np.maximum(1.0, np.vecdot(b, b)))  # a NaN residual is poor
+    W = np.linalg.solve(A, rhs)
+    _raise_first(~np.isfinite(W).all(axis=(-2, -1)), "coordinates are not finite")
+    scale = np.abs(rhs[..., 0, :])  # column maxima, one elementwise pass per coordinate
+    for i in range(1, A.shape[-1]):
+        np.maximum(scale, np.abs(rhs[..., i, :]), out=scale)
+    residual = np.abs(A @ W - rhs)
+    poor = ~(residual <= 1e-10 * np.maximum(1.0, scale)[..., None, :])  # a NaN residual is poor
     if poor.any():
-        i = int(np.argmax(poor))
-        residual = float(np.sqrt(squared[i]))
-        raise ArithmeticError(f"row {i}: normal equations solved poorly (residual {residual})")
-    return x
+        i = int(np.argmax(poor.any(axis=(-2, -1))))
+        raise ArithmeticError(f"row {i}: normal equations solved poorly (residual {residual[i].max()})")
+    return W
 
 
-def _supports(blocks) -> list:
-    """The supports (S, E) that _multipliers tries, for generator blocks (m_k, n).
+def _supports(H: np.ndarray, sizes) -> list:
+    """The supports (S, E) that _multipliers tries, for generators H (m, n) in blocks of sizes.
 
-    S indexes the stacked generators, taking at least one from every block
-    and at most n + K in all; E (|S|, K) marks the block of each index.  The
+    S indexes H, taking at least one generator from every block and at most
+    n + K in all; E (|S|, K) marks the block of each index.  The
     bordered matrix [[0, E^T], [E, H_S M H_S^T]] is singular, for any
     positive definite M, exactly when some v != 0 has H_S^T v = 0 and
     E^T v = 0.  That does not involve M, so the rank of [H_S, E] decides it
-    once from the generators; singular supports are dropped.
+    once from the generators; singular supports are dropped.  More than
+    MAX_SUPPORT_COMBINATIONS subsets to try raise TooManySupportsError
+    before any is tried.
     """
-    n, K = blocks[0].shape[1], len(blocks)
-    H = np.concatenate(blocks)
+    n, K = H.shape[1], len(sizes)
+    count = math.prod(sum(math.comb(size, k) for k in range(1, min(size, n + 1) + 1)) for size in sizes)
+    if count > MAX_SUPPORT_COMBINATIONS:
+        raise TooManySupportsError(
+            f"{count} generator subsets to try, above the limit {MAX_SUPPORT_COMBINATIONS}"
+        )
     choices = []
-    for lo, g in zip(np.cumsum([0] + [g.shape[0] for g in blocks]), blocks):
-        rows = range(lo, lo + g.shape[0])
-        sizes = range(1, min(len(rows), n + 1) + 1)
-        choices.append([S for size in sizes for S in itertools.combinations(rows, size)])
+    for lo, size in zip(np.cumsum([0, *sizes]), sizes):
+        rows = range(lo, lo + size)
+        choices.append([S for k in range(1, min(size, n + 1) + 1) for S in itertools.combinations(rows, k)])
     supports = []
     for parts in itertools.product(*choices):
         S = np.array(sum(parts, ()))
@@ -375,28 +374,25 @@ def validate_necessity(
     theta_steps=None,  # ignored; bench/tracing.py still passes it positionally
     *,
     slack: float = DEFAULT_SLACK,
-    sigma_multiplier_range: tuple = DEFAULT_MULTIPLIER_RANGE,
-    classify_sigma: float | None = None,
 ) -> ValidationReport:
     """Run a necessity campaign: every true minimizer must classify as member.
 
-    Per-trial sub-seeds derive deterministically from the master seed, one
-    block at a time (see _entropy_pool and _sub_seeds), and each trial's
-    draw is a hash of its own sub-seed (see _draw_unknowns).  Trials go
-    BLOCK_ROWS // n at a time, so memory stays near BLOCK_ROWS * n floats:
-    the block is drawn, solved (_minimize_block) and classified together;
-    the report equals the one built by drawing (sample_unknown), solving
-    (minimize_sum) and classifying (classify_point) each sub-seed on its
-    own.  A NonFiniteError carries the trial index.  With classify_sigma
-    set above the sampling sigma the hypothesis is knowingly violated and
-    falsifications are expected; that mode shows the campaign has teeth.
+    Trials draw their unknown terms with sigma (_draw_unknowns) and classify
+    their minimizers against uset, whose sigma is the report's
+    classify_sigma and the threshold of worst_margin.  A uset.sigma above
+    sigma knowingly violates the hypothesis, so falsifications are expected;
+    that shows the campaign has teeth.  Sub-seeds derive from the master
+    seed one block of BLOCK_ROWS // n trials at a time (_entropy_pool,
+    _sub_seeds), so memory stays near BLOCK_ROWS * n floats; the block is
+    drawn, solved (_minimize_block) and classified together, and the report
+    equals the one built from each sub-seed alone (sample_unknown,
+    minimize_sum, classify_point).  A NonFiniteError carries the trial
+    index; a model over the support cap raises TooManySupportsError.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     pool = _entropy_pool(seed)
-    classify_set = uset if classify_sigma is None else replace(uset, sigma=float(classify_sigma))
-    sigma_c = float(classify_sigma) if classify_sigma is not None else float(sigma)
     member_count = 0
     interior_count = 0
     falsifications = []
@@ -404,17 +400,17 @@ def validate_necessity(
     block = max(1, BLOCK_ROWS // f.dimension)  # a stacked solve holds block * n^2 floats
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        centers, sigma_u = _draw_unknowns(uset, sigma, _sub_seeds(pool, start, stop), sigma_multiplier_range)
+        centers, sigma_u = _draw_unknowns(uset, sigma, _sub_seeds(pool, start, stop))
         try:
             minimizers = _minimize_block(f, sigma_u, centers)
-            res = classify_points(f, classify_set, minimizers, slack)
+            res = classify_points(f, uset, minimizers, slack)
         except NonFiniteError as exc:
             raise NonFiniteError(start + exc.row, exc.reason) from None
         interior_count += int(np.count_nonzero(res.interior))
         member_count += int(np.count_nonzero(res.member & ~res.interior))
         scored = res.score < np.inf
         if scored.any():
-            margin = float(np.min(-sigma_c - res.score[scored]))
+            margin = float(np.min(-uset.sigma - res.score[scored]))
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
         for i in np.flatnonzero(~res.member)[: 20 - len(falsifications)]:
@@ -430,7 +426,7 @@ def validate_necessity(
     falsification_count = trials - interior_count - member_count
     return ValidationReport(
         sigma=float(sigma),
-        classify_sigma=sigma_c,
+        classify_sigma=uset.sigma,
         trials=trials,
         member_count=member_count,
         interior_count=interior_count,
@@ -438,6 +434,5 @@ def validate_necessity(
         worst_margin=worst_margin,
         seed=int(seed),
         slack=float(slack),
-        sigma_multiplier_range=(float(sigma_multiplier_range[0]), float(sigma_multiplier_range[1])),
         falsification_details=tuple(falsifications),
     )

@@ -231,6 +231,41 @@ def test_two_kink_model_validates(tmp_path, capsys):
     assert captured.err == ""
 
 
+def many_generator_kinks(count):
+    """A 3-D bowl with two kinks of count generators each, and a ball around the origin."""
+    rng = np.random.default_rng(7)
+    kinks = [
+        {"point": point, "generators": (2.0 * rng.standard_normal((count, 3))).tolist()}
+        for point in ([0.5, 0.0, 0.0], [0.0, 0.5, 0.0])
+    ]
+    return {
+        "known_function": {"terms": [{"Q": np.eye(3).tolist(), "m": [2.0, 0.0, 0.0]}], "kinks": kinks},
+        "uncertainty": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 0.3},
+        "sigma": 2.0,
+    }
+
+
+def test_validate_refuses_kinks_over_the_support_cap(tmp_path, capsys):
+    # two 20-generator kinks in 3-D would try 6195^2 = 38 378 025 generator subsets per block;
+    # validate refuses before any trial, while check, which does not solve, still runs
+    config = write_config(tmp_path, many_generator_kinks(20))
+    assert main(["validate", config, "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: $.known_function.kinks: 38378025 generator subsets to try, above the limit 200000\n"
+    )
+    assert main(["check", config, "1.0,0.0,0.0"]) in (0, 1)
+
+
+def test_validate_runs_kinks_under_the_support_cap(tmp_path, capsys):
+    # two 10-generator kinks in 3-D: 385^2 = 148 225 subsets, under the cap, so it solves
+    config = write_config(tmp_path, many_generator_kinks(10))
+    assert main(["validate", config, "--trials", "1"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert "trials=1 " in captured.out and captured.err == ""
+
+
 def test_check_witness_line(tmp_path, capsys):
     config = write_config(tmp_path, REFERENCE)
     assert main(["check", config, "1.0,0.0"]) == 0

@@ -561,6 +561,43 @@ def test_classify_interior_rule():
     assert hit.member and hit.interior
 
 
+def test_ball_contains_agrees_with_kernel_on_a_boundary_point():
+    # norm(x - c) reads this point as inside, the kernel's sum of squares as outside;
+    # evaluate_general used to raise InsideBallError for a point classify_point scored
+    x = [0.7042317558492293, 0.4336551641446249]
+    uset = UncertaintySet(region=Ball(center=[0.6194215518255555, 0.12095190401237166], radius=0.32400015370964996), sigma=2.0)
+    f = reference_function()
+    assert not uset.region.contains(x)
+    assert not classify_point(f, x, uset).interior
+    # x is outside by a hair, so its visible cap shrinks to x itself (a 0/0 candidate)
+    with np.errstate(invalid="ignore"):
+        evaluate_general(f, x, uset, boundary_samples=64)
+
+
+@st.composite
+def near_sphere_points(draw):
+    n = draw(st.integers(1, 3))
+    coordinate = st.floats(-2.0, 2.0, allow_nan=False)
+    center = np.array(draw(st.lists(coordinate, min_size=n, max_size=n)))
+    radius = draw(st.floats(1e-3, 3.0))
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    norm = float(np.linalg.norm(direction))
+    if norm < 1e-3:
+        direction, norm = np.eye(n)[0], 1.0
+    x = center + radius * direction / norm  # on the sphere up to rounding
+    return Ball(center=center, radius=radius), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_sphere_points())
+def test_ball_contains_equals_kernel_interior(case):
+    ball, x = case
+    n = ball.dimension
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(n), m=np.full(n, 5.0)),))
+    rows = classify_points(f, UncertaintySet(region=ball, sigma=1.0), x[None])
+    assert ball.contains(x) == bool(rows.interior[0])
+
+
 def test_classify_witness_invariants():
     f = reference_function()
     uset = reference_set()

@@ -4,15 +4,19 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minregion import oracle
 from minregion.errors import NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
-from minregion.membership import FinitePointSet, UncertaintySet, classify_point
+from minregion.membership import FinitePointSet, UncertaintySet, classify_point, classify_points
 from minregion.funcmodel import gradient
 from minregion.oracle import (
     UnknownQuadratic,
@@ -192,7 +196,7 @@ def _hull_project(z, gens):
     with Gram matrix V V^T and linear term V z.
     """
     V = np.stack(gens)
-    lam = _multipliers((V @ V.T)[None], (V @ z)[None], _supports([V]))[0]
+    lam = _multipliers((V @ V.T)[None], (V @ z)[None], _supports(V, [len(V)]))[0]
     assert np.all(lam >= 0.0) and abs(float(lam.sum()) - 1.0) <= 1e-12
     return lam @ V
 
@@ -334,8 +338,9 @@ def _splitmix_uniforms(seed, count):
     return out
 
 
-def _reference_trial(uset, sigma, seed, lo, hi):
+def _reference_trial(uset, sigma, seed):
     """(center, sigma_u) of one trial, computed with Python floats and math."""
+    lo, hi = 1.05, 3.0
     region = uset.region
     if isinstance(region, Ball):
         n = region.dimension
@@ -372,17 +377,18 @@ def test_block_draw_and_solve_match_per_trial_reference(n):
     uset = UncertaintySet(region=region, sigma=1.7)
     seeds = np.random.SeedSequence(57).generate_state(1000, dtype=np.uint64).tolist()
     seeds[:4] = [0, 1, 2**63, 2**64 - 1]
-    lo, hi = 1.2, 4.5
     count = 2 + 2 * ((dim + 1) // 2) if n != "finite" else 2
     uniforms = oracle._uniforms(seeds, count)
-    centers, sigma_u = _draw_unknowns(uset, 1.7, seeds, (lo, hi))
-    minimizers = _solve_normal_equations(*_normal_equations(f, sigma_u, centers))
+    centers, sigma_u = _draw_unknowns(uset, 1.7, seeds)
+    A, b = _normal_equations(f, sigma_u, centers)
+    minimizers = _solve_normal_equations(A, b[..., None])[..., 0]
     for i, seed in enumerate(seeds):
         assert uniforms[:, i].tolist() == _splitmix_uniforms(seed, count)
-        u = sample_unknown(uset, 1.7, seed, (lo, hi))
+        u = sample_unknown(uset, 1.7, seed)
         assert np.array_equal(centers[i], u.center) and sigma_u[i] == u.sigma_u
+        # a smooth model's minimizer has the bits of the plain stacked solve
         assert np.array_equal(minimizers[i], minimize_sum(f, u))
-        center, s = _reference_trial(uset, 1.7, seed, lo, hi)
+        center, s = _reference_trial(uset, 1.7, seed)
         assert s == sigma_u[i]
         assert np.allclose(centers[i], center, rtol=0.0, atol=1e-14)
 
@@ -394,7 +400,7 @@ def test_ball_draws_are_uniform_in_the_ball(n):
     center = np.linspace(-0.5, 0.5, n)
     uset = UncertaintySet(region=Ball(center=center, radius=0.8), sigma=2.0)
     seeds = oracle._sub_seeds(oracle._entropy_pool(100 + n), 0, 20_000)
-    centers, sigma_u = _draw_unknowns(uset, 2.0, seeds, (1.05, 3.0))
+    centers, sigma_u = _draw_unknowns(uset, 2.0, seeds)
     radial = np.linalg.norm(centers - center, axis=1) / 0.8
     assert np.all(radial <= 1.0 + 1e-12)
     for q in (0.25, 0.5, 0.75):
@@ -410,7 +416,7 @@ def test_finite_set_picks_are_uniform():
     k = 7
     uset = UncertaintySet(region=FinitePointSet(points=np.arange(2.0 * k).reshape(k, 2)), sigma=1.0)
     seeds = oracle._sub_seeds(oracle._entropy_pool(99), 0, 20_000)
-    centers, sigma_u = _draw_unknowns(uset, 1.0, seeds, (1.05, 3.0))
+    centers, sigma_u = _draw_unknowns(uset, 1.0, seeds)
     counts = np.bincount((centers[:, 0] / 2.0).astype(int), minlength=k)
     p = 1.0 / k
     assert counts.sum() == 20_000 and counts.shape == (k,)
@@ -468,18 +474,11 @@ def test_sample_unknown_finite_set():
     assert seen == {0, 1, 2}
 
 
-def test_sample_unknown_degenerate_range():
-    u = sample_unknown(reference_set(), 2.0, 0, sigma_multiplier_range=(1.0, 1.0))
-    assert u.sigma_u == 2.0
-
-
-def test_sample_unknown_range_validation():
-    with pytest.raises(ValueError):
-        sample_unknown(reference_set(), 2.0, 0, sigma_multiplier_range=(0.9, 2.0))
-    with pytest.raises(ValueError):
-        sample_unknown(reference_set(), 2.0, 0, sigma_multiplier_range=(2.0, 1.5))
+def test_sample_unknown_sigma_validation():
     with pytest.raises(ValueError):
         sample_unknown(reference_set(), -1.0, 0)
+    with pytest.raises(ValueError):
+        sample_unknown(reference_set(), 0.0, 0)
 
 
 def test_validate_necessity_clean_campaign():
@@ -499,20 +498,16 @@ def test_validate_necessity_finite_set():
 
 
 def test_validate_necessity_single_trial_singleton():
-    # one closed-form instance: singleton candidate set and sigma_u = sigma
-    # puts the joint minimizer at (1, 0) with pair score exactly -sigma
+    # one closed-form instance: singleton candidate set and sigma_u = sigma puts the
+    # joint minimizer at (1, 0) with pair score exactly -sigma, a margin of exactly 0.0
+    f = reference_function()
     uset = UncertaintySet(region=FinitePointSet(points=[[0.0, 0.0]]), sigma=2.0)
-    report = validate_necessity(
-        reference_function(),
-        uset,
-        2.0,
-        trials=1,
-        seed=0,
-        sigma_multiplier_range=(1.0, 1.0),
-    )
-    assert report.passed
-    assert report.member_count == 1
-    assert report.worst_margin == 0.0
+    x = _minimize_block(f, [2.0], [[0.0, 0.0]])
+    res = classify_points(f, uset, x, slack=0.0)
+    assert x.tolist() == [[1.0, 0.0]]
+    assert res.member[0] and not res.interior[0] and -uset.sigma - res.score[0] == 0.0
+    report = validate_necessity(f, uset, 2.0, trials=1, seed=0)
+    assert report.passed and report.member_count == 1 and report.worst_margin > 0.0
 
 
 def test_validate_necessity_kinked_model():
@@ -539,34 +534,63 @@ def test_validate_necessity_tie_face_kink():
 
 
 def test_validate_necessity_detects_violated_hypothesis():
-    # classifying with an inflated sigma breaks the necessity premise on purpose
-    report = validate_necessity(
-        reference_function(), reference_set(), 2.0, trials=200, seed=12, classify_sigma=50.0
-    )
+    # a set whose sigma is above the draw sigma breaks the necessity premise on purpose
+    report = validate_necessity(reference_function(), reference_set(sigma=50.0), 2.0, trials=200, seed=12)
     assert not report.passed
     assert report.falsification_count > 0
     assert 0 < len(report.falsification_details) <= 20
     detail = report.falsification_details[0]
     assert set(detail) == {"trial", "minimizer", "center", "sigma_u", "best_score"}
+    assert report.sigma == 2.0 and report.classify_sigma == 50.0
     assert report.worst_margin < 0.0
 
 
-def _report_from_trials(f, uset, sigma, trials, seed, classify_sigma=None):
+@settings(max_examples=40, deadline=None)
+@given(
+    draw_sigma=st.floats(0.2, 5.0),
+    factor=st.floats(1.0, 40.0, exclude_min=True),
+    radius=st.floats(0.02, 1.0),
+    finite=st.booleans(),
+    seed=st.integers(0, 2**64),
+)
+def test_report_margin_is_measured_against_the_set_sigma(draw_sigma, factor, radius, finite, seed):
+    # draws use the sigma argument, verdicts and margins the set's sigma; with no slack
+    # a trial is falsified exactly when its margin is negative
+    if finite:
+        region = FinitePointSet(points=[[0.0, 0.0], [radius, -radius], [-radius, 0.5 * radius]])
+    else:
+        region = Ball(center=[0.0, 0.0], radius=radius)
+    uset = UncertaintySet(region=region, sigma=draw_sigma * factor)
+    report = validate_necessity(reference_function(), uset, draw_sigma, trials=40, seed=seed, slack=0.0)
+    assert report.sigma == draw_sigma and report.classify_sigma == uset.sigma
+    falsified = report.worst_margin is not None and report.worst_margin < 0.0
+    assert falsified == (report.falsification_count > 0)
+
+
+def test_validate_necessity_huge_weight_warns_nothing():
+    # 2 w Q m near 1e160: the residual test compares magnitudes, so nothing overflows; the
+    # minimizer rounds onto m, which still reads as falsified (a separate, known limit)
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[0.5, 0.0], weight=1e160),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_necessity(f, reference_set(), 2.0, trials=10, seed=1)
+    assert report.trials == 10 and report.member_count + report.falsification_count == 10
+
+
+def _report_from_trials(f, uset, sigma, trials, seed):
     """A validation report built trial by trial: draw, solve and classify each sub-seed alone."""
     seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
-    sigma_c = sigma if classify_sigma is None else classify_sigma
-    classify_set = uset if classify_sigma is None else UncertaintySet(region=uset.region, sigma=classify_sigma)
     member = interior = 0
     details, margins = [], []
     for t, sub_seed in enumerate(seeds):
         unknown = sample_unknown(uset, sigma, int(sub_seed))
         minimizer = minimize_sum_iterative(f, unknown)
-        verdict = classify_point(f, minimizer, classify_set)
+        verdict = classify_point(f, minimizer, uset)
         if verdict.interior:
             interior += 1
             continue
         if verdict.best_score is not None:
-            margins.append(-sigma_c - verdict.best_score)
+            margins.append(-uset.sigma - verdict.best_score)
         if verdict.member:
             member += 1
         elif len(details) < 20:
@@ -581,7 +605,7 @@ def _report_from_trials(f, uset, sigma, trials, seed, classify_sigma=None):
             )
     return {
         "sigma": sigma,
-        "classify_sigma": sigma_c,
+        "classify_sigma": uset.sigma,
         "trials": trials,
         "member": member,
         "inside_set": interior,
@@ -595,11 +619,11 @@ def _report_from_trials(f, uset, sigma, trials, seed, classify_sigma=None):
 
 
 def _campaign(case):
-    """(f, uset, trials, classify_sigma) of a small campaign with a non-diagonal Q."""
+    """(f, uset, sigma, trials) of a small campaign with a non-diagonal Q: draws use sigma."""
     a = np.array([[1.0, 0.4], [0.4, 0.7]])
     f = KnownFunction(terms=(QuadraticTerm(Q=a @ a.T, m=[2.0, -0.5], weight=0.8),))
     uset = UncertaintySet(region=Ball(center=[0.1, -0.2], radius=0.3), sigma=1.5)
-    trials, classify_sigma = 300, None
+    trials = 300
     if case == "finite":
         uset = UncertaintySet(
             region=FinitePointSet(points=[[0.0, 0.0], [0.2, -0.1], [-0.3, 0.3]]), sigma=1.5
@@ -612,7 +636,8 @@ def _campaign(case):
         uset = UncertaintySet(region=Ball(center=[0.0], radius=0.1), sigma=1.0)
         trials = 50
     elif case == "falsified":
-        classify_sigma = 40.0
+        # classified against sigma 40 while drawn with 1.5
+        return f, replace(uset, sigma=40.0), 1.5, trials
     elif case in ("tie", "two_kinks"):
         # +-3e1 at (0.5, 0) leaves most minimizers on the tie face x1 = 0.5, off the kink point
         kinks = [Kink(point=[0.5, 0.0], generators=([3.0, 0.0], [-3.0, 0.0]))]
@@ -620,7 +645,7 @@ def _campaign(case):
             kinks.append(Kink(point=[0.0, 0.5], generators=([0.0, 3.0], [0.0, -3.0])))
         f = KnownFunction(terms=reference_function().terms, kinks=tuple(kinks))
         uset = reference_set(radius=0.5)
-    return f, uset, trials, classify_sigma
+    return f, uset, uset.sigma, trials
 
 
 CAMPAIGNS = ["ball", "finite", "kink", "falsified", "tie", "two_kinks"]
@@ -629,11 +654,9 @@ CAMPAIGNS = ["ball", "finite", "kink", "falsified", "tie", "two_kinks"]
 @pytest.mark.parametrize("case", CAMPAIGNS)
 def test_validate_necessity_equals_per_trial_loop(case):
     # the batched campaign reports exactly what classifying trial by trial does
-    f, uset, trials, classify_sigma = _campaign(case)
-    report = validate_necessity(
-        f, uset, uset.sigma, trials, seed=14, classify_sigma=classify_sigma
-    ).to_dict()
-    assert report == _report_from_trials(f, uset, uset.sigma, trials, 14, classify_sigma)
+    f, uset, sigma, trials = _campaign(case)
+    report = validate_necessity(f, uset, sigma, trials, seed=14).to_dict()
+    assert report == _report_from_trials(f, uset, sigma, trials, 14)
     if case == "falsified":
         assert report["falsifications"] > 0 and report["falsification_details"]
 
@@ -641,10 +664,10 @@ def test_validate_necessity_equals_per_trial_loop(case):
 @pytest.mark.parametrize("case", CAMPAIGNS)
 def test_validate_necessity_block_edges(case, monkeypatch):
     # blocks of 7 trials put block edges inside the campaign; the report must not move
-    f, uset, trials, classify_sigma = _campaign(case)
-    whole = validate_necessity(f, uset, uset.sigma, trials, seed=16, classify_sigma=classify_sigma)
+    f, uset, sigma, trials = _campaign(case)
+    whole = validate_necessity(f, uset, sigma, trials, seed=16)
     monkeypatch.setattr(oracle, "BLOCK_ROWS", 7)
-    blocked = validate_necessity(f, uset, uset.sigma, trials, seed=16, classify_sigma=classify_sigma)
+    blocked = validate_necessity(f, uset, sigma, trials, seed=16)
     assert blocked.to_dict() == whole.to_dict()
     if case == "falsified":
         assert len(whole.falsification_details) == 20  # the cap spans several blocks
