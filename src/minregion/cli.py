@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, TooManySupportsError
+from .errors import ConfigError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
 from .geometry import Ball, GridSpec
 from .membership import DEFAULT_SLACK, FinitePointSet, UncertaintySet, classify_point
@@ -320,8 +320,6 @@ def _cmd_validate(args) -> int:
         )
     except NonFiniteError as exc:
         raise ConfigError(f"{args.config}: minimizer of trial {exc.row}: {exc.reason}") from None
-    except TooManySupportsError as exc:
-        raise ConfigError(f"$.known_function.kinks: {exc}") from None
     payload = dict(report.to_dict(), config=config.raw)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.report is not None:

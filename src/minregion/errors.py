@@ -41,9 +41,5 @@ class NonFiniteError(ValueError):
         self.reason = reason
 
 
-class TooManySupportsError(ValueError):
-    """A model's kinks give the exact solver more generator subsets than it may try."""
-
-
 class ConvergenceError(RuntimeError):
     """Raised by nothing since every solve is exact; bench/tracing.py still catches it."""

@@ -217,8 +217,9 @@ def evaluate_general(
     threshold = -uset.sigma + float(slack)
     best_score = None
     best_witness = None
-    diff = x_star - candidates  # (M, n)
+    diff = x_star - candidates  # (M, n); a candidate at x_star itself has no direction, so it goes
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    candidates, diff, dist = candidates[dist > 0.0], diff[dist > 0.0], dist[dist > 0.0]
     units = diff / dist[:, None]
     for g in subdifferential(f, x_star):
         num = units @ g

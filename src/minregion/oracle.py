@@ -10,19 +10,16 @@ falsification and indicates a defect.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, TooManySupportsError
+from .errors import NonFiniteError
 from .funcmodel import KnownFunction, kink_index
 from .geometry import Ball, as_vector
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _raise_first, classify_points
 
 MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
-MAX_SUPPORT_COMBINATIONS = 200_000  # generator subsets _supports may try for one model
 # numpy SeedSequence's hash and mix constants (see _entropy_pool and _sub_seeds)
 _POOL_SIZE = 4
 _MASK_32 = 0xFFFFFFFF
@@ -239,7 +236,7 @@ def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
     Each kink adds its max-affine completion max_i <g_ki, x - p_k>, whose
     dual has one multiplier simplex per kink: with H (m, n) stacking the
     generators and c_ki = <g_ki, p_k>, lam minimizes
-    1/2 lam^T (H A^-1 H^T) lam - lam^T (H A^-1 b - c) (_multipliers), and
+    1/2 lam^T (H A^-1 H^T) lam - lam^T (H A^-1 b - c) (_kink_multipliers), and
     x = A^-1 b - A^-1 H^T lam, both parts from one stacked solve of
     A W = [H^T | b].  A smooth model has m = 0, so x is that solve's A^-1 b.
     A row at a kink by the classifier's own rule (kink_index) becomes that
@@ -254,8 +251,8 @@ def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
     if m:  # the dual step: x = A^-1 b - A^-1 H^T lam
         c = np.concatenate([np.stack(k.generators) @ k.point for k in f.kinks])
         G = np.einsum("ij,...jk->...ik", H, W[..., :m])
-        supports = _supports(H, [len(k.generators) for k in f.kinks])
-        lam = _multipliers(G, np.einsum("ij,...j->...i", H, x) - c, supports)
+        d = np.einsum("ij,...j->...i", H, x) - c
+        lam = _kink_multipliers(G, d, H, [len(k.generators) for k in f.kinks])
         x = x - np.einsum("...ij,...j->...i", W[..., :m], lam)
     at = kink_index(f, x.T)
     for j, k in enumerate(f.kinks):
@@ -298,71 +295,80 @@ def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return W
 
 
-def _supports(H: np.ndarray, sizes) -> list:
-    """The supports (S, E) that _multipliers tries, for generators H (m, n) in blocks of sizes.
-
-    S indexes H, taking at least one generator from every block and at most
-    n + K in all; E (|S|, K) marks the block of each index.  The
-    bordered matrix [[0, E^T], [E, H_S M H_S^T]] is singular, for any
-    positive definite M, exactly when some v != 0 has H_S^T v = 0 and
-    E^T v = 0.  That does not involve M, so the rank of [H_S, E] decides it
-    once from the generators; singular supports are dropped.  More than
-    MAX_SUPPORT_COMBINATIONS subsets to try raise TooManySupportsError
-    before any is tried.
-    """
-    n, K = H.shape[1], len(sizes)
-    count = math.prod(sum(math.comb(size, k) for k in range(1, min(size, n + 1) + 1)) for size in sizes)
-    if count > MAX_SUPPORT_COMBINATIONS:
-        raise TooManySupportsError(
-            f"{count} generator subsets to try, above the limit {MAX_SUPPORT_COMBINATIONS}"
-        )
-    choices = []
-    for lo, size in zip(np.cumsum([0, *sizes]), sizes):
-        rows = range(lo, lo + size)
-        choices.append([S for k in range(1, min(size, n + 1) + 1) for S in itertools.combinations(rows, k)])
-    supports = []
-    for parts in itertools.product(*choices):
-        S = np.array(sum(parts, ()))
-        if S.size > n + K:
-            continue
-        E = np.repeat(np.eye(K), [len(part) for part in parts], axis=0)
-        if np.linalg.matrix_rank(np.hstack([H[S], E])) == S.size:
-            supports.append((S, E))
-    return supports
-
-
-def _multipliers(G: np.ndarray, d: np.ndarray, supports) -> np.ndarray:
+def _kink_multipliers(G: np.ndarray, d: np.ndarray, H: np.ndarray, sizes) -> np.ndarray:
     """Rows lam_i minimizing 1/2 lam^T G_i lam - d_i^T lam over one simplex per block.
 
-    G (B, m, m) is positive semidefinite and supports is _supports of the
-    blocks.  Each support's bordered KKT system [[0, E^T], [E, G_SS]]
-    [mu; lam_S] = [1; d_S] is solved for the whole block with one stacked
-    np.linalg.solve; among the candidates with lam >= 0, the first with the
-    least objective wins.  Some optimum is a vertex of its face, whose
-    support is nonsingular, so it is among the candidates.  With the border
-    first, LU pivots on the E rows, so a block of one generator gets
-    lam = 1 exactly.  A row with no finite candidate (only from non-finite
-    input) is NaN.
+    G (B, m, m) is H M_i H^T (M_i positive definite) for generators H in
+    blocks of sizes.  Primal active set (Wolfe 1976) from each block's best
+    vertex, least 1/2 G_jj - d_j: a sweep groups open rows by working set S
+    and stacks their solves of [[0, E^T], [E, G_SS]] [mu; lam_S] = [1; d_S],
+    E marking blocks (border first: a one-index block gets lam = 1 exactly).
+    A candidate with a negative entry is approached until an index blocks
+    (_step); else it is lam, and the least price r_j + mu_block(j), r =
+    G lam - d, enters if below -1e-12 max(1, max |d|).  If [H_S / max |H| | E]
+    then has a singular value at most 1e-6 of its largest (G_SS squares it),
+    the step follows its null direction, which keeps H^T lam.  lam is the
+    solve of the final S, with the bits of a one-row call; a non-finite row
+    ends NaN, and a row open after 10 (m + 1) sweeps raises ArithmeticError.
     """
-    B, m = d.shape
-    best = np.full(B, np.inf)
-    lam = np.full((B, m), np.nan)
-    for S, E in supports:
-        s, K = E.shape
-        kkt = np.zeros((B, K + s, K + s))
-        kkt[:, :K, K:] = E.T
-        kkt[:, K:, :K] = E
-        kkt[:, K:, K:] = G[:, S[:, None], S]
-        rhs = np.ones((B, K + s))
-        rhs[:, K:] = d[:, S]
-        cand = np.linalg.solve(kkt, rhs[..., None])[:, K:, 0]
-        quadratic = np.vecdot(cand, np.einsum("...ij,...j->...i", kkt[:, K:, K:], cand))
-        value = 0.5 * quadratic - np.vecdot(rhs[:, K:], cand)
-        rows = np.flatnonzero(np.all(cand >= 0.0, axis=1) & (value < best))
-        best[rows] = value[rows]
-        lam[rows] = 0.0
-        lam[rows[:, None], S] = cand[rows]
-    return lam
+    B, m, K = *d.shape, len(sizes)
+    border = np.repeat(np.eye(K), sizes, axis=0)  # row j marks the block of generator j
+    vertex = 0.5 * np.diagonal(G, axis1=1, axis2=2) - d
+    work = np.zeros((B, m), dtype=bool)
+    for lo, size in zip(np.cumsum([0, *sizes]), sizes):
+        work[np.arange(B), lo + np.argmin(vertex[:, lo : lo + size], axis=1)] = True
+    lam = work.astype(float)
+    tol = 1e-12 * np.maximum(1.0, np.abs(d).max(axis=1))
+    null_directions = {}  # (S, j) -> (S + j, v), v None when those rows of [H | E] are independent
+    done = np.zeros(B, dtype=bool)
+    for _ in range(10 * (m + 1)):
+        rows_open = np.flatnonzero(~done)
+        while rows_open.size:  # one group of rows per working set
+            same = (work[rows_open] == work[rows_open[0]]).all(axis=1)
+            rows, rows_open = rows_open[same], rows_open[~same]
+            S = np.flatnonzero(work[rows[0]])
+            kkt = np.zeros((rows.size, K + S.size, K + S.size))
+            kkt[:, :K, K:] = border[S].T
+            kkt[:, K:, :K] = border[S]
+            kkt[:, K:, K:] = G[rows[:, None, None], S[:, None], S]
+            rhs = np.concatenate([np.ones((rows.size, K)), d[rows[:, None], S]], axis=1)
+            mu, cand = np.split(np.linalg.solve(kkt, rhs[..., None])[..., 0], [K], axis=1)
+            short = (cand < 0.0).any(axis=1)
+            _step(lam, work, rows[short], S, cand[short] - lam[rows[short, None], S])
+            rows, mu, cand = rows[~short], mu[~short], cand[~short]
+            lam[rows] = 0.0
+            lam[rows[:, None], S] = cand
+            price = np.einsum("bsj,bs->bj", G[rows[:, None], :, S], cand) - d[rows] + mu @ border.T
+            price[:, S] = np.inf
+            j = np.argmin(price, axis=1)
+            enter = price[np.arange(rows.size), j] < -tol[rows]  # a NaN row is done
+            for entering in np.unique(j[enter]):
+                key = (S.tobytes(), entering)
+                if key not in null_directions:
+                    T = np.sort(np.append(S, entering))
+                    U, singular, _ = np.linalg.svd(np.hstack([H[T] / (np.abs(H).max() or 1.0), border[T]]))
+                    dependent = T.size > singular.size or singular[-1] <= 1e-6 * singular[0]
+                    null_directions[key] = T, (U[:, -1] / U[T == entering, -1]) if dependent else None
+                T, v = null_directions[key]
+                moving = rows[enter & (j == entering)]
+                work[moving, entering] = True
+                if v is not None:
+                    _step(lam, work, moving, T, v)
+            done[rows[~enter]] = True
+        if done.all():
+            return lam
+    raise ArithmeticError(f"row {np.argmin(done)}: kink multipliers open after {10 * (m + 1)} sweeps")
+
+
+def _step(lam: np.ndarray, work: np.ndarray, rows: np.ndarray, T: np.ndarray, P: np.ndarray) -> None:
+    """Move lam[rows, T] along P until an entry is 0; the first to be set to 0 leaves work."""
+    now = lam[rows[:, None], T]
+    ratio = np.divide(now, -P, out=np.full(now.shape, np.inf), where=P < 0.0)
+    first = np.argmin(ratio, axis=1)
+    now += ratio.min(axis=1, keepdims=True) * P
+    now[np.arange(rows.size), first] = 0.0
+    lam[rows[:, None], T] = now
+    work[rows, T[first]] = False
 
 
 def validate_necessity(
@@ -382,12 +388,12 @@ def validate_necessity(
     classify_sigma and the threshold of worst_margin.  A uset.sigma above
     sigma knowingly violates the hypothesis, so falsifications are expected;
     that shows the campaign has teeth.  Sub-seeds derive from the master
-    seed one block of BLOCK_ROWS // n trials at a time (_entropy_pool,
-    _sub_seeds), so memory stays near BLOCK_ROWS * n floats; the block is
-    drawn, solved (_minimize_block) and classified together, and the report
-    equals the one built from each sub-seed alone (sample_unknown,
-    minimize_sum, classify_point).  A NonFiniteError carries the trial
-    index; a model over the support cap raises TooManySupportsError.
+    seed one block of BLOCK_ROWS // max(n, m) trials at a time, m the
+    number of kink generators (_entropy_pool, _sub_seeds), so memory stays
+    near BLOCK_ROWS * max(n, m) floats; the block is drawn, solved
+    (_minimize_block) and classified together, and the report equals the
+    one built from each sub-seed alone (sample_unknown, minimize_sum,
+    classify_point).  A NonFiniteError carries the trial index.
     """
     trials = int(trials)
     if trials < 1:
@@ -397,7 +403,7 @@ def validate_necessity(
     interior_count = 0
     falsifications = []
     worst_margin = None
-    block = max(1, BLOCK_ROWS // f.dimension)  # a stacked solve holds block * n^2 floats
+    block = max(1, BLOCK_ROWS // max(f.dimension, sum(len(k.generators) for k in f.kinks)))
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         centers, sigma_u = _draw_unknowns(uset, sigma, _sub_seeds(pool, start, stop))

@@ -569,9 +569,10 @@ def test_ball_contains_agrees_with_kernel_on_a_boundary_point():
     f = reference_function()
     assert not uset.region.contains(x)
     assert not classify_point(f, x, uset).interior
-    # x is outside by a hair, so its visible cap shrinks to x itself (a 0/0 candidate)
-    with np.errstate(invalid="ignore"):
-        evaluate_general(f, x, uset, boundary_samples=64)
+    # x is outside by a hair, so its visible cap shrinks to x itself, which has no direction
+    # and is dropped: no candidate is left, so the verdict is non-member with no score
+    verdict = evaluate_general(f, x, uset, boundary_samples=64)
+    assert not verdict.member and verdict.best_score is None and verdict.witness is None
 
 
 @st.composite

@@ -25,12 +25,11 @@ from minregion.oracle import (
     sample_unknown,
     validate_necessity,
     _draw_unknowns,
+    _kink_multipliers,
     _minimize_block,
-    _multipliers,
     _normal_equations,
     _solve_normal_equations,
     _sub_seeds,
-    _supports,
 )
 
 
@@ -190,13 +189,13 @@ def test_iterative_single_kink_is_minimal():
 
 
 def _hull_project(z, gens):
-    """Euclidean projection of z onto the hull of gens, by _multipliers.
+    """Euclidean projection of z onto the hull of gens, by _kink_multipliers.
 
     Minimizing 1/2 ||V^T lam - z||^2 over the simplex is the one-kink case
     with Gram matrix V V^T and linear term V z.
     """
     V = np.stack(gens)
-    lam = _multipliers((V @ V.T)[None], (V @ z)[None], _supports(V, [len(V)]))[0]
+    lam = _kink_multipliers((V @ V.T)[None], (V @ z)[None], V, [len(V)])[0]
     assert np.all(lam >= 0.0) and abs(float(lam.sum()) - 1.0) <= 1e-12
     return lam @ V
 
@@ -270,6 +269,53 @@ def test_hull_project_property():
         assert float(np.max((gens - p) @ (z - p))) <= 1e-9 * scale
         inside = rng.dirichlet(np.ones(k)) @ gens
         assert np.allclose(_hull_project(inside, tuple(gens)), inside, rtol=0.0, atol=1e-9 * np.sqrt(scale))
+
+
+@st.composite
+def kink_duals(draw):
+    """(G, d, H, sizes): 16 rows of a kink dual over 1-4 blocks of 1-8 generators in 1-3-D.
+
+    Generators are random, zero, +-scaled axes or duplicates of an earlier
+    one; each row has its own positive definite M in G = H M H^T.
+    """
+    n = draw(st.integers(1, 3))
+    kinds = st.lists(st.sampled_from(["random", "zero", "axis", "duplicate"]), min_size=1, max_size=8)
+    blocks = draw(st.lists(kinds, min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = []
+    for kind in (kind for block in blocks for kind in block):
+        if kind == "duplicate" and H:
+            H.append(H[int(rng.integers(len(H)))])
+        elif kind == "axis":
+            H.append(np.eye(n)[int(rng.integers(n))] * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 4.0))
+        elif kind == "zero":
+            H.append(np.zeros(n))
+        else:
+            H.append(rng.standard_normal(n) * rng.uniform(0.5, 4.0))
+    H = np.array(H)
+    a = rng.standard_normal((16, n, n))
+    M = np.linalg.inv(a @ a.transpose(0, 2, 1) + rng.uniform(0.05, 2.0) * np.eye(n))
+    d = rng.standard_normal((16, H.shape[0])) * rng.uniform(0.1, 10.0)
+    return np.einsum("ij,...jk->...ik", H, M @ H.T), d, H, [len(block) for block in blocks]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kink_duals())
+def test_kink_multipliers_meet_kkt_alone_and_in_blocks(case):
+    # every row is optimal by the KKT certificate: lam >= 0, each block sums to 1, and
+    # within a block no price r_j = (G lam - d)_j is below the prices on the support;
+    # a row has the same bits solved alone as in its block
+    G, d, H, sizes = case
+    lam = _kink_multipliers(G, d, H, sizes)
+    r = np.einsum("bij,bj->bi", G, lam) - d
+    tol = 1e-9 * max(1.0, float(np.abs(d).max()), float(np.abs(G).max()))
+    for lo, hi in itertools.pairwise(np.cumsum([0, *sizes])):
+        assert np.all(lam[:, lo:hi] >= 0.0)
+        assert np.all(np.abs(lam[:, lo:hi].sum(axis=1) - 1.0) <= 1e-12)
+        support_price = np.where(lam[:, lo:hi] > 0.0, r[:, lo:hi], -np.inf).max(axis=1)
+        assert np.all(r[:, lo:hi].min(axis=1) >= support_price - tol)
+    for i in range(G.shape[0]):
+        assert np.array_equal(_kink_multipliers(G[i : i + 1], d[i : i + 1], H, sizes)[0], lam[i])
 
 
 FROZEN_A = np.array([[1.0, 0.4, -0.2], [0.3, 0.9, 0.5], [-0.1, 0.2, 1.1]])
@@ -533,6 +579,20 @@ def test_validate_necessity_tie_face_kink():
     assert report.trials == 200 and report.falsification_count == 0
 
 
+def test_validate_necessity_near_duplicate_generators():
+    # (0, 3) and (1e-9, 3) in one kink make a support whose bordered system is singular in
+    # floats; the solve takes the pair as dependent and never puts both in a working set
+    f = KnownFunction(
+        terms=reference_function().terms,
+        kinks=(
+            Kink(point=[0.5, 0.0], generators=([3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [1e-9, 3.0])),
+            Kink(point=[0.0, 0.5], generators=([0.0, 3.0], [0.0, -3.0])),
+        ),
+    )
+    report = validate_necessity(f, reference_set(radius=0.5), 2.0, trials=2000, seed=0)
+    assert report.passed and report.interior_count > 0
+
+
 def test_validate_necessity_detects_violated_hypothesis():
     # a set whose sigma is above the draw sigma breaks the necessity premise on purpose
     report = validate_necessity(reference_function(), reference_set(sigma=50.0), 2.0, trials=200, seed=12)
@@ -686,6 +746,21 @@ def test_validate_memory_is_bounded_in_dimension():
     finally:
         tracemalloc.stop()
     assert report.passed
+    assert peak < 16 * 2**20
+
+
+def test_validate_memory_is_bounded_in_generators():
+    # blocks shrink as the generator count m grows, so the (block, m, m) dual matrices stay
+    # near BLOCK_ROWS * m floats; one block of all 300 trials would peak near 35 MB here
+    rng = np.random.default_rng(3)
+    kinks = tuple(Kink(point=p, generators=tuple(rng.standard_normal((60, 2)))) for p in np.eye(2) / 2)
+    f = KnownFunction(terms=reference_function().terms, kinks=kinks)
+    tracemalloc.start()
+    try:
+        validate_necessity(f, reference_set(), 2.0, trials=300, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 16 * 2**20
 
 
