@@ -1,7 +1,8 @@
 """Command-line interface: check one point, scan a grid, or validate by sampling.
 
 Exit codes: 0 = member / success, 1 = negative result (non-member verdict or
-a validation campaign with falsifications), 2 = usage or configuration error.
+a campaign with falsifications), 2 = usage or configuration error, or a model
+that float64 cannot solve (validate names the trial: "minimizer of trial i").
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ def _positive_number(value, path: str) -> float:
     return _number(value, path, 0.0, strict=True)
 
 
-def _as_vector_field(value, path: str) -> list:
+def _as_vector_field(value, path: str, dimension: int | None = None) -> list:
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty list of numbers")
+    if dimension is not None and len(value) != dimension:
+        _fail(path, f"dimension mismatch: expected {dimension} numbers, got {len(value)}")
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
@@ -82,10 +85,7 @@ def _as_matrix_field(value, path: str) -> list:
         if n * n != len(flat):
             _fail(path, f"flat matrix of length {len(flat)} is not square")
         return [flat[i * n : (i + 1) * n] for i in range(n)]
-    rows = [_as_vector_field(row, f"{path}[{i}]") for i, row in enumerate(value)]
-    if any(len(row) != len(rows) for row in rows):
-        _fail(path, "matrix rows must form a square matrix")
-    return rows
+    return [_as_vector_field(row, f"{path}[{i}]", len(value)) for i, row in enumerate(value)]
 
 
 def _build(path: str, cls, **fields):
@@ -138,7 +138,7 @@ def _parse_known_function(doc: dict) -> KnownFunction:
             _build(
                 path,
                 Kink,
-                point=_as_vector_field(_require(kink, "point", path), f"{path}.point"),
+                point=_as_vector_field(_require(kink, "point", path), f"{path}.point", terms[0].dimension),
                 generators=tuple(
                     _as_vector_field(g, f"{path}.generators[{j}]") for j, g in enumerate(gens_doc)
                 ),
@@ -147,7 +147,7 @@ def _parse_known_function(doc: dict) -> KnownFunction:
     return _build("$.known_function", KnownFunction, terms=tuple(terms), kinks=tuple(kinks))
 
 
-def _parse_uncertainty(doc: dict, sigma: float) -> UncertaintySet:
+def _parse_uncertainty(doc: dict, sigma: float, n: int) -> UncertaintySet:
     spec = _require(doc, "uncertainty", "$")
     if not isinstance(spec, dict):
         _fail("$.uncertainty", "expected an object")
@@ -156,7 +156,7 @@ def _parse_uncertainty(doc: dict, sigma: float) -> UncertaintySet:
         region = _build(
             "$.uncertainty",
             Ball,
-            center=_as_vector_field(_require(spec, "center", "$.uncertainty"), "$.uncertainty.center"),
+            center=_as_vector_field(_require(spec, "center", "$.uncertainty"), "$.uncertainty.center", n),
             radius=_positive_number(_require(spec, "radius", "$.uncertainty"), "$.uncertainty.radius"),
         )
     elif kind == "points":
@@ -166,14 +166,14 @@ def _parse_uncertainty(doc: dict, sigma: float) -> UncertaintySet:
         region = _build(
             "$.uncertainty",
             FinitePointSet,
-            points=[_as_vector_field(p, f"$.uncertainty.points[{i}]") for i, p in enumerate(pts)],
+            points=[_as_vector_field(p, f"$.uncertainty.points[{i}]", n) for i, p in enumerate(pts)],
         )
     else:
         _fail("$.uncertainty.type", f"expected 'ball' or 'points', got {kind!r}")
     return _build("$.uncertainty", UncertaintySet, region=region, sigma=sigma)
 
 
-def _parse_grid(doc: dict) -> GridSpec | None:
+def _parse_grid(doc: dict, n: int) -> GridSpec | None:
     if "grid" not in doc:
         return None
     spec = doc["grid"]
@@ -187,8 +187,8 @@ def _parse_grid(doc: dict) -> GridSpec | None:
     grid = _build(
         "$.grid",
         GridSpec,
-        lower=_as_vector_field(_require(spec, "lower", "$.grid"), "$.grid.lower"),
-        upper=_as_vector_field(_require(spec, "upper", "$.grid"), "$.grid.upper"),
+        lower=_as_vector_field(_require(spec, "lower", "$.grid"), "$.grid.lower", n),
+        upper=_as_vector_field(_require(spec, "upper", "$.grid"), "$.grid.upper", n),
         counts=tuple(counts),
     )
     if math.prod(grid.counts) > np.iinfo(np.intp).max:
@@ -211,13 +211,9 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError(f"{path}: top level must be an object")
     sigma = _positive_number(_require(doc, "sigma", "$"), "$.sigma")
     f = _parse_known_function(doc)
-    uset = _parse_uncertainty(doc, sigma)
-    grid = _parse_grid(doc)
+    uset = _parse_uncertainty(doc, sigma, f.dimension)
+    grid = _parse_grid(doc, f.dimension)
     slack = _number(doc.get("slack", DEFAULT_SLACK), "$.slack", 0.0)
-    if f.dimension != uset.dimension:
-        _fail("$", f"known_function is {f.dimension}-D but uncertainty is {uset.dimension}-D")
-    if grid is not None and grid.dimension != f.dimension:
-        _fail("$.grid", f"grid is {grid.dimension}-D but the problem is {f.dimension}-D")
     return ProblemConfig(known_function=f, uncertainty=uset, grid=grid, slack=slack, raw=doc)
 
 
@@ -381,10 +377,7 @@ def main(argv=None) -> int:
     handlers = {"check": _cmd_check, "scan": _cmd_scan, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,9 +30,9 @@ class ConfigError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A query point, or a gradient or score computed from it, is not finite.
+    """A row cannot be computed in floats: a non-finite point, gradient or score, or a failed solve.
 
-    row is the offending row of the batch that was classified.
+    row is the offending row of the batch that was classified or solved.
     """
 
     def __init__(self, row: int, reason: str):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .geometry import as_vector
+from .geometry import _column_dot, as_vector
 
 SYMMETRY_ATOL = 1e-12  # max allowed |Q - Q^T| entrywise
 PSD_EIG_TOL = -1e-10  # eigenvalues may dip this far below zero
@@ -153,14 +153,13 @@ def gradient(f: KnownFunction, x) -> np.ndarray:
     """Gradient of the quadratic part, sum_i 2 w_i Q_i (x - m_i).
 
     x is one point or an (N, n) array of points; at a registered kink this
-    is the smooth part only (subdifferential gives the whole set).  The sum
-    runs over the coordinate columns d_j = x[..., j] - m_j, left to right:
-    component i of a term is 2 w (d_0 Q_i0 + d_1 Q_i1 + ...).  Each point is
-    therefore summed on its own, in the same order, and gets the same bits
-    alone or in a batch; a BLAS product rounds a single row (gemv) and a
-    block of rows (gemm) differently.  For x = C.T with C an (n, N)
-    C-contiguous column block, the result is the transpose of an (n, N)
-    C-contiguous block too, so a column-major caller copies nothing.
+    is the smooth part only (subdifferential gives the whole set).
+    Component i of a term is 2 w _column_dot(d, Q_i) over the coordinate
+    columns d_j = x[..., j] - m_j, so a point gets the same bits alone or in
+    a batch, which a BLAS product (gemv for a row, gemm for a block) does
+    not.  For x = C.T with C an (n, N) C-contiguous column block, the result
+    is the transpose of an (n, N) C-contiguous block too, so a column-major
+    caller copies nothing.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != f.dimension:
@@ -173,10 +172,7 @@ def gradient(f: KnownFunction, x) -> np.ndarray:
         scale = 2.0 * t.weight
         d = [c - m for c, m in zip(cols, t.m)]
         for i, q in enumerate(t.Q):
-            s = d[0] * q[0]
-            for dj, qj in zip(d[1:], q[1:]):
-                s += dj * qj
-            total[i] += scale * s
+            total[i] += scale * _column_dot(d, q)
     return np.moveaxis(total, 0, -1)
 
 

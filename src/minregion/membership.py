@@ -256,9 +256,9 @@ class RowVerdicts:
 
 
 def _raise_first(bad: np.ndarray, reason: str, rows=None):
-    """Raise NonFiniteError for the first True of bad, naming it rows[i] (default i)."""
+    """Raise NonFiniteError for the first row i of bad (N, ...) with a True, naming rows[i] (default i)."""
     if bad.any():
-        first = int(np.argmax(bad))
+        first = int(np.argmax(bad)) // (bad.size // len(bad))
         raise NonFiniteError(first if rows is None else int(rows[first]), reason)
 
 

@@ -276,23 +276,33 @@ def _normal_equations(f: KnownFunction, sigma_u, centers) -> tuple:
 
 
 def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """W_i with A_i W_i = rhs_i, for rhs (..., n, k), from one stacked LAPACK solve.
+    """W_i with A_i W_i = rhs_i, for A (B, n, n) and rhs (B, n, k), from one stacked solve (_solve).
 
-    A row whose solution is not finite raises NonFiniteError naming it; a
-    residual entry above 1e-10 max(1, max |rhs column|), or a NaN one,
-    raises ArithmeticError.  Nothing is squared, so the test cannot overflow.
+    NonFiniteError names the first row that is singular in floats (_solve),
+    whose solution is not finite, or whose residual |A W - rhs| is NaN or
+    exceeds 1e-10 (|rhs| + |A| |W|) in an entry: the componentwise backward
+    error of an LU solve (Oettli-Prager), large when a large weight meets a
+    rank-deficient Q.  Both sides are summed per coordinate into C-order
+    arrays, since mixed layouts slow every pass, and nothing is squared.
     """
-    W = np.linalg.solve(A, rhs)
-    _raise_first(~np.isfinite(W).all(axis=(-2, -1)), "coordinates are not finite")
-    scale = np.abs(rhs[..., 0, :])  # column maxima, one elementwise pass per coordinate
-    for i in range(1, A.shape[-1]):
-        np.maximum(scale, np.abs(rhs[..., i, :]), out=scale)
-    residual = np.abs(A @ W - rhs)
-    poor = ~(residual <= 1e-10 * np.maximum(1.0, scale)[..., None, :])  # a NaN residual is poor
-    if poor.any():
-        i = int(np.argmax(poor.any(axis=(-2, -1))))
-        raise ArithmeticError(f"row {i}: normal equations solved poorly (residual {residual[i].max()})")
+    W = _solve(A, rhs, "normal equations are singular")
+    _raise_first(~np.isfinite(W), "coordinates are not finite")
+    residual, bound, term = np.negative(rhs, order="C"), np.abs(rhs, order="C"), np.empty(rhs.shape)
+    for j in range(A.shape[-1]):  # add A[:, j] W[j, :] and its absolute value
+        np.multiply(A[..., :, j, None], W[..., j, None, :], out=term)
+        residual += term
+        bound += np.abs(term, out=term)
+    _raise_first(~(np.abs(residual) <= 1e-10 * bound), "normal equations solved poorly")  # NaN fails
     return W
+
+
+def _solve(A: np.ndarray, rhs: np.ndarray, reason: str, rows=None) -> np.ndarray:
+    """np.linalg.solve(A, rhs); an A_i singular in floats raises NonFiniteError naming i (or rows[i])."""
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:  # an exactly zero LU pivot, which is where slogdet's sign is 0
+        _raise_first(np.linalg.slogdet(A)[0] == 0.0, reason, rows)
+        raise
 
 
 def _kink_multipliers(G: np.ndarray, d: np.ndarray, H: np.ndarray, sizes) -> np.ndarray:
@@ -309,7 +319,8 @@ def _kink_multipliers(G: np.ndarray, d: np.ndarray, H: np.ndarray, sizes) -> np.
     then has a singular value at most 1e-6 of its largest (G_SS squares it),
     the step follows its null direction, which keeps H^T lam.  lam is the
     solve of the final S, with the bits of a one-row call; a non-finite row
-    ends NaN, and a row open after 10 (m + 1) sweeps raises ArithmeticError.
+    ends NaN.  A singular KKT system (_solve), or a row open after 10 (m + 1)
+    sweeps, raises NonFiniteError naming the row.
     """
     B, m, K = *d.shape, len(sizes)
     border = np.repeat(np.eye(K), sizes, axis=0)  # row j marks the block of generator j
@@ -331,8 +342,8 @@ def _kink_multipliers(G: np.ndarray, d: np.ndarray, H: np.ndarray, sizes) -> np.
             kkt[:, :K, K:] = border[S].T
             kkt[:, K:, :K] = border[S]
             kkt[:, K:, K:] = G[rows[:, None, None], S[:, None], S]
-            rhs = np.concatenate([np.ones((rows.size, K)), d[rows[:, None], S]], axis=1)
-            mu, cand = np.split(np.linalg.solve(kkt, rhs[..., None])[..., 0], [K], axis=1)
+            rhs = np.concatenate([np.ones((rows.size, K)), d[rows[:, None], S]], axis=1)[..., None]
+            mu, cand = np.split(_solve(kkt, rhs, "kink dual is singular", rows)[..., 0], [K], axis=1)
             short = (cand < 0.0).any(axis=1)
             _step(lam, work, rows[short], S, cand[short] - lam[rows[short, None], S])
             rows, mu, cand = rows[~short], mu[~short], cand[~short]
@@ -357,7 +368,7 @@ def _kink_multipliers(G: np.ndarray, d: np.ndarray, H: np.ndarray, sizes) -> np.
             done[rows[~enter]] = True
         if done.all():
             return lam
-    raise ArithmeticError(f"row {np.argmin(done)}: kink multipliers open after {10 * (m + 1)} sweeps")
+    _raise_first(~done, f"kink multipliers open after {10 * (m + 1)} sweeps")  # some row is open
 
 
 def _step(lam: np.ndarray, work: np.ndarray, rows: np.ndarray, T: np.ndarray, P: np.ndarray) -> None:

@@ -352,6 +352,122 @@ def test_config_shape_errors_are_usage_errors(tmp_path, capsys, keys, value, mes
     assert captured.err.startswith(f"error: {message}") and captured.out == ""
 
 
+_REMOVED = object()
+_TERM = ("known_function", "terms", 0)
+
+
+def _edited(keys, value):
+    """REFERENCE with the field at keys set to value, or removed when value is _REMOVED."""
+
+    def edit(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        if value is _REMOVED:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, argv, message",
+    [
+        (_edited(("sigma",), _REMOVED), (), "$.sigma: missing required field"),
+        (_edited(("uncertainty", "center"), 5), (), "$.uncertainty.center: expected a nonempty list of numbers"),
+        (_edited((*_TERM, "Q"), 5), (),
+         "$.known_function.terms[0].Q: expected a matrix as a list of rows (or a flat row-major list)"),
+        (_edited((*_TERM, "Q"), [1.0, 0.0, 0.0]), (), "$.known_function.terms[0].Q: flat matrix of length 3 is not square"),
+        (_edited((*_TERM, "Q"), [[1.0, 0.0], [0.0]]), (),
+         "$.known_function.terms[0].Q[1]: dimension mismatch: expected 2 numbers, got 1"),
+        (_edited((*_TERM, "Q"), [[1.0, 1.0], [0.0, 1.0]]), (), "$.known_function.terms[0]: Q must be symmetric to within 1e-12"),
+        (_edited((*_TERM, "Q"), [[1.0, 0.0], [0.0, -1.0]]), (),
+         "$.known_function.terms[0]: Q must be positive semidefinite (eigenvalues >= -1e-10)"),
+        (_edited(("known_function",), []), (), "$.known_function: expected an object"),
+        (_edited(("known_function", "terms"), [5]), (), "$.known_function.terms[0]: expected an object with Q, m, weight"),
+        (_edited(("known_function", "kinks"), [5]), (),
+         "$.known_function.kinks[0]: expected an object with point and generators"),
+        (_edited(("known_function", "kinks"), [{"point": [0.5, 0.0], "generators": []}]), (),
+         "$.known_function.kinks[0].generators: expected a nonempty list of vectors"),
+        (_edited(("known_function", "kinks"), [{"point": [0.5, 0.0, 0.0], "generators": [[1.0, 0.0]]}]), (),
+         "$.known_function.kinks[0].point: dimension mismatch: expected 2 numbers, got 3"),
+        (_edited(("uncertainty",), 5), (), "$.uncertainty: expected an object"),
+        (_edited(("uncertainty",), {"type": "points", "points": []}), (),
+         "$.uncertainty.points: expected a nonempty list of vectors"),
+        (_edited(("uncertainty",), {"type": "points", "points": [[0.0, 0.0], [1.0]]}), (),
+         "$.uncertainty.points[1]: dimension mismatch: expected 2 numbers, got 1"),
+        (_edited(("uncertainty", "center"), [0.0, 0.0, 0.0]), (),
+         "$.uncertainty.center: dimension mismatch: expected 2 numbers, got 3"),
+        (_edited(("uncertainty", "type"), "hull"), (), "$.uncertainty.type: expected 'ball' or 'points', got 'hull'"),
+        (_edited(("grid",), 5), (), "$.grid: expected an object with lower, upper, counts"),
+        (_edited(("grid", "counts"), [1.5, 2]), (), "$.grid.counts: expected a list of integers"),
+        (_edited(("grid", "counts"), [1, 5]), (), "$.grid: grid needs at least 2 samples per axis"),
+        (_edited(("grid", "lower"), [3.0, -2.0]), (), "$.grid: grid needs lower < upper on every axis"),
+        (_edited(("grid", "lower"), [-1.0, -2.0, 0.0]), (), "$.grid.lower: dimension mismatch: expected 2 numbers, got 3"),
+        (lambda doc: [doc], (), "{config}: top level must be an object"),
+        (lambda doc: doc, ("scan", "-o", "{tmp}/missing/m.csv"),
+         "[Errno 2] No such file or directory: '{tmp}/missing/m.csv'"),
+    ],
+    ids=[
+        "missing-sigma", "center-not-a-list", "Q-not-a-list", "flat-Q-not-square", "ragged-Q", "Q-not-symmetric",
+        "Q-not-psd", "known-function-not-an-object", "term-not-an-object", "kink-not-an-object", "no-generators",
+        "3d-kink-point", "uncertainty-not-an-object", "no-points", "ragged-points", "3d-center", "unknown-set-type",
+        "grid-not-an-object", "float-counts", "one-count", "lower-above-upper", "3d-grid", "top-level-list",
+        "scan-into-missing-directory",
+    ],
+)
+def test_config_and_output_errors_exit_2_with_one_line(tmp_path, capsys, edit, argv, message):
+    # every malformed config, and an output path that cannot be opened, exits 2 with
+    # exactly one stderr line naming the field (or file) and prints nothing else
+    config = write_config(tmp_path, edit(json.loads(json.dumps(REFERENCE))))
+    command, *rest = argv or ("check", "1.0,0.0")
+    if command == "check":
+        rest = ["--", *rest]
+    assert main([command, config, *(a.format(tmp=tmp_path) for a in rest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(config=config, tmp=tmp_path)}\n"
+    assert captured.out == ""
+
+
+def ill_conditioned_model(weight, kinked):
+    """The rank-deficient bowl weight * (x1 + x2)^2, optionally with kink2's +-3e1/+-3e2 at (0.5, 0)."""
+    kinks = [{"point": [0.5, 0.0], "generators": [[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -3.0]]}]
+    return {
+        "known_function": {
+            "terms": [{"Q": [[1.0, 1.0], [1.0, 1.0]], "m": [0.0, 0.0], "weight": weight}],
+            "kinks": kinks if kinked else [],
+        },
+        "uncertainty": {"type": "ball", "center": [0.5, -0.3], "radius": 0.1},
+        "sigma": 2.0,
+    }
+
+
+@pytest.mark.parametrize("kinked", [False, True], ids=["smooth", "kinked"])
+@pytest.mark.parametrize("weight", [1e6, 1e14])
+def test_large_weight_on_a_rank_deficient_term_validates(tmp_path, capsys, weight, kinked):
+    # these used to stop on "normal equations solved poorly": the residual test was
+    # scaled by |rhs|, not by the backward error |A| |W| of the solve
+    config = write_config(tmp_path, ill_conditioned_model(weight, kinked))
+    trials = 2000 if kinked else 5000
+    assert main(["validate", config, "--trials", str(trials), "--seed", "1", "--report", str(tmp_path / "r.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith(f"trials={trials} member={trials} inside_set=0 falsifications=0\n")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("kinked", [False, True], ids=["smooth", "kinked"])
+def test_singular_normal_equations_name_the_trial(tmp_path, capsys, kinked):
+    # at weight 1e17, sigma_u vanishes in 2e17 + sigma_u, so every trial's system is
+    # singular: exit 2 naming trial 0, where LinAlgError used to escape as a traceback
+    config = write_config(tmp_path, ill_conditioned_model(1e17, kinked))
+    assert main(["validate", config, "--trials", "2000", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}: minimizer of trial 0: normal equations are singular\n"
+
+
 def test_scan_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
     from minregion import scanner
 

@@ -685,6 +685,33 @@ def test_ball_and_general_routes_agree():
     assert checked > 40
 
 
+@st.composite
+def outside_3d_balls(draw):
+    """A random 3-D quadratic model, ball and sigma, and a query point outside the ball."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((3, 3))
+    f = KnownFunction(terms=(QuadraticTerm(Q=a.T @ a + 0.3 * np.eye(3), m=rng.uniform(-2, 2, 3)),))
+    center, radius = rng.uniform(-1.0, 1.0, 3), float(rng.uniform(0.1, 0.5))
+    uset = UncertaintySet(region=Ball(center=center, radius=radius), sigma=float(rng.uniform(0.5, 3.0)))
+    direction = rng.standard_normal(3)
+    x = center + rng.uniform(1.01 * radius, radius + 2.5) * direction / np.linalg.norm(direction)
+    return f, x, uset
+
+
+@settings(max_examples=60, deadline=None)
+@given(outside_3d_balls())
+def test_evaluate_general_sphere_samples_never_beat_the_exact_score(problem):
+    # in 3-D evaluate_general samples the sphere and keeps the visible cap; a
+    # sample can only approach the exact infimum from above, and so a sampled
+    # member is an exact member
+    f, x, uset = problem
+    exact = classify_point(f, x, uset)
+    sampled = evaluate_general(f, x, uset, boundary_samples=4000)
+    if sampled.best_score is not None:
+        assert sampled.best_score >= exact.best_score - 1e-9 * max(1.0, abs(exact.best_score))
+    assert not sampled.member or exact.member
+
+
 def _unit(rng):
     v = rng.standard_normal(2)
     return v / float(np.linalg.norm(v))

@@ -94,6 +94,64 @@ def test_minimize_sum_rejects_overflow():
             minimize_sum(f, UnknownQuadratic(center=[0.0, 0.0], sigma_u=2.0))
 
 
+def test_singular_row_raises_nonfinite_error_naming_it():
+    # a block with one singular system names that row; np.linalg.solve alone
+    # raises LinAlgError for the whole block without saying which
+    A = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], 2.0 * np.eye(2), [[2.0, 2.0], [2.0, 2.0]]])
+    rhs = np.ones((4, 2, 1))
+    with pytest.raises(NonFiniteError, match=r"^row 1: normal equations are singular$") as exc:
+        _solve_normal_equations(A, rhs)
+    assert exc.value.row == 1
+    # the KKT solves of _kink_multipliers pass the block rows of their group
+    with pytest.raises(NonFiniteError, match=r"^row 7: kink dual is singular$"):
+        oracle._solve(A, rhs, "kink dual is singular", np.array([5, 7, 9, 11]))
+
+
+def test_residual_test_uses_the_backward_error_scale():
+    # sigma_u I + 2w [[1, 1], [1, 1]] is solved to a residual near eps |A| |W|, which
+    # exceeds 1e-10 |rhs| once w is large: a bound scaled by |rhs| alone rejected
+    # every row here, though each is solved as well as floats allow
+    sigma_u = np.linspace(2.1, 6.0, 40)
+    for weight in (1e6, 1e10, 1e14):
+        A = sigma_u[:, None, None] * np.eye(2) + 2.0 * weight * np.ones((2, 2))
+        rhs = (sigma_u[:, None] * [0.5, -0.3])[..., None]
+        W = _solve_normal_equations(A, rhs)
+        residual = np.einsum("bij,bjk->bik", A, W) - rhs
+        assert not (np.abs(residual) <= 1e-10 * np.abs(rhs)).all()
+        assert (np.abs(residual) <= 1e-10 * (np.abs(rhs) + np.einsum("bij,bjk->bik", np.abs(A), np.abs(W)))).all()
+
+
+def test_poor_solution_raises_nonfinite_error_naming_its_row(monkeypatch):
+    # a solution off by a relative 1e-8 in one entry of row 2 fails the residual test
+    A = np.stack([np.eye(2) + k * np.ones((2, 2)) for k in range(4)])
+    rhs = np.arange(8.0).reshape(4, 2, 1) + 1.0
+    exact = np.linalg.solve(A, rhs)
+    perturbed = exact.copy()
+    perturbed[2, 1, 0] *= 1.0 + 1e-8
+    monkeypatch.setattr(oracle, "_solve", lambda *args: perturbed)
+    with pytest.raises(NonFiniteError, match=r"^row 2: normal equations solved poorly$"):
+        _solve_normal_equations(A, rhs)
+    monkeypatch.setattr(oracle, "_solve", lambda *args: exact)
+    assert _solve_normal_equations(A, rhs) is exact
+
+
+def test_validate_names_the_trial_of_a_singular_system_in_a_later_block():
+    # with 2w = 2^54 the normal equations are singular exactly when the draw's
+    # sigma_u <= 2 vanishes in 2^54 + sigma_u; sigma = 1.904 puts about 1 trial
+    # in 4650 there, and at seed 0 the first is past the first block
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.ones((2, 2)), m=[0.0, 0.0], weight=2.0**53),))
+    uset = UncertaintySet(region=Ball(center=[0.5, -0.3], radius=0.1), sigma=1.904)
+    trials = 8000
+    seeds = np.random.SeedSequence(0).generate_state(trials, dtype=np.uint64)
+    A, _ = _normal_equations(f, *_draw_unknowns(uset, 1.904, seeds)[::-1])
+    singular = np.flatnonzero(np.linalg.slogdet(A)[0] == 0.0)
+    block = oracle.BLOCK_ROWS // 2
+    assert singular.size and block <= singular[0] < trials
+    with pytest.raises(NonFiniteError, match=r"normal equations are singular") as exc:
+        validate_necessity(f, uset, 1.904, trials, 0)
+    assert exc.value.row == singular[0]
+
+
 def test_iterative_matches_closed_form_smooth():
     rng = np.random.default_rng(52)
     for _ in range(20):
