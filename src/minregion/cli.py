@@ -115,7 +115,7 @@ def _parse_known_function(doc: dict) -> KnownFunction:
             m=_as_vector_field(_require(term, "m", path), f"{path}.m"),
             weight=_positive_number(term.get("weight", 1.0), f"{path}.weight"),
         )
-        # gradients and the oracle's normal equations scale Q and Q m by 2 * weight;
+        # gradients scale Q and Q m by 2 * weight;
         # Python floats overflow to inf here without a numpy warning, numpy under errstate
         if not math.isfinite(2.0 * built.weight * float(np.max(np.abs(built.Q)))):
             _fail(f"{path}.weight", f"2 * weight * Q overflows for weight {built.weight!r}")
@@ -123,6 +123,10 @@ def _parse_known_function(doc: dict) -> KnownFunction:
             if not np.all(np.isfinite(2.0 * built.weight * (built.Q @ built.m))):
                 _fail(path, f"2 * weight * Q m overflows for weight {built.weight!r}")
         terms.append(built)
+    # the oracle diagonalizes sum 2 * weight * Q, which can overflow though every term is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(sum(2.0 * t.weight * t.Q for t in terms))):
+            _fail("$.known_function.terms", "sum of 2 * weight * Q overflows")
     kinks_doc = spec.get("kinks", [])
     if not isinstance(kinks_doc, list):
         _fail("$.known_function.kinks", "expected a list")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-from .funcmodel import KnownFunction, kink_index
-from .geometry import Ball, as_vector
+from .funcmodel import KnownFunction, gradient, kink_index
+from .geometry import Ball, _column_dot, as_vector
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _raise_first, classify_points
 
 MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
@@ -232,68 +232,43 @@ minimize_sum_iterative = minimize_sum  # bench/tracing.py still calls it for kin
 def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
     """Rows x_i minimizing f + u_i exactly, for B unknown terms at once.
 
-    The smooth part of f + u_i has gradient A_i x - b_i (_normal_equations).
-    Each kink adds its max-affine completion max_i <g_ki, x - p_k>, whose
-    dual has one multiplier simplex per kink: with H (m, n) stacking the
-    generators and c_ki = <g_ki, p_k>, lam minimizes
-    1/2 lam^T (H A^-1 H^T) lam - lam^T (H A^-1 b - c) (_kink_multipliers), and
-    x = A^-1 b - A^-1 H^T lam, both parts from one stacked solve of
-    A W = [H^T | b].  A smooth model has m = 0, so x is that solve's A^-1 b.
-    A row at a kink by the classifier's own rule (kink_index) becomes that
-    kink's point bit for bit.  Every row has the bits of a one-row call.
+    The smooth part of f + u_i has Hessian sigma_u,i I + P, with P = sum 2 w Q
+    = V diag(e) V^T from one eigh per block, so with D_i = diag(1 / (sigma_u,i
+    + e)) one Newton step from the centre is exact: x_i = c_i - V D_i V^T
+    grad f(c_i) (funcmodel.gradient), and x_i = c_i where that gradient is 0.
+    Each kink adds its max-affine completion max_i <g_ki, x - p_k>, whose dual
+    has one multiplier simplex per kink: with H (m, n) stacking the
+    generators, lam minimizes 1/2 lam^T G_i lam - lam^T d_i with G_i = (HV)
+    D_i (HV)^T and d_i = H x_i - <g_ki, p_k> (_kink_multipliers), and x_i -=
+    V D_i (HV)^T lam_i.  A row at a kink by the classifier's own rule
+    (kink_index) becomes that kink's point bit for bit.  NonFiniteError names
+    the first row with sigma_u,i + e_min <= n eps (sigma_u,i + e_max), singular
+    in floats, or with a non-finite x_i.  Every sum over coordinates runs left
+    to right (_column_dot), so every row has the bits of a one-row call.
     """
-    A, b = _normal_equations(f, sigma_u, centers)
-    H = np.concatenate([np.empty((0, f.dimension)), *(k.generators for k in f.kinks)])
-    m = H.shape[0]
-    rhs = np.concatenate([np.broadcast_to(H.T, (*b.shape, m)), b[..., None]], axis=-1)
-    W = _solve_normal_equations(A, rhs)  # (A^-1 H^T, A^-1 b), one LAPACK call per trial
-    x = W[..., m]
-    if m:  # the dual step: x = A^-1 b - A^-1 H^T lam
-        c = np.concatenate([np.stack(k.generators) @ k.point for k in f.kinks])
-        G = np.einsum("ij,...jk->...ik", H, W[..., :m])
-        d = np.einsum("ij,...j->...i", H, x) - c
-        lam = _kink_multipliers(G, d, H, [len(k.generators) for k in f.kinks])
-        x = x - np.einsum("...ij,...j->...i", W[..., :m], lam)
-    at = kink_index(f, x.T)
+    s = np.asarray(sigma_u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves its rows non-finite, raised below
+        e, V = np.linalg.eigh(sum(2.0 * t.weight * t.Q for t in f.terms))
+        _raise_first(s + e[0] <= f.dimension * np.finfo(float).eps * (s + e[-1]), "normal equations are singular")
+        D = 1.0 / (s + e[:, None])  # (n, B): column i is the diagonal of D_i
+        x = np.asarray(centers, dtype=float).T - _times(V, D * _times(V.T, gradient(f, centers).T))
+    _raise_first(~np.isfinite(x.T), "coordinates are not finite")
+    if f.kinks:
+        H = np.concatenate([np.stack(k.generators) for k in f.kinks])
+        HV = H @ V
+        G = _column_dot(D[..., None, None], HV.T[:, :, None] * HV.T[:, None, :])  # (B, m, m), symmetric
+        d = _times(H, x) - np.concatenate([np.stack(k.generators) @ k.point for k in f.kinks])[:, None]
+        lam = _kink_multipliers(G, d.T, H, [len(k.generators) for k in f.kinks])
+        x -= _times(V, D * _times(HV.T, lam.T))
+    at = kink_index(f, x)
     for j, k in enumerate(f.kinks):
-        x[at == j] = k.point
-    return x
+        x[:, at == j] = k.point[:, None]
+    return x.T
 
 
-def _normal_equations(f: KnownFunction, sigma_u, centers) -> tuple:
-    """(A, b) such that the smooth part of f + u has gradient A x - b.
-
-    sigma_u (...,) and centers (..., n) give A (..., n, n) and b (..., n),
-    one system per unknown term, each with the bits of a one-term call.
-    """
-    s = np.asarray(sigma_u, dtype=float)[..., None]
-    A = s[..., None] * np.eye(f.dimension)
-    b = s * np.asarray(centers, dtype=float)
-    for t in f.terms:
-        A = A + 2.0 * t.weight * t.Q
-        b = b + 2.0 * t.weight * (t.Q @ t.m)
-    return A, b
-
-
-def _solve_normal_equations(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """W_i with A_i W_i = rhs_i, for A (B, n, n) and rhs (B, n, k), from one stacked solve (_solve).
-
-    NonFiniteError names the first row that is singular in floats (_solve),
-    whose solution is not finite, or whose residual |A W - rhs| is NaN or
-    exceeds 1e-10 (|rhs| + |A| |W|) in an entry: the componentwise backward
-    error of an LU solve (Oettli-Prager), large when a large weight meets a
-    rank-deficient Q.  Both sides are summed per coordinate into C-order
-    arrays, since mixed layouts slow every pass, and nothing is squared.
-    """
-    W = _solve(A, rhs, "normal equations are singular")
-    _raise_first(~np.isfinite(W), "coordinates are not finite")
-    residual, bound, term = np.negative(rhs, order="C"), np.abs(rhs, order="C"), np.empty(rhs.shape)
-    for j in range(A.shape[-1]):  # add A[:, j] W[j, :] and its absolute value
-        np.multiply(A[..., :, j, None], W[..., j, None, :], out=term)
-        residual += term
-        bound += np.abs(term, out=term)
-    _raise_first(~(np.abs(residual) <= 1e-10 * bound), "normal equations solved poorly")  # NaN fails
-    return W
+def _times(M: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """M @ cols for coordinate columns cols (k, B), each entry summed left to right (_column_dot)."""
+    return np.array([_column_dot(cols, row) for row in M])
 
 
 def _solve(A: np.ndarray, rhs: np.ndarray, reason: str, rows=None) -> np.ndarray:

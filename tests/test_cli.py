@@ -148,20 +148,29 @@ def test_overflowing_term_weight_is_rejected_on_load(tmp_path, command):
     )
 
 
+HEAVY_TERM = {"Q": [[1.0, 0.0], [0.0, 1.0]], "m": [0.5, 0.0], "weight": 8e307}
+
+
 @pytest.mark.parametrize("command", [["check", "--", "-1.0,0.0"], ["scan", "-o", "m.csv"], ["validate", "--trials", "3"]])
 def test_overflowing_normal_equations_are_rejected_on_load(tmp_path, command):
-    # 2 * weight * Q is finite but 2 * weight * Q m is not: every command names
-    # the term and prints nothing else, where validate used to warn and blame a trial
-    doc = json.loads(json.dumps(REFERENCE))
-    doc["known_function"]["terms"][0]["weight"] = 8e307
-    config = write_config(tmp_path, doc)
-    proc = subprocess.run(
-        [sys.executable, "-m", "minregion", command[0], config, *command[1:]],
-        capture_output=True, text=True, cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(minregion.__file__))),
+    # 2 * weight * Q is finite but 2 * weight * Q m is not, or every term is finite but
+    # the sum of 2 * weight * Q is not: every command names the term or terms and prints
+    # nothing else, where validate used to warn and blame a trial
+    cases = (
+        ([dict(HEAVY_TERM, m=[2.0, 0.0])], "$.known_function.terms[0]: 2 * weight * Q m overflows for weight 8e+307"),
+        ([HEAVY_TERM, HEAVY_TERM], "$.known_function.terms: sum of 2 * weight * Q overflows"),
     )
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: $.known_function.terms[0]: 2 * weight * Q m overflows for weight 8e+307\n"
+    for terms, message in cases:
+        doc = json.loads(json.dumps(REFERENCE))
+        doc["known_function"]["terms"] = terms
+        config = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "minregion", command[0], config, *command[1:]],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(minregion.__file__))),
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
 
 def test_ball_score_overflow_is_a_usage_error(tmp_path, capsys):
@@ -459,13 +468,15 @@ def test_large_weight_on_a_rank_deficient_term_validates(tmp_path, capsys, weigh
 
 @pytest.mark.parametrize("kinked", [False, True], ids=["smooth", "kinked"])
 def test_singular_normal_equations_name_the_trial(tmp_path, capsys, kinked):
-    # at weight 1e17, sigma_u vanishes in 2e17 + sigma_u, so every trial's system is
-    # singular: exit 2 naming trial 0, where LinAlgError used to escape as a traceback
-    config = write_config(tmp_path, ill_conditioned_model(1e17, kinked))
-    assert main(["validate", config, "--trials", "2000", "--seed", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {config}: minimizer of trial 0: normal equations are singular\n"
+    # sum 2wQ has eigenvalues 0 and 4w, and sigma_u <= 6 is below 2 eps 4w from w = 1e16 on,
+    # so every trial's system is singular in floats: exit 2 naming trial 0, not a report
+    # of false falsifications or a traceback
+    for weight in (1e16, 1e17):
+        config = write_config(tmp_path, ill_conditioned_model(weight, kinked))
+        assert main(["validate", config, "--trials", "2000", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: minimizer of trial 0: normal equations are singular\n"
 
 
 def test_scan_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minregion import oracle
+from minregion.cli import main
 from minregion.errors import NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
@@ -27,8 +28,6 @@ from minregion.oracle import (
     _draw_unknowns,
     _kink_multipliers,
     _minimize_block,
-    _normal_equations,
-    _solve_normal_equations,
     _sub_seeds,
 )
 
@@ -95,61 +94,61 @@ def test_minimize_sum_rejects_overflow():
 
 
 def test_singular_row_raises_nonfinite_error_naming_it():
-    # a block with one singular system names that row; np.linalg.solve alone
-    # raises LinAlgError for the whole block without saying which
-    A = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], 2.0 * np.eye(2), [[2.0, 2.0], [2.0, 2.0]]])
-    rhs = np.ones((4, 2, 1))
+    # P = 2w [[1, 1], [1, 1]] has eigenvalues 0 and 4w = 2^55, so a row is singular in
+    # floats when sigma_u <= 2 eps (sigma_u + 2^55), about 16: rows 1 and 3 here
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.ones((2, 2)), m=[0.0, 0.0], weight=2.0**53),))
     with pytest.raises(NonFiniteError, match=r"^row 1: normal equations are singular$") as exc:
-        _solve_normal_equations(A, rhs)
+        _minimize_block(f, [20.0, 10.0, 30.0, 5.0], np.ones((4, 2)))
     assert exc.value.row == 1
     # the KKT solves of _kink_multipliers pass the block rows of their group
+    A = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], 2.0 * np.eye(2), [[2.0, 2.0], [2.0, 2.0]]])
     with pytest.raises(NonFiniteError, match=r"^row 7: kink dual is singular$"):
-        oracle._solve(A, rhs, "kink dual is singular", np.array([5, 7, 9, 11]))
-
-
-def test_residual_test_uses_the_backward_error_scale():
-    # sigma_u I + 2w [[1, 1], [1, 1]] is solved to a residual near eps |A| |W|, which
-    # exceeds 1e-10 |rhs| once w is large: a bound scaled by |rhs| alone rejected
-    # every row here, though each is solved as well as floats allow
-    sigma_u = np.linspace(2.1, 6.0, 40)
-    for weight in (1e6, 1e10, 1e14):
-        A = sigma_u[:, None, None] * np.eye(2) + 2.0 * weight * np.ones((2, 2))
-        rhs = (sigma_u[:, None] * [0.5, -0.3])[..., None]
-        W = _solve_normal_equations(A, rhs)
-        residual = np.einsum("bij,bjk->bik", A, W) - rhs
-        assert not (np.abs(residual) <= 1e-10 * np.abs(rhs)).all()
-        assert (np.abs(residual) <= 1e-10 * (np.abs(rhs) + np.einsum("bij,bjk->bik", np.abs(A), np.abs(W)))).all()
-
-
-def test_poor_solution_raises_nonfinite_error_naming_its_row(monkeypatch):
-    # a solution off by a relative 1e-8 in one entry of row 2 fails the residual test
-    A = np.stack([np.eye(2) + k * np.ones((2, 2)) for k in range(4)])
-    rhs = np.arange(8.0).reshape(4, 2, 1) + 1.0
-    exact = np.linalg.solve(A, rhs)
-    perturbed = exact.copy()
-    perturbed[2, 1, 0] *= 1.0 + 1e-8
-    monkeypatch.setattr(oracle, "_solve", lambda *args: perturbed)
-    with pytest.raises(NonFiniteError, match=r"^row 2: normal equations solved poorly$"):
-        _solve_normal_equations(A, rhs)
-    monkeypatch.setattr(oracle, "_solve", lambda *args: exact)
-    assert _solve_normal_equations(A, rhs) is exact
+        oracle._solve(A, np.ones((4, 2, 1)), "kink dual is singular", np.array([5, 7, 9, 11]))
 
 
 def test_validate_names_the_trial_of_a_singular_system_in_a_later_block():
-    # with 2w = 2^54 the normal equations are singular exactly when the draw's
-    # sigma_u <= 2 vanishes in 2^54 + sigma_u; sigma = 1.904 puts about 1 trial
-    # in 4650 there, and at seed 0 the first is past the first block
+    # with P's eigenvalues 0 and 2^55 a trial is singular when sigma_u <= 2 eps (sigma_u + 2^55),
+    # about 16; sigma = 15.23 puts about 1 trial in 3500 there, and at seed 0 the first is
+    # past the first block
     f = KnownFunction(terms=(QuadraticTerm(Q=np.ones((2, 2)), m=[0.0, 0.0], weight=2.0**53),))
-    uset = UncertaintySet(region=Ball(center=[0.5, -0.3], radius=0.1), sigma=1.904)
+    uset = UncertaintySet(region=Ball(center=[0.5, -0.3], radius=0.1), sigma=15.23)
     trials = 8000
     seeds = np.random.SeedSequence(0).generate_state(trials, dtype=np.uint64)
-    A, _ = _normal_equations(f, *_draw_unknowns(uset, 1.904, seeds)[::-1])
-    singular = np.flatnonzero(np.linalg.slogdet(A)[0] == 0.0)
+    sigma_u = _draw_unknowns(uset, 15.23, seeds)[1]
+    singular = np.flatnonzero(sigma_u <= 2.0 * np.finfo(float).eps * (sigma_u + 2.0**55))
     block = oracle.BLOCK_ROWS // 2
     assert singular.size and block <= singular[0] < trials
     with pytest.raises(NonFiniteError, match=r"normal equations are singular") as exc:
-        validate_necessity(f, uset, 1.904, trials, 0)
+        validate_necessity(f, uset, 15.23, trials, 0)
     assert exc.value.row == singular[0]
+
+
+def test_kink_dual_sweep_bound_names_the_trial(tmp_path, capsys, monkeypatch):
+    # with _step a no-op a row whose candidate leaves the simplex never moves, so the
+    # 10 (m + 1) sweep bound is the error: the library names the row, the CLI the trial
+    gens = np.random.default_rng(3).standard_normal((4, 2))
+    f = KnownFunction(
+        terms=reference_function().terms, kinks=(Kink(point=[0.5, 0.0], generators=tuple(gens)),)
+    )
+    monkeypatch.setattr(oracle, "_step", lambda *args: None)
+    with pytest.raises(NonFiniteError, match=r"^row \d+: kink multipliers open after 50 sweeps$") as exc:
+        validate_necessity(f, reference_set(), 2.0, trials=20, seed=1)
+    doc = {
+        "known_function": {
+            "terms": [{"Q": [[1.0, 0.0], [0.0, 1.0]], "m": [2.0, 0.0]}],
+            "kinks": [{"point": [0.5, 0.0], "generators": gens.tolist()}],
+        },
+        "uncertainty": {"type": "ball", "center": [0.0, 0.0], "radius": 0.1},
+        "sigma": 2.0,
+    }
+    config = tmp_path / "kink.json"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", str(config), "--trials", "20", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {config}: minimizer of trial {exc.value.row}: kink multipliers open after 50 sweeps\n"
+    )
 
 
 def test_iterative_matches_closed_form_smooth():
@@ -401,18 +400,18 @@ FROZEN_PROBLEMS = {
 
 
 FROZEN_DRAWS = [
-    ("ball1", 0, [0.629458399114553], 4.158684114024904, [1.074534514567324]),
-    ("ball1", 7, [0.4949635116415531], 2.715252014044469, [1.1333329917353705]),
-    ("ball1", 2**63 + 5, [0.5213112436134422], 2.5421879720839815, [1.1724022004274233]),
+    ("ball1", 0, [0.629458399114553], 4.158684114024904, [1.0745345145673237]),
+    ("ball1", 7, [0.4949635116415531], 2.715252014044469, [1.1333329917353707]),
+    ("ball1", 2**63 + 5, [0.5213112436134422], 2.5421879720839815, [1.172402200427423]),
     ("ball3", 0, [0.379051242420975, -0.2516308755211407, 0.19592145011465498],
-     5.544912152033206, [0.3016968553040812, 0.371729227969162, 0.16386906489647465]),
+     5.544912152033206, [0.30169685530408125, 0.3717292279691624, 0.1638690648964745]),
     ("ball3", 7, [0.011174381231098762, -0.2509840122015403, 0.3010077180564918],
-     3.6203360187259586, [0.048572128693117146, 0.522216860395671, 0.1755468321539368]),
+     3.6203360187259586, [0.04857212869311735, 0.5222168603956714, 0.17554683215393654]),
     ("ball3", 2**63 + 5, [0.12498221222896598, -0.03649140674428458, 0.29079797779849687],
-     3.3895839627786417, [0.09974529722744843, 0.6205425991375373, 0.1555956902804753]),
-    ("finite", 1, [-0.3, 0.3], 2.154795071585948, [1.0479976957196682, -0.09664957412462769]),
-    ("finite", 11, [0.0, 0.0], 1.6666765661957714, [1.2977502500641223, -0.353930930813065]),
-    ("finite", 2**63 + 5, [0.0, 0.0], 1.6947919813893209, [1.2905269835001962, -0.34928271740346545]),
+     3.3895839627786417, [0.09974529722744856, 0.6205425991375377, 0.1555956902804751]),
+    ("finite", 1, [-0.3, 0.3], 2.154795071585948, [1.047997695719668, -0.09664957412462771]),
+    ("finite", 11, [0.0, 0.0], 1.6666765661957714, [1.2977502500641225, -0.353930930813065]),
+    ("finite", 2**63 + 5, [0.0, 0.0], 1.6947919813893209, [1.290526983500196, -0.34928271740346556]),
 ]
 
 
@@ -484,14 +483,17 @@ def test_block_draw_and_solve_match_per_trial_reference(n):
     count = 2 + 2 * ((dim + 1) // 2) if n != "finite" else 2
     uniforms = oracle._uniforms(seeds, count)
     centers, sigma_u = _draw_unknowns(uset, 1.7, seeds)
-    A, b = _normal_equations(f, sigma_u, centers)
-    minimizers = _solve_normal_equations(A, b[..., None])[..., 0]
+    minimizers = _minimize_block(f, sigma_u, centers)
     for i, seed in enumerate(seeds):
         assert uniforms[:, i].tolist() == _splitmix_uniforms(seed, count)
         u = sample_unknown(uset, 1.7, seed)
         assert np.array_equal(centers[i], u.center) and sigma_u[i] == u.sigma_u
-        # a smooth model's minimizer has the bits of the plain stacked solve
+        # a smooth model's minimizer has the bits of a one-trial call and solves
+        # (sigma_u I + sum 2wQ) x = sigma_u c + sum 2wQm
         assert np.array_equal(minimizers[i], minimize_sum(f, u))
+        A = u.sigma_u * np.eye(dim) + sum(2.0 * t.weight * t.Q for t in f.terms)
+        b = u.sigma_u * u.center + sum(2.0 * t.weight * (t.Q @ t.m) for t in f.terms)
+        assert np.allclose(minimizers[i], np.linalg.solve(A, b), rtol=1e-12, atol=1e-12)
         center, s = _reference_trial(uset, 1.7, seed)
         assert s == sigma_u[i]
         assert np.allclose(centers[i], center, rtol=0.0, atol=1e-14)
@@ -686,8 +688,9 @@ def test_report_margin_is_measured_against_the_set_sigma(draw_sigma, factor, rad
 
 
 def test_validate_necessity_huge_weight_warns_nothing():
-    # 2 w Q m near 1e160: the residual test compares magnitudes, so nothing overflows; the
-    # minimizer rounds onto m, which still reads as falsified (a separate, known limit)
+    # 2 w Q near 1e160: the eigenvalues, the centre gradient and the Newton step stay finite,
+    # so nothing overflows; the minimizer rounds onto m, which still reads as falsified (a
+    # separate, known limit)
     f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[0.5, 0.0], weight=1e160),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
