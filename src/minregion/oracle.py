@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-from .funcmodel import KnownFunction, gradient, kink_index
+from .funcmodel import KnownFunction, kink_index
 from .geometry import Ball, _column_dot, as_vector
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _raise_first, classify_points
 
@@ -232,28 +232,42 @@ minimize_sum_iterative = minimize_sum  # bench/tracing.py still calls it for kin
 def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
     """Rows x_i minimizing f + u_i exactly, for B unknown terms at once.
 
-    The smooth part of f + u_i has Hessian sigma_u,i I + P, with P = sum 2 w Q
-    = V diag(e) V^T from one eigh per block, so with D_i = diag(1 / (sigma_u,i
-    + e)) one Newton step from the centre is exact: x_i = c_i - V D_i V^T
-    grad f(c_i) (funcmodel.gradient), and x_i = c_i where that gradient is 0.
-    Each kink adds its max-affine completion max_i <g_ki, x - p_k>, whose dual
-    has one multiplier simplex per kink: with H (m, n) stacking the
-    generators, lam minimizes 1/2 lam^T G_i lam - lam^T d_i with G_i = (HV)
-    D_i (HV)^T and d_i = H x_i - <g_ki, p_k> (_kink_multipliers), and x_i -=
-    V D_i (HV)^T lam_i.  A row at a kink by the classifier's own rule
-    (kink_index) becomes that kink's point bit for bit.  NonFiniteError names
-    the first row with sigma_u,i + e_min <= n eps (sigma_u,i + e_max), singular
-    in floats, or with a non-finite x_i.  Every sum over coordinates runs left
-    to right (_column_dot), so every row has the bits of a one-row call.
+    The smooth part of f + u_i has gradient A_i x - b_i, with b_i = sigma_u,i
+    c_i + sum 2 w Q m and A_i = sigma_u,i I + P, where P = sum 2 w Q = V
+    diag(e) V^T comes from one eigh per block.  So x_i = V ((V^T b_i) /
+    (sigma_u,i + e)), and where V only permutes coordinates, as for a
+    diagonal P, each coordinate is b_ij / A_i,jj, the bits of an LU solve.
+    A centre equal to every term's m minimizes its own f + u_i and is kept
+    bit for bit.  Each kink adds its max-affine completion max_i <g_ki, x -
+    p_k>, whose dual has one multiplier simplex per kink: with H (m, n)
+    stacking the generators and D_i = diag(1 / (sigma_u,i + e)), lam
+    minimizes 1/2 lam^T G_i lam - lam^T d_i with G_i = (HV) D_i (HV)^T and
+    d_i = H x_i - <g_ki, p_k> (_kink_multipliers), and x_i -= V D_i (HV)^T
+    lam_i.  A row at a kink by the classifier's own rule (kink_index) becomes
+    that kink's point bit for bit.  NonFiniteError names the first row singular in floats, or with a
+    non-finite x_i.  A row is singular where, in some eigendirection k,
+    sigma_u,i + e_k <= eps (|V|^T |P| 1)_k, the rounding that evaluating P y
+    in coordinates (|y_j| <= 1) can leave in direction k: x_i then moves by
+    its own size under the rounding of a gradient.  A V that does not mix
+    coordinates leaves none there, so no row of a diagonal P is singular.
+    Every sum over coordinates runs left to right (_column_dot), so every row
+    has the bits of a one-row call.
     """
     s = np.asarray(sigma_u, dtype=float)
+    c = np.asarray(centers, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves its rows non-finite, raised below
-        e, V = np.linalg.eigh(sum(2.0 * t.weight * t.Q for t in f.terms))
-        _raise_first(s + e[0] <= f.dimension * np.finfo(float).eps * (s + e[-1]), "normal equations are singular")
-        D = 1.0 / (s + e[:, None])  # (n, B): column i is the diagonal of D_i
-        x = np.asarray(centers, dtype=float).T - _times(V, D * _times(V.T, gradient(f, centers).T))
+        P = sum(2.0 * t.weight * t.Q for t in f.terms)
+        e, V = np.linalg.eigh(P)
+        leak = np.finfo(float).eps * (np.abs(V).T @ np.abs(P).sum(axis=1))
+        _raise_first(s[:, None] + e <= leak, "normal equations are singular")
+        S = s + e[:, None]  # (n, B): column i is the diagonal of D_i^-1
+        b = s * c.T + sum(2.0 * t.weight * (t.Q @ t.m) for t in f.terms)[:, None]
+        x = _times(V, _times(V.T, b) / S)
+        at_m = np.all([(c == t.m).all(axis=1) for t in f.terms], axis=0)
+        x[:, at_m] = c[at_m].T
     _raise_first(~np.isfinite(x.T), "coordinates are not finite")
     if f.kinks:
+        D = 1.0 / S
         H = np.concatenate([np.stack(k.generators) for k in f.kinks])
         HV = H @ V
         G = _column_dot(D[..., None, None], HV.T[:, :, None] * HV.T[:, None, :])  # (B, m, m), symmetric

@@ -468,9 +468,10 @@ def test_large_weight_on_a_rank_deficient_term_validates(tmp_path, capsys, weigh
 
 @pytest.mark.parametrize("kinked", [False, True], ids=["smooth", "kinked"])
 def test_singular_normal_equations_name_the_trial(tmp_path, capsys, kinked):
-    # sum 2wQ has eigenvalues 0 and 4w, and sigma_u <= 6 is below 2 eps 4w from w = 1e16 on,
-    # so every trial's system is singular in floats: exit 2 naming trial 0, not a report
-    # of false falsifications or a traceback
+    # sum 2wQ has eigenvalues 0 and 4w, and its eigenvectors mix both coordinates, so sigma_u
+    # <= 6 is below the rounding eps (|V|^T |P| 1)_0 = 4 sqrt(2) eps w from w = 1e16 on: every
+    # trial's system is singular in floats, exit 2 naming trial 0, not a report of false
+    # falsifications or a traceback
     for weight in (1e16, 1e17):
         config = write_config(tmp_path, ill_conditioned_model(weight, kinked))
         assert main(["validate", config, "--trials", "2000", "--seed", "1"]) == 2

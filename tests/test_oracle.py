@@ -94,8 +94,9 @@ def test_minimize_sum_rejects_overflow():
 
 
 def test_singular_row_raises_nonfinite_error_naming_it():
-    # P = 2w [[1, 1], [1, 1]] has eigenvalues 0 and 4w = 2^55, so a row is singular in
-    # floats when sigma_u <= 2 eps (sigma_u + 2^55), about 16: rows 1 and 3 here
+    # P = 2w [[1, 1], [1, 1]] has eigenvalues 0 and 4w = 2^55, and V mixes both coordinates,
+    # so a row is singular in floats when sigma_u <= eps (|V|^T |P| 1)_0 = 8 sqrt(2), about
+    # 11.3: rows 1 and 3 here
     f = KnownFunction(terms=(QuadraticTerm(Q=np.ones((2, 2)), m=[0.0, 0.0], weight=2.0**53),))
     with pytest.raises(NonFiniteError, match=r"^row 1: normal equations are singular$") as exc:
         _minimize_block(f, [20.0, 10.0, 30.0, 5.0], np.ones((4, 2)))
@@ -107,19 +108,22 @@ def test_singular_row_raises_nonfinite_error_naming_it():
 
 
 def test_validate_names_the_trial_of_a_singular_system_in_a_later_block():
-    # with P's eigenvalues 0 and 2^55 a trial is singular when sigma_u <= 2 eps (sigma_u + 2^55),
-    # about 16; sigma = 15.23 puts about 1 trial in 3500 there, and at seed 0 the first is
-    # past the first block
+    # P = 2^54 [[1, 1], [1, 1]] has eigenvalues 0 and 2^55, and V mixes both coordinates, so a
+    # trial is singular when sigma_u <= eps (|V|^T |P| 1)_0 = 8 sqrt(2), about 11.3; sigma =
+    # 10.77 puts about 1 trial in 8000 there, and at seed 0 the first is past the first block
     f = KnownFunction(terms=(QuadraticTerm(Q=np.ones((2, 2)), m=[0.0, 0.0], weight=2.0**53),))
-    uset = UncertaintySet(region=Ball(center=[0.5, -0.3], radius=0.1), sigma=15.23)
+    uset = UncertaintySet(region=Ball(center=[0.5, -0.3], radius=0.1), sigma=10.77)
     trials = 8000
     seeds = np.random.SeedSequence(0).generate_state(trials, dtype=np.uint64)
-    sigma_u = _draw_unknowns(uset, 15.23, seeds)[1]
-    singular = np.flatnonzero(sigma_u <= 2.0 * np.finfo(float).eps * (sigma_u + 2.0**55))
+    sigma_u = _draw_unknowns(uset, 10.77, seeds)[1]
+    P = 2.0**54 * np.ones((2, 2))
+    e, V = np.linalg.eigh(P)
+    leak = np.finfo(float).eps * (np.abs(V).T @ np.abs(P).sum(axis=1))
+    singular = np.flatnonzero((sigma_u[:, None] + e <= leak).any(axis=1))
     block = oracle.BLOCK_ROWS // 2
     assert singular.size and block <= singular[0] < trials
     with pytest.raises(NonFiniteError, match=r"normal equations are singular") as exc:
-        validate_necessity(f, uset, 15.23, trials, 0)
+        validate_necessity(f, uset, 10.77, trials, 0)
     assert exc.value.row == singular[0]
 
 
@@ -400,18 +404,18 @@ FROZEN_PROBLEMS = {
 
 
 FROZEN_DRAWS = [
-    ("ball1", 0, [0.629458399114553], 4.158684114024904, [1.0745345145673237]),
-    ("ball1", 7, [0.4949635116415531], 2.715252014044469, [1.1333329917353707]),
-    ("ball1", 2**63 + 5, [0.5213112436134422], 2.5421879720839815, [1.172402200427423]),
+    ("ball1", 0, [0.629458399114553], 4.158684114024904, [1.074534514567324]),
+    ("ball1", 7, [0.4949635116415531], 2.715252014044469, [1.1333329917353705]),
+    ("ball1", 2**63 + 5, [0.5213112436134422], 2.5421879720839815, [1.1724022004274233]),
     ("ball3", 0, [0.379051242420975, -0.2516308755211407, 0.19592145011465498],
-     5.544912152033206, [0.30169685530408125, 0.3717292279691624, 0.1638690648964745]),
+     5.544912152033206, [0.3016968553040813, 0.3717292279691623, 0.1638690648964745]),
     ("ball3", 7, [0.011174381231098762, -0.2509840122015403, 0.3010077180564918],
-     3.6203360187259586, [0.04857212869311735, 0.5222168603956714, 0.17554683215393654]),
+     3.6203360187259586, [0.04857212869311724, 0.5222168603956711, 0.1755468321539366]),
     ("ball3", 2**63 + 5, [0.12498221222896598, -0.03649140674428458, 0.29079797779849687],
-     3.3895839627786417, [0.09974529722744856, 0.6205425991375377, 0.1555956902804751]),
-    ("finite", 1, [-0.3, 0.3], 2.154795071585948, [1.047997695719668, -0.09664957412462771]),
+     3.3895839627786417, [0.09974529722744853, 0.6205425991375375, 0.15559569028047515]),
+    ("finite", 1, [-0.3, 0.3], 2.154795071585948, [1.0479976957196682, -0.09664957412462766]),
     ("finite", 11, [0.0, 0.0], 1.6666765661957714, [1.2977502500641225, -0.353930930813065]),
-    ("finite", 2**63 + 5, [0.0, 0.0], 1.6947919813893209, [1.290526983500196, -0.34928271740346556]),
+    ("finite", 2**63 + 5, [0.0, 0.0], 1.6947919813893209, [1.290526983500196, -0.3492827174034655]),
 ]
 
 
@@ -688,14 +692,44 @@ def test_report_margin_is_measured_against_the_set_sigma(draw_sigma, factor, rad
 
 
 def test_validate_necessity_huge_weight_warns_nothing():
-    # 2 w Q near 1e160: the eigenvalues, the centre gradient and the Newton step stay finite,
-    # so nothing overflows; the minimizer rounds onto m, which still reads as falsified (a
-    # separate, known limit)
+    # 2 w Q near 1e160: the eigenvalues, the right-hand side sigma_u c + 2 w Q m and the solve
+    # stay finite, so nothing overflows; the minimizer rounds onto m, which still reads as
+    # falsified (a separate, known limit)
     f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[0.5, 0.0], weight=1e160),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = validate_necessity(f, reference_set(), 2.0, trials=10, seed=1)
     assert report.trials == 10 and report.member_count + report.falsification_count == 10
+
+
+@pytest.mark.parametrize("weight", [3e15, 1e16])
+def test_validate_necessity_heavy_identity_term_keeps_its_minimizers(weight):
+    # x = (sigma_u c + 2 w m) / (sigma_u + 2 w) per coordinate, an LU solve's bits: a Newton
+    # step from c, whose rounding eps |x - c| the classifier multiplies by 2w, falsified 90
+    # and 800 of these trials
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[0.5, 0.0], weight=weight),))
+    report = validate_necessity(f, reference_set(), 2.0, trials=5000, seed=1)
+    assert (report.member_count, report.falsification_count) == (5000, 0)
+
+
+@pytest.mark.parametrize("center", [[1e5, 0.0], [1e10, 0.0]])
+def test_validate_necessity_weight_1e300_far_from_m(center):
+    # the minimizer sigma_u c / (sigma_u + 2e300) is tiny but exact; from c the step would
+    # cancel c - (c - x) to nothing, or overflow in the centre gradient 2e300 c
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[0.0, 0.0], weight=1e300),))
+    uset = UncertaintySet(region=Ball(center=center, radius=0.1), sigma=2.0)
+    report = validate_necessity(f, uset, 2.0, trials=100, seed=1)
+    assert (report.member_count, report.falsification_count) == (100, 0)
+
+
+@pytest.mark.parametrize("weight", [1e16, 1e18])
+def test_heavy_diagonal_term_with_a_flat_direction_validates(weight):
+    # P = diag(0, 2w) far beyond 1 / (eps sigma): V = I mixes no rounding into the flat
+    # direction, so no trial is singular, and x2 = sigma_u c2 / (sigma_u + 2w) is exact
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.diag([0.0, 1.0]), m=[0.0, 0.0], weight=weight),))
+    uset = UncertaintySet(region=Ball(center=[0.5, -0.3], radius=0.1), sigma=0.01)
+    report = validate_necessity(f, uset, 0.01, trials=2000, seed=1)
+    assert (report.member_count, report.falsification_count) == (2000, 0)
 
 
 def _report_from_trials(f, uset, sigma, trials, seed):
