@@ -123,10 +123,13 @@ def _parse_known_function(doc: dict) -> KnownFunction:
             if not np.all(np.isfinite(2.0 * built.weight * (built.Q @ built.m))):
                 _fail(path, f"2 * weight * Q m overflows for weight {built.weight!r}")
         terms.append(built)
-    # the oracle diagonalizes sum 2 * weight * Q, which can overflow though every term is finite
+    # the oracle diagonalizes sum 2 * weight * Q and adds up sum 2 * weight * Q m, either of
+    # which can overflow though every term is finite
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.all(np.isfinite(sum(2.0 * t.weight * t.Q for t in terms))):
             _fail("$.known_function.terms", "sum of 2 * weight * Q overflows")
+        if not np.all(np.isfinite(sum(2.0 * t.weight * (t.Q @ t.m) for t in terms))):
+            _fail("$.known_function.terms", "sum of 2 * weight * Q m overflows")
     kinks_doc = spec.get("kinks", [])
     if not isinstance(kinks_doc, list):
         _fail("$.known_function.kinks", "expected a list")

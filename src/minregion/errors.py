@@ -13,10 +13,6 @@ class NotOnBoundaryError(ValueError):
     """A point expected on the sphere is too far from it."""
 
 
-class NegativeDiscriminantError(ValueError):
-    """A squared length came out negative beyond roundoff."""
-
-
 class DimensionMismatchError(ValueError):
     """Operands carry different space dimensions."""
 

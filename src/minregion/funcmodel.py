@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .geometry import _column_dot, as_vector
 
-SYMMETRY_ATOL = 1e-12  # max allowed |Q - Q^T| entrywise
-PSD_EIG_TOL = -1e-10  # eigenvalues may dip this far below zero
+SYMMETRY_ATOL = 1e-12  # max allowed |Q - Q^T| entrywise, times max(1, max |Q|)
+PSD_EIG_TOL = -1e-10  # eigenvalues may dip this far below zero, times max(1, max |Q|)
 KINK_MATCH_ATOL = 1e-12  # how close a query must be to count as a registered kink
 
 
@@ -42,10 +42,11 @@ class QuadraticTerm:
             )
         if not np.all(np.isfinite(Q)) or not np.all(np.isfinite(m)):
             raise ValueError("quadratic term entries must be finite")
-        if np.max(np.abs(Q - Q.T)) > SYMMETRY_ATOL:
-            raise ValueError("Q must be symmetric to within 1e-12")
-        if float(np.min(np.linalg.eigvalsh(Q))) < PSD_EIG_TOL:
-            raise ValueError("Q must be positive semidefinite (eigenvalues >= -1e-10)")
+        scale = max(1.0, float(np.max(np.abs(Q))))
+        if np.max(np.abs(Q - Q.T)) > SYMMETRY_ATOL * scale:
+            raise ValueError("Q must be symmetric to within 1e-12 max(1, max |Q|)")
+        if float(np.min(np.linalg.eigvalsh(Q))) < PSD_EIG_TOL * scale:
+            raise ValueError("Q must be positive semidefinite (eigenvalues >= -1e-10 max(1, max |Q|))")
         weight = float(self.weight)
         if not np.isfinite(weight) or weight <= 0.0:
             raise ValueError(f"term weight must be > 0, got {weight}")

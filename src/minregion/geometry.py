@@ -9,20 +9,14 @@ does not import the scanner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InsideBallError,
-    NegativeDiscriminantError,
-    NotOnBoundaryError,
-)
+from .errors import DimensionMismatchError, InsideBallError, NotOnBoundaryError
 
-# Tolerances, shared with the tests that pin them.
-ON_SPHERE_ATOL = 1e-9  # how far from the sphere a "boundary" point may sit
-DISCRIMINANT_ATOL = 1e-12  # negative squared lengths beyond this are an error
+ON_SPHERE_ATOL = 1e-9  # how far from the sphere a "boundary" point may sit, times max(1, r, max |c|)
 
 
 def as_vector(x) -> np.ndarray:
@@ -130,22 +124,16 @@ class GridSpec:
 def chord_length(d: float, eps0: float, theta: float) -> float:
     """Distance from the query point to the boundary point at central angle theta.
 
-    Law of cosines in the plane through the query point, the center, and the
-    boundary point: r^2 = d^2 + eps0^2 - 2 * eps0 * d * cos(theta).  Tiny
-    negative radicands from roundoff (|value| < 1e-12) are clamped to zero;
-    anything more negative raises NegativeDiscriminantError.
+    The law of cosines in the plane through the query point, the center and
+    the boundary point, d^2 + eps0^2 - 2 eps0 d cos(theta), written as
+    (d - eps0)^2 + 4 eps0 d sin(theta / 2)^2: two non-negative terms, so no
+    cancellation can make the square negative.
     """
     d = float(d)
     eps0 = float(eps0)
     if not (d > eps0 > 0.0):
         raise ValueError(f"need d > eps0 > 0, got d={d}, eps0={eps0}")
-    disc = d * d + eps0 * eps0 - 2.0 * eps0 * d * float(np.cos(theta))
-    if disc < 0.0:
-        if disc > -DISCRIMINANT_ATOL:
-            disc = 0.0
-        else:
-            raise NegativeDiscriminantError(f"squared chord length {disc} < 0")
-    return float(np.sqrt(disc))
+    return math.sqrt((d - eps0) ** 2 + 4.0 * eps0 * d * math.sin(0.5 * float(theta)) ** 2)
 
 
 def visible_cap_contains(x, x_star, ball: Ball) -> bool:
@@ -154,12 +142,13 @@ def visible_cap_contains(x, x_star, ball: Ball) -> bool:
     Visible means the open segment from x to x_star does not re-enter the
     ball; for a ball this is the closed half-space test
     <x - center, x_star - center> >= radius^2, which keeps tangent points.
-    x must lie on the sphere to within 1e-9.
+    x must lie on the sphere to within ON_SPHERE_ATOL max(1, radius, max |center|).
     """
     x = as_vector(x)
     x_star = as_vector(x_star)
     _same_dim(x, x_star, ball.center)
-    if abs(float(np.linalg.norm(x - ball.center)) - ball.radius) > ON_SPHERE_ATOL:
+    scale = max(1.0, ball.radius, float(np.max(np.abs(ball.center))))
+    if abs(float(np.linalg.norm(x - ball.center)) - ball.radius) > ON_SPHERE_ATOL * scale:
         raise NotOnBoundaryError("x is not on the ball boundary")
     d = float(np.linalg.norm(x_star - ball.center))
     if d <= ball.radius:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction, kink_index
-from .geometry import Ball, _column_dot, as_vector
+from .geometry import Ball, _column_dot
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _raise_first, classify_points
 
 MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
@@ -33,23 +33,6 @@ _MIX_MULT_R = 0x4973F715
 _SPLITMIX_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MIX_2 = np.uint64(0x94D049BB133111EB)
-
-
-@dataclass(frozen=True)
-class UnknownQuadratic:
-    """Concrete admissible unknown term (sigma_u/2) * ||x - center||^2."""
-
-    center: np.ndarray
-    sigma_u: float
-
-    def __post_init__(self):
-        center = as_vector(self.center)
-        sigma_u = float(self.sigma_u)
-        if not np.isfinite(sigma_u) or sigma_u <= 0.0:
-            raise ValueError(f"sigma_u must be > 0, got {sigma_u}")
-        center.flags.writeable = False
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "sigma_u", sigma_u)
 
 
 @dataclass(frozen=True)
@@ -93,14 +76,13 @@ class ValidationReport:
         }
 
 
-def sample_unknown(uset: UncertaintySet, sigma: float, seed: int) -> UnknownQuadratic:
-    """Draw an admissible unknown term, deterministically in the seed.
+def sample_unknown(uset: UncertaintySet, sigma: float, seed: int) -> tuple:
+    """(center, sigma_u) of the unknown term drawn from sub-seed seed in [0, 2^64).
 
-    seed is a sub-seed in [0, 2^64).  The one-trial case of _draw_unknowns,
-    which describes the draw.
+    The one-trial case of _draw_unknowns, which describes the draw.
     """
     centers, sigma_u = _draw_unknowns(uset, sigma, (seed,))
-    return UnknownQuadratic(center=centers[0], sigma_u=sigma_u[0])
+    return centers[0], float(sigma_u[0])
 
 
 def _draw_unknowns(uset: UncertaintySet, sigma: float, seeds) -> tuple:
@@ -221,9 +203,10 @@ def _sub_seeds(pool: np.ndarray, start: int, stop: int) -> np.ndarray:
     return w.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def minimize_sum(f: KnownFunction, u: UnknownQuadratic) -> np.ndarray:
-    """Exact minimizer of f + u for any model: the one-trial case of _minimize_block."""
-    return _minimize_block(f, [u.sigma_u], [u.center])[0]
+def minimize_sum(f: KnownFunction, u: tuple) -> np.ndarray:
+    """Exact minimizer of f + u for the pair u = (center, sigma_u): the one-trial case of _minimize_block."""
+    center, sigma_u = u
+    return _minimize_block(f, [sigma_u], [center])[0]
 
 
 minimize_sum_iterative = minimize_sum  # bench/tracing.py still calls it for kinked models

@@ -154,11 +154,14 @@ HEAVY_TERM = {"Q": [[1.0, 0.0], [0.0, 1.0]], "m": [0.5, 0.0], "weight": 8e307}
 @pytest.mark.parametrize("command", [["check", "--", "-1.0,0.0"], ["scan", "-o", "m.csv"], ["validate", "--trials", "3"]])
 def test_overflowing_normal_equations_are_rejected_on_load(tmp_path, command):
     # 2 * weight * Q is finite but 2 * weight * Q m is not, or every term is finite but
-    # the sum of 2 * weight * Q is not: every command names the term or terms and prints
-    # nothing else, where validate used to warn and blame a trial
+    # the sum of 2 * weight * Q or of 2 * weight * Q m is not: every command names the term
+    # or terms and prints nothing else, where validate used to blame a trial and check and
+    # scan a point
+    mid_term = {"Q": [[1.0, 0.0], [0.0, 1.0]], "m": [5.0, 0.0], "weight": 1e307}
     cases = (
         ([dict(HEAVY_TERM, m=[2.0, 0.0])], "$.known_function.terms[0]: 2 * weight * Q m overflows for weight 8e+307"),
         ([HEAVY_TERM, HEAVY_TERM], "$.known_function.terms: sum of 2 * weight * Q overflows"),
+        ([mid_term, mid_term], "$.known_function.terms: sum of 2 * weight * Q m overflows"),
     )
     for terms, message in cases:
         doc = json.loads(json.dumps(REFERENCE))
@@ -171,6 +174,17 @@ def test_overflowing_normal_equations_are_rejected_on_load(tmp_path, command):
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
+
+
+def test_large_positive_semidefinite_q_loads(tmp_path, capsys):
+    # 1e6 (2, 3)(2, 3)^T is exactly positive semidefinite; eigvalsh puts an eigenvalue at
+    # -4.7e-10, inside the bound -1e-10 max(1, max |Q|) = -9e-4
+    doc = json.loads(json.dumps(REFERENCE))
+    doc["known_function"]["terms"][0]["Q"] = [[4e6, 6e6], [6e6, 9e6]]
+    config = write_config(tmp_path, doc)
+    assert main(["check", config, "1.0,0.0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "member: yes\n" in captured.out
 
 
 def test_ball_score_overflow_is_a_usage_error(tmp_path, capsys):
@@ -391,9 +405,10 @@ def _edited(keys, value):
         (_edited((*_TERM, "Q"), [1.0, 0.0, 0.0]), (), "$.known_function.terms[0].Q: flat matrix of length 3 is not square"),
         (_edited((*_TERM, "Q"), [[1.0, 0.0], [0.0]]), (),
          "$.known_function.terms[0].Q[1]: dimension mismatch: expected 2 numbers, got 1"),
-        (_edited((*_TERM, "Q"), [[1.0, 1.0], [0.0, 1.0]]), (), "$.known_function.terms[0]: Q must be symmetric to within 1e-12"),
+        (_edited((*_TERM, "Q"), [[1.0, 1.0], [0.0, 1.0]]), (),
+         "$.known_function.terms[0]: Q must be symmetric to within 1e-12 max(1, max |Q|)"),
         (_edited((*_TERM, "Q"), [[1.0, 0.0], [0.0, -1.0]]), (),
-         "$.known_function.terms[0]: Q must be positive semidefinite (eigenvalues >= -1e-10)"),
+         "$.known_function.terms[0]: Q must be positive semidefinite (eigenvalues >= -1e-10 max(1, max |Q|))"),
         (_edited(("known_function",), []), (), "$.known_function: expected an object"),
         (_edited(("known_function", "terms"), [5]), (), "$.known_function.terms[0]: expected an object with Q, m, weight"),
         (_edited(("known_function", "kinks"), [5]), (),

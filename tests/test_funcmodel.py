@@ -156,6 +156,33 @@ def test_quadratic_term_validation():
         QuadraticTerm(Q=[[1.0]], m=[0.0], weight=-2.0)
     with pytest.raises(DimensionMismatchError):
         QuadraticTerm(Q=np.eye(2), m=[0.0])
+    with pytest.raises(ValueError, match=r"^Q must be square, got shape \(2, 3\)$"):
+        QuadraticTerm(Q=np.ones((2, 3)), m=[0.0, 0.0])
+    with pytest.raises(ValueError, match="^quadratic term entries must be finite$"):
+        QuadraticTerm(Q=[[1.0, 0.0], [0.0, np.inf]], m=[0.0, 0.0])
+    with pytest.raises(ValueError, match="^quadratic term entries must be finite$"):
+        QuadraticTerm(Q=np.eye(2), m=[np.nan, 0.0])
+
+
+def test_quadratic_term_tolerances_scale_with_q():
+    # 1e6 (2, 3)(2, 3)^T is exactly positive semidefinite, but eigvalsh gives it an
+    # eigenvalue of about -4.7e-10: the bounds are 1e-12 and -1e-10 times max(1, max |Q|)
+    q = np.array([[4e6, 6e6], [6e6, 9e6]])
+    assert float(np.min(np.linalg.eigvalsh(q))) < -1e-10
+    assert np.array_equal(QuadraticTerm(Q=q, m=[0.0, 0.0]).Q, q)
+    rng = np.random.default_rng(21)
+    for scale in (1e6, 1e8, 1e12):
+        for _ in range(100):
+            v = rng.standard_normal(3)
+            QuadraticTerm(Q=scale * np.outer(v, v), m=np.zeros(3))
+    with pytest.raises(ValueError, match=r"positive semidefinite \(eigenvalues >= -1e-10 max\(1, max \|Q\|\)\)"):
+        QuadraticTerm(Q=np.diag([1e6, -1e-3]), m=[0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^Q must be symmetric to within 1e-12 max\(1, max \|Q\|\)$"):
+        QuadraticTerm(Q=[[1e6, 2e-6], [0.0, 1e6]], m=[0.0, 0.0])
+    # entries of at most 1 keep the absolute bounds
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        QuadraticTerm(Q=np.diag([1.0, -2e-10]), m=[0.0, 0.0])
+    QuadraticTerm(Q=np.diag([1.0, -5e-11]), m=[0.0, 0.0])
 
 
 def test_model_validation():

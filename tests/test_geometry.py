@@ -18,6 +18,19 @@ def test_chord_length_endpoint_identities():
         assert abs(far - np.sqrt(d * d - eps0 * eps0)) < 1e-12
 
 
+def test_chord_length_has_no_cancellation_near_the_sphere():
+    # d^2 + eps0^2 - 2 eps0 d cos(0) rounds to -1.8e-12 here; (d - eps0)^2 + 4 eps0 d sin^2(0)
+    # is d - eps0 squared, so the chord is d - eps0 exactly
+    assert chord_length(81.20022853688826, 81.20022847207325, 0.0) == 6.48150120241553e-08
+    rng = np.random.default_rng(17)
+    for scale in (1.0, 100.0, 1e6):
+        for _ in range(500):
+            eps0 = float(rng.uniform(0.5, 1.0)) * scale
+            d = eps0 * (1.0 + float(rng.uniform(1e-12, 1e-9)))
+            assert chord_length(d, eps0, 0.0) == d - eps0
+            assert 0.0 < chord_length(d, eps0, 1e-6) <= d - eps0 + 1e-6 * d
+
+
 def test_chord_length_monotone_in_theta():
     thetas = np.linspace(0.0, np.pi, 50)
     values = [chord_length(1.0, 0.3, t) for t in thetas]
@@ -88,6 +101,26 @@ def test_visible_cap_requires_boundary_point():
         visible_cap_contains([0.5, 0.0], [3.0, 0.0], ball)
     with pytest.raises(InsideBallError):
         visible_cap_contains([1.0, 0.0], [0.2, 0.0], ball)
+
+
+def test_visible_cap_on_sphere_tolerance_scales_with_the_ball():
+    # centre and radius near 1e8 round |x - c| by about 1e-8, past an absolute 1e-9; the
+    # tolerance 1e-9 max(1, r, max |c|) accepts every boundary point c + r u and still
+    # rejects a point 1e-6 r off the sphere
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        center = rng.uniform(-1.0, 1.0, 3) * 1e8
+        radius = float(rng.uniform(0.5, 1.0)) * 1e8
+        ball = Ball(center=center, radius=radius)
+        u = rng.standard_normal(3)
+        x = center + radius * u / np.linalg.norm(u)
+        x_star = center + 3.0 * radius * np.array([1.0, 0.0, 0.0])
+        dot = float(np.dot(x - center, x_star - center))
+        visible = visible_cap_contains(x, x_star, ball)
+        if abs(dot - radius**2) > 1e-9 * radius**2:
+            assert visible == (dot > radius**2)
+        with pytest.raises(NotOnBoundaryError):
+            visible_cap_contains(center + 1.000001 * (x - center), x_star, ball)
 
 
 def test_visible_cap_keeps_tangent_points():

@@ -20,7 +20,6 @@ from minregion.geometry import Ball
 from minregion.membership import FinitePointSet, UncertaintySet, classify_point, classify_points
 from minregion.funcmodel import gradient
 from minregion.oracle import (
-    UnknownQuadratic,
     minimize_sum,
     minimize_sum_iterative,
     sample_unknown,
@@ -42,13 +41,12 @@ def reference_set(sigma=2.0, radius=0.1):
 
 def test_minimize_sum_reference():
     # (x1-2)^2 + x2^2 plus (2/2)||x||^2 balances at (1, 0)
-    x = minimize_sum(reference_function(), UnknownQuadratic(center=[0.0, 0.0], sigma_u=2.0))
+    x = _minimize_block(reference_function(), [2.0], [[0.0, 0.0]])[0]
     assert np.allclose(x, [1.0, 0.0], atol=1e-12)
 
 
 def test_minimize_sum_dominant_unknown():
-    u = UnknownQuadratic(center=[0.3, -0.4], sigma_u=1e9)
-    x = minimize_sum(reference_function(), u)
+    x = _minimize_block(reference_function(), [1e9], [[0.3, -0.4]])[0]
     assert float(np.linalg.norm(x - [0.3, -0.4])) < 1e-6
 
 
@@ -66,9 +64,9 @@ def test_minimize_sum_stationarity():
                 ),
             )
         )
-        u = UnknownQuadratic(center=rng.uniform(-1, 1, n), sigma_u=float(rng.uniform(0.1, 10.0)))
-        x = minimize_sum(f, u)
-        total = gradient(f, x) + u.sigma_u * (x - u.center)
+        center, sigma_u = rng.uniform(-1, 1, n), float(rng.uniform(0.1, 10.0))
+        x = _minimize_block(f, [sigma_u], [center])[0]
+        total = gradient(f, x) + sigma_u * (x - center)
         assert float(np.linalg.norm(total)) < 1e-10
 
 
@@ -81,8 +79,7 @@ def test_minimize_sum_coincident_centers():
             ),
         )
     )
-    u = UnknownQuadratic(center=[0.7, -0.3], sigma_u=4.0)
-    assert np.array_equal(minimize_sum(f, u), np.array([0.7, -0.3]))
+    assert np.array_equal(_minimize_block(f, [4.0], [[0.7, -0.3]])[0], np.array([0.7, -0.3]))
 
 
 def test_minimize_sum_rejects_overflow():
@@ -90,7 +87,7 @@ def test_minimize_sum_rejects_overflow():
     f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0], weight=1e308),))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="coordinates are not finite"):
-            minimize_sum(f, UnknownQuadratic(center=[0.0, 0.0], sigma_u=2.0))
+            _minimize_block(f, [2.0], [[0.0, 0.0]])
 
 
 def test_singular_row_raises_nonfinite_error_naming_it():
@@ -163,9 +160,11 @@ def test_iterative_matches_closed_form_smooth():
         f = KnownFunction(
             terms=(QuadraticTerm(Q=a.T @ a + 0.1 * np.eye(n), m=rng.uniform(-2, 2, n)),)
         )
-        u = UnknownQuadratic(center=rng.uniform(-1, 1, n), sigma_u=float(rng.uniform(0.5, 5.0)))
-        # smooth models are delegated to the normal equations
-        assert np.array_equal(minimize_sum_iterative(f, u), minimize_sum(f, u))
+        center, sigma_u = rng.uniform(-1, 1, n), float(rng.uniform(0.5, 5.0))
+        # the one-trial calls take the pair (center, sigma_u) and return the one-row block
+        x = _minimize_block(f, [sigma_u], [center])[0]
+        assert np.array_equal(minimize_sum_iterative(f, (center, sigma_u)), x)
+        assert np.array_equal(minimize_sum(f, (center, sigma_u)), x)
 
 
 def test_iterative_kink_balanced_case():
@@ -174,7 +173,7 @@ def test_iterative_kink_balanced_case():
         terms=(QuadraticTerm(Q=np.zeros((1, 1)), m=[0.0]),),
         kinks=(Kink(point=[1.0], generators=([-1.0], [1.0])),),
     )
-    x = minimize_sum_iterative(f, UnknownQuadratic(center=[0.0], sigma_u=1.0))
+    x = _minimize_block(f, [1.0], [[0.0]])[0]
     assert x[0] == 1.0
 
 
@@ -184,7 +183,7 @@ def test_iterative_kink_dominant_unknown():
         terms=(QuadraticTerm(Q=np.zeros((1, 1)), m=[0.0]),),
         kinks=(Kink(point=[1.0], generators=([-1.0], [1.0])),),
     )
-    x = minimize_sum_iterative(f, UnknownQuadratic(center=[0.0], sigma_u=1e6))
+    x = _minimize_block(f, [1e6], [[0.0]])[0]
     assert abs(x[0] - 1e-6) < 1e-9
 
 
@@ -197,7 +196,7 @@ def test_iterative_two_kinks():
             Kink(point=[2.0], generators=([-4.0], [4.0])),
         ),
     )
-    x = minimize_sum_iterative(f, UnknownQuadratic(center=[2.1], sigma_u=1.0))
+    x = _minimize_block(f, [1.0], [[2.1]])[0]
     assert x[0] == 2.0
 
 
@@ -207,24 +206,24 @@ def test_iterative_single_kink_tie_face():
         terms=reference_function().terms,
         kinks=(Kink(point=[0.5, 0.0], generators=([3.0, 0.0], [-3.0, 0.0])),),
     )
-    x = minimize_sum_iterative(f, UnknownQuadratic(center=[0.0, 0.05], sigma_u=3.0))
+    x = _minimize_block(f, [3.0], [[0.0, 0.05]])[0]
     assert np.allclose(x, [0.5, 0.03], rtol=0.0, atol=1e-15)
 
 
-def _completed_objective(f, u, x):
-    """f + u with each kink's generators completed to a max-affine envelope."""
-    unknown = 0.5 * u.sigma_u * float(np.sum((x - u.center) ** 2))
+def _completed_objective(f, sigma_u, center, x):
+    """f + (sigma_u / 2) ||x - center||^2 with each kink's generators completed to a max-affine envelope."""
+    unknown = 0.5 * sigma_u * float(np.sum((x - center) ** 2))
     kinks = sum(max(float(g @ (x - k.point)) for g in k.generators) for k in f.kinks)
     return f.value(x) + unknown + kinks
 
 
-def _assert_locally_minimal(f, u, x, rng):
-    value = _completed_objective(f, u, x)
+def _assert_locally_minimal(f, sigma_u, center, x, rng):
+    value = _completed_objective(f, sigma_u, center, x)
     for radius in (1e-6, 1e-3):
         steps = rng.standard_normal((50, x.shape[0]))
         steps *= radius / np.linalg.norm(steps, axis=1, keepdims=True)
         for step in steps:
-            assert value <= _completed_objective(f, u, x + step) + 1e-12
+            assert value <= _completed_objective(f, sigma_u, center, x + step) + 1e-12
 
 
 def test_iterative_single_kink_is_minimal():
@@ -238,14 +237,14 @@ def test_iterative_single_kink_is_minimal():
             terms=(QuadraticTerm(Q=a @ a.T, m=rng.uniform(-2, 2, n), weight=rng.uniform(0.2, 2.0)),),
             kinks=(Kink(point=rng.uniform(-1, 1, n), generators=tuple(gens)),),
         )
-        u = UnknownQuadratic(center=rng.uniform(-1, 1, n), sigma_u=float(rng.uniform(0.5, 5.0)))
-        x = minimize_sum_iterative(f, u)
+        center, sigma_u = rng.uniform(-1, 1, n), float(rng.uniform(0.5, 5.0))
+        x = _minimize_block(f, [sigma_u], [center])[0]
         # the kink point is the minimizer iff the generator hull holds minus the smooth gradient there
         p = f.kinks[0].point
-        at_kink = _in_hull(-(gradient(f, p) + u.sigma_u * (p - u.center)), gens, 1e-9)
+        at_kink = _in_hull(-(gradient(f, p) + sigma_u * (p - center)), gens, 1e-9)
         assert np.array_equal(x, p) == at_kink
         at_kink_count += at_kink
-        _assert_locally_minimal(f, u, x, rng)
+        _assert_locally_minimal(f, sigma_u, center, x, rng)
     assert 0 < at_kink_count < 200  # both branches ran
 
 
@@ -281,9 +280,8 @@ def test_kinked_minimizers_are_exact_alone_and_in_blocks():
         f = KnownFunction(terms=(term,), kinks=kinks)
         sigma_u, centers = rng.uniform(0.5, 5.0, 6), rng.uniform(-1.5, 1.5, (6, n))
         for x, s, c in zip(_minimize_block(f, sigma_u, centers), sigma_u, centers):
-            u = UnknownQuadratic(center=c, sigma_u=s)
-            assert np.array_equal(minimize_sum(f, u), x)
-            _assert_locally_minimal(f, u, x, rng)
+            assert np.array_equal(_minimize_block(f, [s], [c])[0], x)
+            _assert_locally_minimal(f, s, c, x, rng)
             near = [k.point for k in kinks if np.max(np.abs(x - k.point)) <= 1e-9]
             assert all(np.array_equal(x, p) for p in near)
             at_kink += bool(near)
@@ -428,7 +426,7 @@ def test_draws_and_minimizers_are_frozen(case, seed, center, sigma_u, minimizer)
     # recorded from the counter-based draw; validate reports depend on these bits
     f, uset = FROZEN_PROBLEMS[case]
     u = sample_unknown(uset, uset.sigma, seed)
-    assert u.center.tolist() == center and u.sigma_u == sigma_u
+    assert u[0].tolist() == center and u[1] == sigma_u
     assert minimize_sum(f, u).tolist() == minimizer
 
 
@@ -490,13 +488,13 @@ def test_block_draw_and_solve_match_per_trial_reference(n):
     minimizers = _minimize_block(f, sigma_u, centers)
     for i, seed in enumerate(seeds):
         assert uniforms[:, i].tolist() == _splitmix_uniforms(seed, count)
-        u = sample_unknown(uset, 1.7, seed)
-        assert np.array_equal(centers[i], u.center) and sigma_u[i] == u.sigma_u
+        c, s = u = sample_unknown(uset, 1.7, seed)
+        assert np.array_equal(centers[i], c) and sigma_u[i] == s
         # a smooth model's minimizer has the bits of a one-trial call and solves
         # (sigma_u I + sum 2wQ) x = sigma_u c + sum 2wQm
         assert np.array_equal(minimizers[i], minimize_sum(f, u))
-        A = u.sigma_u * np.eye(dim) + sum(2.0 * t.weight * t.Q for t in f.terms)
-        b = u.sigma_u * u.center + sum(2.0 * t.weight * (t.Q @ t.m) for t in f.terms)
+        A = s * np.eye(dim) + sum(2.0 * t.weight * t.Q for t in f.terms)
+        b = s * c + sum(2.0 * t.weight * (t.Q @ t.m) for t in f.terms)
         assert np.allclose(minimizers[i], np.linalg.solve(A, b), rtol=1e-12, atol=1e-12)
         center, s = _reference_trial(uset, 1.7, seed)
         assert s == sigma_u[i]
@@ -553,13 +551,13 @@ def test_entropy_pool_rejects_negative_seeds():
 def test_sample_unknown_ball_properties():
     uset = reference_set()
     for seed in range(300):
-        u = sample_unknown(uset, 2.0, seed)
-        assert float(np.linalg.norm(u.center)) <= 0.1 + 1e-12
-        assert 2.0 * 1.05 <= u.sigma_u <= 2.0 * 3.0
+        center, sigma_u = sample_unknown(uset, 2.0, seed)
+        assert float(np.linalg.norm(center)) <= 0.1 + 1e-12
+        assert 2.0 * 1.05 <= sigma_u <= 2.0 * 3.0
     # deterministic in the seed
     a = sample_unknown(uset, 2.0, 7)
     b = sample_unknown(uset, 2.0, 7)
-    assert np.array_equal(a.center, b.center) and a.sigma_u == b.sigma_u
+    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 def test_sample_unknown_ball_mean():
@@ -567,7 +565,7 @@ def test_sample_unknown_ball_mean():
     # mean of 10^4 draws stays within 3 standard errors of the center
     center = np.array([0.5, -1.0, 2.0])
     uset = UncertaintySet(region=Ball(center=center, radius=0.8), sigma=2.0)
-    draws = np.array([sample_unknown(uset, 2.0, 777_000 + k).center for k in range(10_000)])
+    draws = np.array([sample_unknown(uset, 2.0, 777_000 + k)[0] for k in range(10_000)])
     standard_error = 0.8 / np.sqrt(5.0) / np.sqrt(10_000.0)
     assert np.all(np.abs(draws.mean(axis=0) - center) <= 3.0 * standard_error)
 
@@ -577,8 +575,8 @@ def test_sample_unknown_finite_set():
     uset = UncertaintySet(region=FinitePointSet(points=pts), sigma=1.0)
     seen = set()
     for seed in range(60):
-        u = sample_unknown(uset, 1.0, seed)
-        matches = np.all(pts == u.center, axis=1)
+        center, _ = sample_unknown(uset, 1.0, seed)
+        matches = np.all(pts == center, axis=1)
         assert matches.any()
         seen.add(int(np.argmax(matches)))
     assert seen == {0, 1, 2}
@@ -738,7 +736,7 @@ def _report_from_trials(f, uset, sigma, trials, seed):
     member = interior = 0
     details, margins = [], []
     for t, sub_seed in enumerate(seeds):
-        unknown = sample_unknown(uset, sigma, int(sub_seed))
+        center, sigma_u = unknown = sample_unknown(uset, sigma, int(sub_seed))
         minimizer = minimize_sum_iterative(f, unknown)
         verdict = classify_point(f, minimizer, uset)
         if verdict.interior:
@@ -753,8 +751,8 @@ def _report_from_trials(f, uset, sigma, trials, seed):
                 {
                     "trial": t,
                     "minimizer": [float(v) for v in minimizer],
-                    "center": [float(v) for v in unknown.center],
-                    "sigma_u": unknown.sigma_u,
+                    "center": [float(v) for v in center],
+                    "sigma_u": sigma_u,
                     "best_score": verdict.best_score,
                 }
             )
