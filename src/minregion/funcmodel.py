@@ -11,7 +11,7 @@ gradient.  kink_index is the one rule for which kink a point is at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,10 @@ class QuadraticTerm:
         weight = float(self.weight)
         if not np.isfinite(weight) or weight <= 0.0:
             raise ValueError(f"term weight must be > 0, got {weight}")
+        with np.errstate(over="ignore", invalid="ignore"):  # gradients scale Q and Q m by 2 * weight
+            for name, scaled in (("Q", 2.0 * weight * Q), ("Q m", 2.0 * weight * (Q @ m))):
+                if not np.isfinite(scaled).all():
+                    raise ValueError(f"2 * weight * {name} overflows for weight {weight!r}")
         Q.flags.writeable = False
         m.flags.writeable = False
         object.__setattr__(self, "Q", Q)
@@ -67,22 +71,24 @@ class Kink:
 
     Generators are the extreme subgradients of the nonsmooth part alone; the
     smooth quadratic gradient is added on top when the subdifferential is
-    queried.  The list must be nonempty.
+    queried.  The list must be nonempty; it is stored as one (m, n) array.
     """
 
     point: np.ndarray
-    generators: tuple
+    generators: np.ndarray
 
     def __post_init__(self):
         point = as_vector(self.point)
-        gens = tuple(as_vector(g) for g in self.generators)
+        gens = [as_vector(g) for g in self.generators]
         if not gens:
             raise ValueError("a kink needs at least one subdifferential generator")
-        for g in gens:
-            if g.shape[0] != point.shape[0]:
-                raise DimensionMismatchError("kink generator dimension mismatch")
-            g.flags.writeable = False
+        if any(g.shape[0] != point.shape[0] for g in gens):
+            raise DimensionMismatchError("kink generator dimension mismatch")
+        gens = np.array(gens)
+        if not (np.isfinite(point).all() and np.isfinite(gens).all()):
+            raise ValueError("kink point and generators must be finite")
         point.flags.writeable = False
+        gens.flags.writeable = False
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "generators", gens)
 
@@ -93,6 +99,8 @@ class KnownFunction:
 
     terms: tuple
     kinks: tuple = ()
+    hessian: np.ndarray = field(init=False, repr=False, compare=False)  # sum 2 w Q, in term order
+    offset: np.ndarray = field(init=False, repr=False, compare=False)  # sum 2 w Q m, in term order
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -106,8 +114,17 @@ class KnownFunction:
         for k in kinks:
             if k.point.shape[0] != n:
                 raise DimensionMismatchError("kink point dimension mismatch")
+        with np.errstate(over="ignore", invalid="ignore"):  # finite terms can have an overflowing sum
+            hessian = sum(2.0 * t.weight * t.Q for t in terms)
+            offset = sum(2.0 * t.weight * (t.Q @ t.m) for t in terms)
+        for name, total in (("Q", hessian), ("Q m", offset)):
+            if not np.isfinite(total).all():
+                raise ValueError(f"sum of 2 * weight * {name} overflows")
+            total.flags.writeable = False
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "kinks", kinks)
+        object.__setattr__(self, "hessian", hessian)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def dimension(self) -> int:
@@ -188,7 +205,7 @@ def subdifferential(f: KnownFunction, x) -> np.ndarray:
     smooth = gradient(f, x)
     if kink is None:
         return smooth[None, :]
-    return smooth + np.stack(kink.generators)
+    return smooth + kink.generators
 
 
 def finite_difference_check(f: KnownFunction, x, h: float = 1e-5) -> float:

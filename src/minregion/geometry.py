@@ -100,6 +100,8 @@ class GridSpec:
             raise ValueError("grid needs lower < upper on every axis")
         if any(c < 2 for c in counts):
             raise ValueError("grid needs at least 2 samples per axis")
+        if math.prod(counts) > np.iinfo(np.intp).max:
+            raise ValueError(f"the point count exceeds the index range {np.iinfo(np.intp).max}")
         lower.flags.writeable = False
         upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
@@ -112,7 +114,7 @@ class GridSpec:
 
     @property
     def point_count(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def axes(self) -> list:
         return [

@@ -432,7 +432,7 @@ def classify_points(
             rows = np.flatnonzero(at == j)
             if not rows.size:
                 continue
-            Gk = G[:, rows][:, None, :] + np.stack(k.generators).T[:, :, None]
+            Gk = G[:, rows][:, None, :] + k.generators.T[:, :, None]
             _raise_first(~np.isfinite(Gk).all(axis=(0, 1)) & outside[rows], "gradient overflows", rows)
             kink_member, kink_score = _scores(uset, slack, Gk, *(q[..., None, rows] for q in query))
             _raise_first(np.isnan(kink_score).any(axis=0) & outside[rows], "score overflows", rows)

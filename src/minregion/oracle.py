@@ -92,17 +92,18 @@ def _draw_unknowns(uset: UncertaintySet, sigma: float, seeds) -> tuple:
     so a block of trials has, row for row, the bits of one-trial calls.
     Uniform 1 gives sigma_u = sigma * (lo + (hi - lo) * U1) over
     MULTIPLIER_RANGE = (lo, hi), so every draw is sigma-strongly convex; the
-    draw uses this sigma, not uset.sigma.  The center is uniform over the
-    region.  For a ball, uniform 2 gives the distance radius * U2^(1/n),
-    and uniforms 3, 4, ... go in pairs (a, b) through Box-Muller,
-    r = sqrt(-2 ln Ua) and (r cos 2 pi Ub, r sin 2 pi Ub), whose first n
-    values, normalised by sqrt(vecdot), give the direction (r > 0, so it
-    is never zero).  For a finite set of k points, uniform 2 picks point
-    min(floor(U2 k), k - 1).
+    draw uses this sigma, not uset.sigma, and sigma * hi must be finite.
+    The center is uniform over the region.  For a ball, uniform 2 gives the
+    distance radius * U2^(1/n), and uniforms 3, 4, ... go in pairs (a, b)
+    through Box-Muller, r = sqrt(-2 ln Ua) and (r cos 2 pi Ub, r sin 2 pi
+    Ub), whose first n values, normalised by sqrt(vecdot), give the
+    direction (r > 0, so it is never zero).  For a finite set of k points,
+    uniform 2 picks point min(floor(U2 k), k - 1).
     """
     sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    lo, hi = MULTIPLIER_RANGE
+    if not 0.0 < sigma * hi < np.inf:
+        raise ValueError(f"sigma must be > 0 with sigma * {hi!r} finite, got {sigma!r}")
     region = uset.region
     if isinstance(region, Ball):
         n = region.dimension
@@ -122,7 +123,6 @@ def _draw_unknowns(uset: UncertaintySet, sigma: float, seeds) -> tuple:
         u = _uniforms(seeds, 2)
         picks = np.minimum((u[1] * k).astype(np.intp), k - 1)
         centers = region.points[picks]
-    lo, hi = MULTIPLIER_RANGE
     return centers, sigma * (lo + (hi - lo) * u[0])
 
 
@@ -216,7 +216,7 @@ def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
     """Rows x_i minimizing f + u_i exactly, for B unknown terms at once.
 
     The smooth part of f + u_i has gradient A_i x - b_i, with b_i = sigma_u,i
-    c_i + sum 2 w Q m and A_i = sigma_u,i I + P, where P = sum 2 w Q = V
+    c_i + f.offset and A_i = sigma_u,i I + P, where P = f.hessian = V
     diag(e) V^T comes from one eigh per block.  So x_i = V ((V^T b_i) /
     (sigma_u,i + e)), and where V only permutes coordinates, as for a
     diagonal P, each coordinate is b_ij / A_i,jj, the bits of an LU solve.
@@ -239,22 +239,21 @@ def _minimize_block(f: KnownFunction, sigma_u, centers) -> np.ndarray:
     s = np.asarray(sigma_u, dtype=float)
     c = np.asarray(centers, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves its rows non-finite, raised below
-        P = sum(2.0 * t.weight * t.Q for t in f.terms)
-        e, V = np.linalg.eigh(P)
-        leak = np.finfo(float).eps * (np.abs(V).T @ np.abs(P).sum(axis=1))
+        e, V = np.linalg.eigh(f.hessian)
+        leak = np.finfo(float).eps * (np.abs(V).T @ np.abs(f.hessian).sum(axis=1))
         _raise_first(s[:, None] + e <= leak, "normal equations are singular")
         S = s + e[:, None]  # (n, B): column i is the diagonal of D_i^-1
-        b = s * c.T + sum(2.0 * t.weight * (t.Q @ t.m) for t in f.terms)[:, None]
+        b = s * c.T + f.offset[:, None]
         x = _times(V, _times(V.T, b) / S)
         at_m = np.all([(c == t.m).all(axis=1) for t in f.terms], axis=0)
         x[:, at_m] = c[at_m].T
     _raise_first(~np.isfinite(x.T), "coordinates are not finite")
     if f.kinks:
         D = 1.0 / S
-        H = np.concatenate([np.stack(k.generators) for k in f.kinks])
+        H = np.concatenate([k.generators for k in f.kinks])
         HV = H @ V
         G = _column_dot(D[..., None, None], HV.T[:, :, None] * HV.T[:, None, :])  # (B, m, m), symmetric
-        d = _times(H, x) - np.concatenate([np.stack(k.generators) @ k.point for k in f.kinks])[:, None]
+        d = _times(H, x) - np.concatenate([k.generators @ k.point for k in f.kinks])[:, None]
         lam = _kink_multipliers(G, d.T, H, [len(k.generators) for k in f.kinks])
         x -= _times(V, D * _times(HV.T, lam.T))
     at = kink_index(f, x)

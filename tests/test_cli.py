@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_overflowing_term_weight_is_rejected_on_load(tmp_path, command):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (
-        "error: $.known_function.terms[1].weight: 2 * weight * Q overflows for weight 1e+308\n"
+        "error: $.known_function.terms[1]: 2 * weight * Q overflows for weight 1e+308\n"
     )
 
 
@@ -160,8 +161,8 @@ def test_overflowing_normal_equations_are_rejected_on_load(tmp_path, command):
     mid_term = {"Q": [[1.0, 0.0], [0.0, 1.0]], "m": [5.0, 0.0], "weight": 1e307}
     cases = (
         ([dict(HEAVY_TERM, m=[2.0, 0.0])], "$.known_function.terms[0]: 2 * weight * Q m overflows for weight 8e+307"),
-        ([HEAVY_TERM, HEAVY_TERM], "$.known_function.terms: sum of 2 * weight * Q overflows"),
-        ([mid_term, mid_term], "$.known_function.terms: sum of 2 * weight * Q m overflows"),
+        ([HEAVY_TERM, HEAVY_TERM], "$.known_function: sum of 2 * weight * Q overflows"),
+        ([mid_term, mid_term], "$.known_function: sum of 2 * weight * Q m overflows"),
     )
     for terms, message in cases:
         doc = json.loads(json.dumps(REFERENCE))
@@ -358,8 +359,8 @@ def test_config_numbers_must_be_finite(tmp_path, capsys, keys, value, field):
     [
         (("known_function", "kinks"), None, "$.known_function.kinks: expected a list"),
         (("known_function", "kinks"), 5, "$.known_function.kinks: expected a list"),
-        (("grid", "counts"), [10**400, 2], "$.grid.counts: the point count exceeds the index range"),
-        (("grid", "counts"), [2**40, 2**40], "$.grid.counts: the point count exceeds the index range"),
+        (("grid", "counts"), [10**400, 2], "$.grid: the point count exceeds the index range"),
+        (("grid", "counts"), [2**40, 2**40], "$.grid: the point count exceeds the index range"),
     ],
     ids=["null-kinks", "int-kinks", "huge-count", "huge-product"],
 )
@@ -417,6 +418,8 @@ def _edited(keys, value):
          "$.known_function.kinks[0].generators: expected a nonempty list of vectors"),
         (_edited(("known_function", "kinks"), [{"point": [0.5, 0.0, 0.0], "generators": [[1.0, 0.0]]}]), (),
          "$.known_function.kinks[0].point: dimension mismatch: expected 2 numbers, got 3"),
+        (_edited(("known_function", "kinks"), [{"point": [0.5, 0.0], "generators": [[1.0, 0.0], [1.0, 0.0, 0.0]]}]), (),
+         "$.known_function.kinks[0].generators[1]: dimension mismatch: expected 2 numbers, got 3"),
         (_edited(("uncertainty",), 5), (), "$.uncertainty: expected an object"),
         (_edited(("uncertainty",), {"type": "points", "points": []}), (),
          "$.uncertainty.points: expected a nonempty list of vectors"),
@@ -437,7 +440,7 @@ def _edited(keys, value):
     ids=[
         "missing-sigma", "center-not-a-list", "Q-not-a-list", "flat-Q-not-square", "ragged-Q", "Q-not-symmetric",
         "Q-not-psd", "known-function-not-an-object", "term-not-an-object", "kink-not-an-object", "no-generators",
-        "3d-kink-point", "uncertainty-not-an-object", "no-points", "ragged-points", "3d-center", "unknown-set-type",
+        "3d-kink-point", "3d-kink-generator", "uncertainty-not-an-object", "no-points", "ragged-points", "3d-center", "unknown-set-type",
         "grid-not-an-object", "float-counts", "one-count", "lower-above-upper", "3d-grid", "top-level-list",
         "scan-into-missing-directory",
     ],
@@ -554,6 +557,21 @@ def test_validate_negative_seed_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --seed must be >= 0, got -1\n" and captured.out == ""
     assert main(["validate", config, "--trials", "5", "--seed", "0"]) == 0
+
+
+def test_validate_rejects_a_sigma_whose_draws_overflow(tmp_path, capsys):
+    # sigma * 3.0 overflows: validate names $.sigma without a warning, where it used to
+    # warn twice and blame trial 2; check never scales sigma and still answers
+    doc = dict(REFERENCE, sigma=1e308)
+    config = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", config, "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: $.sigma: the largest draw sigma * 3.0 overflows for sigma 1e+308\n"
+    assert captured.out == ""
+    assert main(["check", config, "1,0"]) == 1
+    assert "member: no\n" in capsys.readouterr().out
 
 
 def test_scan_csv_output(tmp_path, capsys):

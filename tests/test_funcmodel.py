@@ -203,6 +203,30 @@ def test_model_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([dict(m=[0.0, 1.0], weight=1e308)], r"^2 \* weight \* Q overflows for weight 1e\+308$"),
+        ([dict(m=[2.0, 0.0], weight=8e307)], r"^2 \* weight \* Q m overflows for weight 8e\+307$"),
+        ([dict(m=[0.5, 0.0], weight=8e307)] * 2, r"^sum of 2 \* weight \* Q overflows$"),
+        ([dict(m=[5.0, 0.0], weight=1e307)] * 2, r"^sum of 2 \* weight \* Q m overflows$"),
+    ],
+    ids=["2wQ", "2wQm", "sum-2wQ", "sum-2wQm"],
+)
+def test_models_reject_overflowing_normal_equations(terms, message):
+    # every term is finite, but a gradient's 2 w Q or 2 w Q m, or their sum over
+    # the terms, is not
+    with pytest.raises(ValueError, match=message):
+        KnownFunction(terms=tuple(QuadraticTerm(Q=np.eye(2), **t) for t in terms))
+
+
+def test_kinks_must_be_finite():
+    with pytest.raises(ValueError, match="finite"):
+        Kink(point=[0.0, 0.0], generators=([1.0, 0.0], [np.nan, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        Kink(point=[np.inf, 0.0], generators=([1.0, 0.0],))
+
+
 def test_terms_are_frozen():
     term = QuadraticTerm(Q=np.eye(2), m=[0.0, 0.0])
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minregion.errors import InsideBallError, NotOnBoundaryError
-from minregion.geometry import Ball, chord_length, visible_cap_contains
+from minregion.geometry import Ball, GridSpec, chord_length, visible_cap_contains
 
 
 def test_chord_length_endpoint_identities():
@@ -129,3 +129,10 @@ def test_visible_cap_keeps_tangent_points():
     x_star = np.array([2.0, 0.0])
     tangent = np.array([0.5, np.sqrt(0.75)])
     assert visible_cap_contains(tangent, x_star, ball)
+
+
+def test_grid_point_count_must_fit_an_index():
+    # 2^64 points: np.prod used to wrap to a 0-point grid, and a scan to an empty mask
+    with pytest.raises(ValueError, match="the point count exceeds the index range"):
+        GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(2**32, 2**32))
+    assert GridSpec(lower=[0.0, 0.0], upper=[1.0, 1.0], counts=(2**31, 3)).point_count == 3 * 2**31

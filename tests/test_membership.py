@@ -382,11 +382,12 @@ def test_classify_points_rejects_non_finite():
         with pytest.raises(NonFiniteError, match="row 1: score overflows"):
             classify_points(far, origin, [[1e100, 0.0], [1e200, 0.0], [1e200, 0.0]])
         assert classify_point(far, [1e100, 0.0], origin).member
-        heavy = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0], weight=1e308),))
+        # 2 w Q and 2 w Q m are finite, but 2 w (x - m) overflows at x = (-1, 0)
+        heavy = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0], weight=4e307),))
         finite = UncertaintySet(region=FinitePointSet(points=[[0.0, 0.0]]), sigma=2.0)
         for uset in (reference_set(), finite):
             with pytest.raises(NonFiniteError, match="gradient overflows"):
-                classify_point(heavy, [1.0, 0.0], uset)
+                classify_point(heavy, [-1.0, 0.0], uset)
             # the interior rule needs no gradient
             assert classify_point(heavy, [0.0, 0.0], uset).interior
 

@@ -83,11 +83,11 @@ def test_minimize_sum_coincident_centers():
 
 
 def test_minimize_sum_rejects_overflow():
-    # a term weight of 1e308 overflows the normal equations; the minimizer is not finite
-    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0], weight=1e308),))
+    # a centre at 1e308 overflows sigma_u c in the normal equations; the minimizer is not finite
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0]),))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="coordinates are not finite"):
-            _minimize_block(f, [2.0], [[0.0, 0.0]])
+            _minimize_block(f, [2.0], [[1e308, 0.0]])
 
 
 def test_singular_row_raises_nonfinite_error_naming_it():
@@ -546,6 +546,16 @@ def test_entropy_pool_rejects_negative_seeds():
         oracle._entropy_pool(-1)
     with pytest.raises(ValueError):
         validate_necessity(reference_function(), reference_set(), 2.0, trials=1, seed=-1)
+
+
+def test_draws_reject_a_sigma_that_overflows():
+    # sigma_u reaches sigma * 3.0, which overflows: a ValueError, not an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^sigma must be > 0 with sigma \* 3.0 finite, got 1e\+308$"):
+            sample_unknown(reference_set(), 1e308, 0)
+        with pytest.raises(ValueError, match="finite, got 1e"):
+            validate_necessity(reference_function(), reference_set(), 1e308, trials=3, seed=0)
 
 
 def test_sample_unknown_ball_properties():

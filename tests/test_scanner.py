@@ -124,9 +124,10 @@ def test_scan_memory_is_bounded():
 
 
 def test_scan_names_the_overflowing_grid_point():
-    # 2 w overflows, so every gradient does; the first point outside the
-    # ball lies in the second block of the grid
-    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(1), m=[0.0], weight=1e308),))
+    # 2 w = 1.6e308 is finite, but 2 w x overflows for every x > 1.125, so at
+    # every point outside the ball; the first such point lies in the second
+    # block of the grid
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(1), m=[0.0], weight=8e307),))
     uset = UncertaintySet(region=Ball(center=[0.0], radius=1.5), sigma=2.0)
     spec = GridSpec(lower=[0.0], upper=[3.0], counts=(3 * BLOCK_ROWS,))
     xs = build_grid(spec)[:, 0]
