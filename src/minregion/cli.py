@@ -292,6 +292,14 @@ def _cmd_validate(args) -> int:
     sigma, hi = float(config.raw["sigma"]), MULTIPLIER_RANGE[1]
     if not math.isfinite(sigma * hi):
         raise ConfigError(f"$.sigma: the largest draw sigma * {hi!r} overflows for sigma {sigma!r}")
+    # a draw's sigma_u * c, on the way to the minimizer, is bounded by sigma * hi * reach
+    region = config.uncertainty.region
+    if isinstance(region, Ball):
+        reach, name = float(np.max(np.abs(region.center))) + region.radius, "(max |c| + r)"
+    else:
+        reach, name = float(np.max(np.abs(region.points))), "max |p|"
+    if not math.isfinite(sigma * hi * reach):
+        raise ConfigError(f"$.uncertainty: sigma * {hi!r} * {name} overflows for sigma {sigma!r}")
     try:
         report = validate_necessity(
             config.known_function,

@@ -1,26 +1,6 @@
 """Exception types shared across the package."""
 
 
-class CoincidentPointsError(ValueError):
-    """Two points that must be distinct coincide."""
-
-
-class InsideBallError(ValueError):
-    """A query point lies inside the closed ball where it must be outside."""
-
-
-class NotOnBoundaryError(ValueError):
-    """A point expected on the sphere is too far from it."""
-
-
-class DimensionMismatchError(ValueError):
-    """Operands carry different space dimensions."""
-
-
-class GridMismatchError(ValueError):
-    """Two masks over different grids were combined."""
-
-
 class ConfigError(ValueError):
     """A problem-definition file failed validation."""
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .geometry import _column_dot, as_vector
 
 SYMMETRY_ATOL = 1e-12  # max allowed |Q - Q^T| entrywise, times max(1, max |Q|)
@@ -23,7 +22,7 @@ PSD_EIG_TOL = -1e-10  # eigenvalues may dip this far below zero, times max(1, ma
 KINK_MATCH_ATOL = 1e-12  # how close a query must be to count as a registered kink
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticTerm:
     """One convex quadratic w * (x - m)^T Q (x - m)."""
 
@@ -37,9 +36,7 @@ class QuadraticTerm:
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
         if Q.shape[0] != m.shape[0]:
-            raise DimensionMismatchError(
-                f"Q is {Q.shape[0]}x{Q.shape[0]} but m has dimension {m.shape[0]}"
-            )
+            raise ValueError(f"Q is {Q.shape[0]}x{Q.shape[0]} but m has dimension {m.shape[0]}")
         if not np.all(np.isfinite(Q)) or not np.all(np.isfinite(m)):
             raise ValueError("quadratic term entries must be finite")
         scale = max(1.0, float(np.max(np.abs(Q))))
@@ -65,7 +62,7 @@ class QuadraticTerm:
         return self.m.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kink:
     """A declared nonsmooth point with its subdifferential generators.
 
@@ -83,7 +80,7 @@ class Kink:
         if not gens:
             raise ValueError("a kink needs at least one subdifferential generator")
         if any(g.shape[0] != point.shape[0] for g in gens):
-            raise DimensionMismatchError("kink generator dimension mismatch")
+            raise ValueError("kink generator dimension mismatch")
         gens = np.array(gens)
         if not (np.isfinite(point).all() and np.isfinite(gens).all()):
             raise ValueError("kink point and generators must be finite")
@@ -93,14 +90,14 @@ class Kink:
         object.__setattr__(self, "generators", gens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnownFunction:
     """Weighted sum of convex quadratics with optional registered kinks."""
 
     terms: tuple
     kinks: tuple = ()
-    hessian: np.ndarray = field(init=False, repr=False, compare=False)  # sum 2 w Q, in term order
-    offset: np.ndarray = field(init=False, repr=False, compare=False)  # sum 2 w Q m, in term order
+    hessian: np.ndarray = field(init=False, repr=False)  # sum 2 w Q, in term order
+    offset: np.ndarray = field(init=False, repr=False)  # sum 2 w Q m, in term order
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -109,11 +106,11 @@ class KnownFunction:
         n = terms[0].dimension
         for t in terms:
             if t.dimension != n:
-                raise DimensionMismatchError("quadratic terms have mixed dimensions")
+                raise ValueError("quadratic terms have mixed dimensions")
         kinks = tuple(self.kinks)
         for k in kinks:
             if k.point.shape[0] != n:
-                raise DimensionMismatchError("kink point dimension mismatch")
+                raise ValueError("kink point dimension mismatch")
         with np.errstate(over="ignore", invalid="ignore"):  # finite terms can have an overflowing sum
             hessian = sum(2.0 * t.weight * t.Q for t in terms)
             offset = sum(2.0 * t.weight * (t.Q @ t.m) for t in terms)
@@ -149,9 +146,7 @@ class KnownFunction:
 
     def _check_dim(self, x: np.ndarray):
         if x.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"point of dimension {x.shape[0]} passed to a {self.dimension}-D function"
-            )
+            raise ValueError(f"point of dimension {x.shape[0]} passed to a {self.dimension}-D function")
 
 
 def kink_index(f: KnownFunction, cols: np.ndarray) -> np.ndarray:
@@ -181,9 +176,7 @@ def gradient(f: KnownFunction, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != f.dimension:
-        raise DimensionMismatchError(
-            f"point of dimension {x.shape[-1]} passed to a {f.dimension}-D function"
-        )
+        raise ValueError(f"point of dimension {x.shape[-1]} passed to a {f.dimension}-D function")
     cols = np.moveaxis(x, -1, 0)
     total = np.zeros(cols.shape)
     for t in f.terms:

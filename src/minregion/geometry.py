@@ -10,11 +10,9 @@ does not import the scanner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import DimensionMismatchError, InsideBallError, NotOnBoundaryError
 
 ON_SPHERE_ATOL = 1e-9  # how far from the sphere a "boundary" point may sit, times max(1, r, max |c|)
 
@@ -43,13 +41,11 @@ def _same_dim(*vectors: np.ndarray) -> int:
     n = vectors[0].shape[0]
     for v in vectors[1:]:
         if v.shape[0] != n:
-            raise DimensionMismatchError(
-                f"vectors of dimension {n} and {v.shape[0]} cannot be combined"
-            )
+            raise ValueError(f"vectors of dimension {n} and {v.shape[0]} cannot be combined")
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
     """Closed Euclidean ball with strictly positive radius."""
 
@@ -80,20 +76,21 @@ class Ball:
             return bool(np.sqrt(_column_dot(delta, delta)) <= self.radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpec:
     """Axis-aligned inclusive grid: counts[i] samples from lower[i] to upper[i]."""
 
     lower: np.ndarray
     upper: np.ndarray
     counts: tuple
+    _axes: tuple | None = field(default=None, init=False, repr=False)  # set by axes()
 
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         counts = tuple(int(c) for c in np.atleast_1d(self.counts))
         if lower.shape != upper.shape or lower.shape[0] != len(counts):
-            raise DimensionMismatchError("lower, upper, and counts must have equal length")
+            raise ValueError("lower, upper, and counts must have equal length")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("grid bounds must be finite")
         if not np.all(lower < upper):
@@ -116,11 +113,18 @@ class GridSpec:
     def point_count(self) -> int:
         return math.prod(self.counts)
 
-    def axes(self) -> list:
-        return [
-            np.linspace(self.lower[i], self.upper[i], self.counts[i])
-            for i in range(self.dimension)
-        ]
+    def axes(self) -> tuple:
+        """np.linspace(lower[i], upper[i], counts[i]) per axis, read-only, kept after the first call.
+
+        Not built in __post_init__: a grid that is only loaded, as by check,
+        then allocates none of its sum(counts) floats.
+        """
+        if self._axes is None:
+            axes = tuple(np.linspace(*bounds) for bounds in zip(self.lower, self.upper, self.counts))
+            for ax in axes:
+                ax.flags.writeable = False
+            object.__setattr__(self, "_axes", axes)
+        return self._axes
 
 
 def chord_length(d: float, eps0: float, theta: float) -> float:
@@ -151,9 +155,9 @@ def visible_cap_contains(x, x_star, ball: Ball) -> bool:
     _same_dim(x, x_star, ball.center)
     scale = max(1.0, ball.radius, float(np.max(np.abs(ball.center))))
     if abs(float(np.linalg.norm(x - ball.center)) - ball.radius) > ON_SPHERE_ATOL * scale:
-        raise NotOnBoundaryError("x is not on the ball boundary")
+        raise ValueError("x is not on the ball boundary")
     d = float(np.linalg.norm(x_star - ball.center))
     if d <= ball.radius:
-        raise InsideBallError("visible_cap_contains requires x_star outside the ball")
+        raise ValueError("visible_cap_contains requires x_star outside the ball")
     lhs = float(np.dot(x - ball.center, x_star - ball.center))
     return lhs >= ball.radius**2

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoincidentPointsError,
-    DimensionMismatchError,
-    InsideBallError,
-    NonFiniteError,
-)
+from .errors import NonFiniteError
 from .funcmodel import KnownFunction, gradient, kink_index, subdifferential
 from .geometry import Ball, _column_dot, as_vector
 
@@ -42,7 +37,7 @@ DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region
 BLOCK_ROWS = 8192  # query rows per classify_points call in scans and campaigns; bounds memory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinitePointSet:
     """Finitely many candidate minimizer locations for the unknown term."""
 
@@ -66,11 +61,11 @@ class FinitePointSet:
     def contains(self, x) -> bool:
         x = as_vector(x)
         if x.shape[0] != self.dimension:
-            raise DimensionMismatchError("point dimension does not match the set")
+            raise ValueError("point dimension does not match the set")
         return bool(np.any(np.all(self.points == x, axis=1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintySet:
     """Where the unknown term's minimizer may lie, plus its convexity constant."""
 
@@ -93,7 +88,7 @@ class UncertaintySet:
         return self.region.contains(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Candidate pair (x_u, g) attaining a verdict's best_score."""
 
@@ -101,7 +96,7 @@ class Witness:
     g: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipVerdict:
     """Outcome of a membership test at one query point.
 
@@ -202,17 +197,15 @@ def evaluate_general(
     """
     x_star = as_vector(x_star)
     if x_star.shape[0] != uset.dimension or f.dimension != uset.dimension:
-        raise DimensionMismatchError("function, point, and set dimensions must agree")
+        raise ValueError("function, point, and set dimensions must agree")
     region = uset.region
     if isinstance(region, Ball):
         if region.contains(x_star):
-            raise InsideBallError("evaluate_general requires x_star outside the ball")
+            raise ValueError("evaluate_general requires x_star outside the ball")
         candidates = _visible_cap_candidates(x_star, region, int(boundary_samples))
     else:
         if region.contains(x_star):
-            raise CoincidentPointsError(
-                "x_star coincides with a set point; classify_point handles that case"
-            )
+            raise ValueError("x_star coincides with a set point; classify_point handles that case")
         candidates = region.points
     threshold = -uset.sigma + float(slack)
     best_score = None
@@ -238,7 +231,7 @@ def evaluate_general(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowVerdicts:
     """classify_points' results, one entry per query row.
 
@@ -408,7 +401,7 @@ def classify_points(
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != uset.dimension or f.dimension != uset.dimension:
-        raise DimensionMismatchError("function, point, and set dimensions must agree")
+        raise ValueError("function, point, and set dimensions must agree")
     cols = np.ascontiguousarray(X.T)
     _raise_first(~np.isfinite(cols).all(axis=0), "coordinates are not finite")
     region = uset.region

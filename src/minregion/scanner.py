@@ -14,29 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GridMismatchError, NonFiniteError
+from .errors import NonFiniteError
 from .funcmodel import KnownFunction
 from .geometry import Ball, GridSpec  # GridSpec is also importable from here
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, classify_points
 
 
-@dataclass(frozen=True)
-class MaskMetadata:
-    """Scan parameters recorded with a mask; eps0 for balls, point_count for finite sets."""
+@dataclass(frozen=True, eq=False)
+class RegionMask:
+    """Membership booleans over a grid, in row-major (last axis fastest) order.
 
+    sigma and slack are the scan's; eps0 is the radius of a ball set and
+    point_count the size of a finite one, the other being None.
+    """
+
+    grid: GridSpec
+    membership: np.ndarray
     sigma: float
     slack: float
     eps0: float | None = None
     point_count: int | None = None
-
-
-@dataclass(frozen=True)
-class RegionMask:
-    """Membership booleans over a grid, in row-major (last axis fastest) order."""
-
-    grid: GridSpec
-    membership: np.ndarray
-    metadata: MaskMetadata
 
     def __post_init__(self):
         mem = np.asarray(self.membership, dtype=bool)
@@ -88,7 +85,7 @@ def scan_region(
     build_grid(spec)) and names the point.
     """
     if f.dimension != spec.dimension or uset.dimension != spec.dimension:
-        raise DimensionMismatchError("function, set, and grid dimensions must agree")
+        raise ValueError("function, set, and grid dimensions must agree")
     member = np.empty(spec.point_count, dtype=bool)
     for start in range(0, spec.point_count, BLOCK_ROWS):
         rows = build_grid(spec, start, start + BLOCK_ROWS)
@@ -102,8 +99,7 @@ def scan_region(
         eps0, point_count = uset.region.radius, None
     else:
         eps0, point_count = None, uset.region.points.shape[0]
-    meta = MaskMetadata(sigma=uset.sigma, slack=float(slack), eps0=eps0, point_count=point_count)
-    return RegionMask(grid=spec, membership=member, metadata=meta)
+    return RegionMask(spec, member, uset.sigma, float(slack), eps0=eps0, point_count=point_count)
 
 
 def mask_subset(a: RegionMask, b: RegionMask) -> bool:
@@ -113,7 +109,7 @@ def mask_subset(a: RegionMask, b: RegionMask) -> bool:
         or not np.array_equal(a.grid.lower, b.grid.lower)
         or not np.array_equal(a.grid.upper, b.grid.upper)
     ):
-        raise GridMismatchError("masks over different grids cannot be compared")
+        raise ValueError("masks over different grids cannot be compared")
     return bool(np.all(~a.membership | b.membership))
 
 
@@ -132,15 +128,14 @@ def write_mask_csv(mask: RegionMask, path: str):
     coordinates to a cached "x_n,flag" tail, so memory grows with the
     longest axis, not with the point count.
     """
-    meta = mask.metadata
     size_field = (
-        f"eps0={_format_float(meta.eps0)}"
-        if meta.eps0 is not None
-        else f"points={meta.point_count}"
+        f"eps0={_format_float(mask.eps0)}"
+        if mask.eps0 is not None
+        else f"points={mask.point_count}"
     )
     grid = mask.grid
     header = (
-        f"# sigma={_format_float(meta.sigma)}, {size_field}, slack={_format_float(meta.slack)}\n"
+        f"# sigma={_format_float(mask.sigma)}, {size_field}, slack={_format_float(mask.slack)}\n"
         "# grid lower=" + ",".join(_format_float(v) for v in grid.lower)
         + " upper=" + ",".join(_format_float(v) for v in grid.upper)
         + " counts=" + ",".join(str(c) for c in grid.counts) + "\n"
@@ -208,19 +203,20 @@ def read_mask_csv(path: str) -> RegionMask:
         along[i] = -1
         if not np.all(data[:, i].reshape(spec.counts) == ax.reshape(along)):
             raise ValueError(f"{path}: data coordinates do not match the declared grid")
-    meta = MaskMetadata(
+    return RegionMask(
+        grid=spec,
+        membership=data[:, n] != 0.0,
         sigma=float(fields["sigma"]),
         slack=float(fields["slack"]),
         eps0=float(fields["eps0"]) if "eps0" in fields else None,
         point_count=int(fields["points"]) if "points" in fields else None,
     )
-    return RegionMask(grid=spec, membership=data[:, n] != 0.0, metadata=meta)
 
 
 def write_mask_pgm(mask: RegionMask, path: str):
     """Binary PGM (P5) for 2-D masks: 255 = member, row 0 = maximum x2."""
     if mask.grid.dimension != 2:
-        raise DimensionMismatchError("PGM output is only defined for 2-D masks")
+        raise ValueError("PGM output is only defined for 2-D masks")
     c1, c2 = mask.grid.counts
     img = np.where(mask.membership.reshape(c1, c2), 255, 0).astype(np.uint8)
     pixels = img.T[::-1, :]  # rows top-down = x2 descending, columns = x1 ascending

@@ -574,6 +574,42 @@ def test_validate_rejects_a_sigma_whose_draws_overflow(tmp_path, capsys):
     assert "member: no\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "uncertainty, name",
+    [
+        ({"type": "ball", "center": [1e308, 0.0], "radius": 1e308}, "(max |c| + r)"),
+        ({"type": "points", "points": [[0.0, 0.0], [0.0, -1e308]]}, "max |p|"),
+    ],
+    ids=["ball", "points"],
+)
+def test_validate_rejects_a_set_whose_draws_overflow(tmp_path, capsys, uncertainty, name):
+    # sigma * 3.0 times the set's reach overflows: validate names $.uncertainty, where the
+    # ball used to be reported as "minimizer of trial 0: coordinates are not finite";
+    # check loads the same config and answers as before
+    config = write_config(tmp_path, dict(REFERENCE, uncertainty=uncertainty))
+    assert main(["validate", config, "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: $.uncertainty: sigma * 3.0 * {name} overflows for sigma 2.0\n"
+    assert captured.out == ""
+    assert main(["check", config, "1,0"]) == 2
+    assert capsys.readouterr().err == "error: point '1,0': score overflows\n"
+
+
+def test_bench_and_reference_configs_still_validate(tmp_path, capsys, monkeypatch):
+    # the reach check must refuse none of the benchmark's configs nor configs/reference.json
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "bench"))
+    import workloads
+
+    configs = [os.path.join(root, "configs", "reference.json")]
+    for seed in (1, 2, 3):
+        for name, doc in workloads.make_configs(seed).items():
+            configs.append(write_config(tmp_path, doc, name=f"{name}-{seed}.json"))
+    for config in configs:
+        assert main(["validate", config, "--trials", "3", "--seed", "1"]) == 0, config
+        assert capsys.readouterr().err == ""
+
+
 def test_scan_csv_output(tmp_path, capsys):
     config = write_config(tmp_path, REFERENCE)
     out = tmp_path / "mask.csv"
@@ -628,7 +664,7 @@ def test_scan_finite_set_config(tmp_path):
     config = write_config(tmp_path, doc)
     out = tmp_path / "mask.csv"
     assert main(["scan", config, "-o", str(out)]) == 0
-    assert read_mask_csv(str(out)).metadata.point_count == 2
+    assert read_mask_csv(str(out)).point_count == 2
 
 
 def test_validate_exit_codes(tmp_path, capsys):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from minregion.errors import DimensionMismatchError
 from minregion.funcmodel import (
     Kink,
     KnownFunction,
@@ -134,7 +133,7 @@ def test_gradient_at_kink_is_the_smooth_part():
     assert np.array_equal(gradient(f, [1.0 + 1e-9]), [2.0 + 2e-9])
     assert np.array_equal(subdifferential(f, [1.0]), [[1.0], [3.0]])
     assert finite_difference_check(f, [1.0]) < 1e-6
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^point of dimension 2 passed to a 1-D function$"):
         gradient(f, [1.0, 0.0])
 
 
@@ -154,7 +153,7 @@ def test_quadratic_term_validation():
         QuadraticTerm(Q=[[1.0]], m=[0.0], weight=0.0)
     with pytest.raises(ValueError):
         QuadraticTerm(Q=[[1.0]], m=[0.0], weight=-2.0)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^Q is 2x2 but m has dimension 1$"):
         QuadraticTerm(Q=np.eye(2), m=[0.0])
     with pytest.raises(ValueError, match=r"^Q must be square, got shape \(2, 3\)$"):
         QuadraticTerm(Q=np.ones((2, 3)), m=[0.0, 0.0])
@@ -188,15 +187,15 @@ def test_quadratic_term_tolerances_scale_with_q():
 def test_model_validation():
     with pytest.raises(ValueError):
         KnownFunction(terms=())
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^quadratic terms have mixed dimensions$"):
         KnownFunction(
             terms=(QuadraticTerm(Q=np.eye(2), m=[0.0, 0.0]), QuadraticTerm(Q=np.eye(3), m=[0.0] * 3))
         )
     with pytest.raises(ValueError):
         Kink(point=[0.0], generators=())
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^kink generator dimension mismatch$"):
         Kink(point=[0.0, 0.0], generators=([1.0],))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^kink point dimension mismatch$"):
         KnownFunction(
             terms=(QuadraticTerm(Q=np.eye(2), m=[0.0, 0.0]),),
             kinks=(Kink(point=[0.0], generators=([1.0],)),),

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from minregion.errors import InsideBallError, NotOnBoundaryError
 from minregion.geometry import Ball, GridSpec, chord_length, visible_cap_contains
 
 
@@ -97,9 +96,9 @@ def test_visible_cap_vs_segment_oracle():
 
 def test_visible_cap_requires_boundary_point():
     ball = Ball(center=[0.0, 0.0], radius=1.0)
-    with pytest.raises(NotOnBoundaryError):
+    with pytest.raises(ValueError, match="^x is not on the ball boundary$"):
         visible_cap_contains([0.5, 0.0], [3.0, 0.0], ball)
-    with pytest.raises(InsideBallError):
+    with pytest.raises(ValueError, match="^visible_cap_contains requires x_star outside the ball$"):
         visible_cap_contains([1.0, 0.0], [0.2, 0.0], ball)
 
 
@@ -119,7 +118,7 @@ def test_visible_cap_on_sphere_tolerance_scales_with_the_ball():
         visible = visible_cap_contains(x, x_star, ball)
         if abs(dot - radius**2) > 1e-9 * radius**2:
             assert visible == (dot > radius**2)
-        with pytest.raises(NotOnBoundaryError):
+        with pytest.raises(ValueError, match="^x is not on the ball boundary$"):
             visible_cap_contains(center + 1.000001 * (x - center), x_star, ball)
 
 
@@ -136,3 +135,14 @@ def test_grid_point_count_must_fit_an_index():
     with pytest.raises(ValueError, match="the point count exceeds the index range"):
         GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(2**32, 2**32))
     assert GridSpec(lower=[0.0, 0.0], upper=[1.0, 1.0], counts=(2**31, 3)).point_count == 3 * 2**31
+
+
+def test_grid_axes_are_computed_once_and_read_only():
+    spec = GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(401, 7))
+    axes = spec.axes()
+    again = spec.axes()
+    assert len(axes) == len(again) == 2
+    assert all(a is b for a, b in zip(axes, again))
+    for ax, lower, upper, count in zip(axes, [-1.0, -2.0], [3.0, 2.0], (401, 7)):
+        assert np.array_equal(ax, np.linspace(lower, upper, count))
+        assert not ax.flags.writeable

@@ -9,12 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minregion import membership
-from minregion.errors import (
-    CoincidentPointsError,
-    DimensionMismatchError,
-    InsideBallError,
-    NonFiniteError,
-)
+from minregion.errors import NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm, gradient, kink_index
 from minregion.geometry import Ball
 from minregion.membership import (
@@ -564,7 +559,7 @@ def test_classify_interior_rule():
 
 def test_ball_contains_agrees_with_kernel_on_a_boundary_point():
     # norm(x - c) reads this point as inside, the kernel's sum of squares as outside;
-    # evaluate_general used to raise InsideBallError for a point classify_point scored
+    # evaluate_general used to reject as inside a point that classify_point scored
     x = [0.7042317558492293, 0.4336551641446249]
     uset = UncertaintySet(region=Ball(center=[0.6194215518255555, 0.12095190401237166], radius=0.32400015370964996), sigma=2.0)
     f = reference_function()
@@ -759,19 +754,19 @@ def test_zero_gradient_is_skipped():
 
 def test_evaluate_general_rejects_inside_queries():
     f = reference_function()
-    with pytest.raises(InsideBallError):
+    with pytest.raises(ValueError, match="^evaluate_general requires x_star outside the ball$"):
         evaluate_general(f, [0.05, 0.0], reference_set())
     finite = UncertaintySet(region=FinitePointSet(points=[[0.3, 0.4]]), sigma=2.0)
-    with pytest.raises(CoincidentPointsError):
+    with pytest.raises(ValueError, match="^x_star coincides with a set point; classify_point handles that case$"):
         evaluate_general(f, [0.3, 0.4], finite)
 
 
 def test_dimension_checks():
     f = reference_function()
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^function, point, and set dimensions must agree$"):
         classify_point(f, [1.0, 0.0, 0.0], reference_set())
     three_d = UncertaintySet(region=Ball(center=[0.0, 0.0, 0.0], radius=0.1), sigma=2.0)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^function, point, and set dimensions must agree$"):
         classify_point(f, [1.0, 0.0, 0.0], three_d)
 
 

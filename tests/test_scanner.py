@@ -5,13 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minregion.errors import DimensionMismatchError, GridMismatchError, NonFiniteError
+from minregion.errors import NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
-from minregion.membership import BLOCK_ROWS, FinitePointSet, UncertaintySet, classify_point
+from minregion.membership import BLOCK_ROWS, FinitePointSet, UncertaintySet, classify_point, classify_points
 from minregion.scanner import (
     GridSpec,
-    MaskMetadata,
     RegionMask,
     build_grid,
     mask_subset,
@@ -53,7 +52,7 @@ def test_grid_spec_properties():
         GridSpec(lower=[0.0], upper=[0.0], counts=(5,))
     with pytest.raises(ValueError):
         GridSpec(lower=[0.0], upper=[1.0], counts=(1,))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^lower, upper, and counts must have equal length$"):
         GridSpec(lower=[0.0, 0.0], upper=[1.0], counts=(5,))
 
 
@@ -185,7 +184,7 @@ def test_mask_subset_requires_identical_grids():
     f = reference_function()
     a = scan_region(f, reference_set(), GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], counts=(11, 11)))
     b = scan_region(f, reference_set(), GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], counts=(21, 21)))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="^masks over different grids cannot be compared$"):
         mask_subset(a, b)
 
 
@@ -211,7 +210,7 @@ def test_csv_round_trip_exact(tmp_path):
     assert loaded.grid.counts == mask.grid.counts
     assert np.array_equal(loaded.grid.lower, mask.grid.lower)
     assert np.array_equal(loaded.grid.upper, mask.grid.upper)
-    assert loaded.metadata == mask.metadata
+    assert _scan_fields(loaded) == _scan_fields(mask) == (2.0, 1e-9, 0.1, None)
 
 
 def test_csv_round_trip_finite_set(tmp_path):
@@ -221,8 +220,7 @@ def test_csv_round_trip_finite_set(tmp_path):
     path = tmp_path / "mask.csv"
     write_mask_csv(mask, str(path))
     loaded = read_mask_csv(str(path))
-    assert loaded.metadata.point_count == 2
-    assert loaded.metadata.eps0 is None
+    assert _scan_fields(loaded) == _scan_fields(mask) == (1.0, 1e-9, None, 2)
     assert np.array_equal(loaded.membership, mask.membership)
 
 
@@ -244,14 +242,14 @@ def test_csv_rejects_garbage(tmp_path):
         read_mask_csv(str(path))
 
 
-def _small_mask(metadata):
+def _scan_fields(mask):
+    return (mask.sigma, mask.slack, mask.eps0, mask.point_count)
+
+
+def _small_mask(fields):
     # hand-built 3x2 grid: x1 in {0, 1, 2}, x2 in {0, 1}, last axis fastest
     spec = GridSpec(lower=[0.0, 0.0], upper=[2.0, 1.0], counts=(3, 2))
-    return RegionMask(
-        grid=spec,
-        membership=np.array([True, False, False, False, False, True]),
-        metadata=metadata,
-    )
+    return RegionMask(spec, np.array([True, False, False, False, False, True]), *fields)
 
 
 SMALL_EPS0_HEADER = "# sigma=1.0, eps0=0.1, slack=0.0\n"
@@ -262,28 +260,26 @@ SMALL_CSV_BODY = (
 
 
 @pytest.mark.parametrize(
-    "metadata, first_line, written",
+    "fields, first_line, written",
     [
-        (MaskMetadata(sigma=1.0, slack=0.0, eps0=0.1), SMALL_EPS0_HEADER, True),
-        (MaskMetadata(sigma=0.5, slack=1e-09, point_count=16),
-         "# sigma=0.5, points=16, slack=1e-09\n", True),
+        ((1.0, 0.0, 0.1, None), SMALL_EPS0_HEADER, True),
+        ((0.5, 1e-09, None, 16), "# sigma=0.5, points=16, slack=1e-09\n", True),
         # the reader ignores header fields it does not use, such as an old theta_steps=
-        (MaskMetadata(sigma=2.0, slack=1e-09, eps0=0.1),
-         "# sigma=2.0, eps0=0.1, slack=1e-09\n", False),
+        ((2.0, 1e-09, 0.1, None), "# sigma=2.0, eps0=0.1, slack=1e-09\n", False),
     ],
     ids=["eps0", "points", "theta-steps-header"],
 )
-def test_csv_frozen_bytes(tmp_path, metadata, first_line, written):
+def test_csv_frozen_bytes(tmp_path, fields, first_line, written):
     path = tmp_path / "mask.csv"
     data = (first_line + SMALL_CSV_BODY).encode("ascii")
     if written:
-        write_mask_csv(_small_mask(metadata), str(path))
+        write_mask_csv(_small_mask(fields), str(path))
         assert path.read_bytes() == data
     else:
         path.write_bytes(data)
     back = read_mask_csv(str(path))
-    assert back.metadata == metadata
-    assert np.array_equal(back.membership, _small_mask(metadata).membership)
+    assert _scan_fields(back) == fields
+    assert np.array_equal(back.membership, _small_mask(fields).membership)
 
 
 @pytest.mark.parametrize(
@@ -300,11 +296,7 @@ def test_csv_matches_per_row_formula(tmp_path, lower, upper, counts):
     # the per-point formula the streaming writer replaced, over build_grid
     spec = GridSpec(lower=lower, upper=upper, counts=counts)
     flags = np.random.default_rng(len(counts)).random(spec.point_count) < 0.5
-    mask = RegionMask(
-        grid=spec,
-        membership=flags,
-        metadata=MaskMetadata(sigma=2 / 3, slack=1e-9, eps0=1 / 7),
-    )
+    mask = RegionMask(grid=spec, membership=flags, sigma=2 / 3, slack=1e-9, eps0=1 / 7)
     path = tmp_path / "mask.csv"
     write_mask_csv(mask, str(path))
     header = path.read_text(encoding="ascii").splitlines(keepends=True)[:2]
@@ -323,7 +315,9 @@ def test_csv_write_memory_is_bounded(tmp_path):
     mask = RegionMask(
         grid=spec,
         membership=np.random.default_rng(3).random(spec.point_count) < 0.5,
-        metadata=MaskMetadata(sigma=2.0, slack=1e-9, eps0=0.1),
+        sigma=2.0,
+        slack=1e-9,
+        eps0=0.1,
     )
     tracemalloc.start()
     try:
@@ -372,7 +366,7 @@ def test_csv_rejects_bad_rows(tmp_path, old, new, error):
 
 def test_pgm_frozen_bytes(tmp_path):
     # PGM rows run top-down in x2, columns left-right in x1
-    mask = _small_mask(MaskMetadata(sigma=1.0, slack=0.0, eps0=0.1))
+    mask = _small_mask((1.0, 0.0, 0.1, None))
     path = tmp_path / "mask.pgm"
     write_mask_pgm(mask, str(path))
     assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 0, 255, 255, 0, 0])
@@ -380,12 +374,8 @@ def test_pgm_frozen_bytes(tmp_path):
 
 def test_pgm_rejects_non_2d(tmp_path):
     spec = GridSpec(lower=[0.0, 0.0, 0.0], upper=[1.0, 1.0, 1.0], counts=(2, 2, 2))
-    mask = RegionMask(
-        grid=spec,
-        membership=np.zeros(8, dtype=bool),
-        metadata=MaskMetadata(sigma=1.0, slack=0.0, eps0=0.1),
-    )
-    with pytest.raises(DimensionMismatchError):
+    mask = RegionMask(grid=spec, membership=np.zeros(8, dtype=bool), sigma=1.0, slack=0.0, eps0=0.1)
+    with pytest.raises(ValueError, match="^PGM output is only defined for 2-D masks$"):
         write_mask_pgm(mask, str(tmp_path / "mask.pgm"))
 
 
@@ -401,15 +391,39 @@ def test_scan_3d_ball():
 
 def test_scan_dimension_mismatch():
     f = reference_function()
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^function, set, and grid dimensions must agree$"):
         scan_region(f, reference_set(), GridSpec(lower=[0.0], upper=[1.0], counts=(5,)))
 
 
 def test_region_mask_shape_validation():
     spec = GridSpec(lower=[0.0], upper=[1.0], counts=(5,))
     with pytest.raises(ValueError):
-        RegionMask(
-            grid=spec,
-            membership=np.zeros(4, dtype=bool),
-            metadata=MaskMetadata(sigma=1.0, slack=0.0),
-        )
+        RegionMask(grid=spec, membership=np.zeros(4, dtype=bool), sigma=1.0, slack=0.0)
+
+
+MODEL_BUILDERS = {
+    "QuadraticTerm": lambda: QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0]),
+    "Kink": lambda: Kink(point=[0.5, 0.0], generators=([1.0, 0.0], [-1.0, 0.0])),
+    "KnownFunction": reference_function,
+    "Ball": lambda: Ball(center=[0, 0], radius=1),
+    "GridSpec": lambda: GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(5, 5)),
+    "FinitePointSet": lambda: FinitePointSet(points=[[0.0, 0.0], [1.0, 1.0]]),
+    "UncertaintySet": reference_set,
+    "MembershipVerdict": lambda: classify_point(reference_function(), [1.0, 0.0], reference_set()),
+    "Witness": lambda: classify_point(reference_function(), [1.0, 0.0], reference_set()).witness,
+    "RowVerdicts": lambda: classify_points(reference_function(), reference_set(), [[1.0, 0.0], [3.0, 0.0]]),
+    "RegionMask": lambda: scan_region(
+        reference_function(), reference_set(), GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(5, 5))
+    ),
+}
+
+
+@pytest.mark.parametrize("build", MODEL_BUILDERS.values(), ids=MODEL_BUILDERS.keys())
+def test_model_objects_compare_by_identity(build):
+    # == between equal but distinct objects used to compare their arrays and raise "The truth
+    # value of an array ... is ambiguous", and hash() raised on the array fields
+    a, b = build(), build()
+    assert a is not b
+    assert (a == b) is False and (a != b) is True
+    assert a == a
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
