@@ -12,29 +12,30 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
-from .geometry import Ball, GridSpec
+from .geometry import Ball, GridSpec, WriteOnce
 from .membership import DEFAULT_SLACK, FinitePointSet, UncertaintySet, classify_point
 
 # scanner and oracle are imported inside the subcommands that run them, so a
 # check process, which is mostly interpreter and import time, loads neither.
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
+class ProblemConfig(WriteOnce):
     """Parsed problem definition plus the raw document for report echoes."""
 
-    known_function: KnownFunction
-    uncertainty: UncertaintySet
-    grid: GridSpec | None
-    slack: float
-    raw: dict
-    theta_steps = None  # not a field; bench/tracing.py still reads it
+    theta_steps = None  # bench/tracing.py still reads it
+
+    def __init__(self, known_function: KnownFunction, uncertainty: UncertaintySet, grid: GridSpec | None,
+                 slack: float, raw: dict):
+        self.known_function = known_function
+        self.uncertainty = uncertainty
+        self.grid = grid
+        self.slack = slack
+        self.raw = raw
 
 
 def _fail(path: str, message: str):
@@ -224,7 +225,22 @@ def _apply_overrides(config: ProblemConfig, args) -> ProblemConfig:
         uset = UncertaintySet(region=uset.region, sigma=float(args.sigma_override))
     if not (math.isfinite(slack) and slack >= 0.0):
         raise ConfigError(f"--slack must be a finite number >= 0, got {slack}")
-    return replace(config, uncertainty=uset, slack=float(slack))
+    return ProblemConfig(config.known_function, uset, config.grid, float(slack), config.raw)
+
+
+def _set_reach(uset: UncertaintySet) -> tuple:
+    """(reach, name): the largest |coordinate| of any point of the set, and how messages write it."""
+    region = uset.region
+    if isinstance(region, Ball):
+        return float(np.max(np.abs(region.center))) + region.radius, "(max |c| + r)"
+    return float(np.max(np.abs(region.points))), "max |p|"
+
+
+def _refuse_unscorable_set(uset: UncertaintySet):
+    """Name $.uncertainty when n * reach^2 overflows: the kernel squares distances to the set."""
+    reach, name = _set_reach(uset)
+    if not math.isfinite(uset.dimension * reach * reach):
+        raise ConfigError(f"$.uncertainty: {uset.dimension} * {name}^2 overflows, so no point can be scored")
 
 
 def _format_vector(v) -> str:
@@ -237,6 +253,7 @@ def _cmd_check(args) -> int:
     try:
         verdict = classify_point(config.known_function, point, config.uncertainty, slack=config.slack)
     except NonFiniteError as exc:
+        _refuse_unscorable_set(config.uncertainty)
         raise ConfigError(f"point {args.point!r}: {exc.reason}") from None
     print(f"point: {_format_vector(point)}")
     print(f"member: {'yes' if verdict.member else 'no'}")
@@ -262,6 +279,7 @@ def _cmd_scan(args) -> int:
     try:
         mask = scan_region(config.known_function, config.uncertainty, config.grid, slack=config.slack)
     except NonFiniteError as exc:
+        _refuse_unscorable_set(config.uncertainty)
         raise ConfigError(f"{args.config}: {exc.reason}") from None
     except MemoryError:
         count = config.grid.point_count
@@ -293,11 +311,7 @@ def _cmd_validate(args) -> int:
     if not math.isfinite(sigma * hi):
         raise ConfigError(f"$.sigma: the largest draw sigma * {hi!r} overflows for sigma {sigma!r}")
     # a draw's sigma_u * c, on the way to the minimizer, is bounded by sigma * hi * reach
-    region = config.uncertainty.region
-    if isinstance(region, Ball):
-        reach, name = float(np.max(np.abs(region.center))) + region.radius, "(max |c| + r)"
-    else:
-        reach, name = float(np.max(np.abs(region.points))), "max |p|"
+    reach, name = _set_reach(config.uncertainty)
     if not math.isfinite(sigma * hi * reach):
         raise ConfigError(f"$.uncertainty: sigma * {hi!r} * {name} overflows for sigma {sigma!r}")
     try:

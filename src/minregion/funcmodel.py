@@ -11,28 +11,21 @@ gradient.  kink_index is the one rule for which kink a point is at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .geometry import _column_dot, as_vector
+from .geometry import WriteOnce, _column_dot, as_vector
 
 SYMMETRY_ATOL = 1e-12  # max allowed |Q - Q^T| entrywise, times max(1, max |Q|)
 PSD_EIG_TOL = -1e-10  # eigenvalues may dip this far below zero, times max(1, max |Q|)
 KINK_MATCH_ATOL = 1e-12  # how close a query must be to count as a registered kink
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticTerm:
+class QuadraticTerm(WriteOnce):
     """One convex quadratic w * (x - m)^T Q (x - m)."""
 
-    Q: np.ndarray
-    m: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        m = as_vector(self.m)
+    def __init__(self, Q, m, weight: float = 1.0):
+        Q = np.asarray(Q, dtype=float)
+        m = as_vector(m)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
         if Q.shape[0] != m.shape[0]:
@@ -44,7 +37,7 @@ class QuadraticTerm:
             raise ValueError("Q must be symmetric to within 1e-12 max(1, max |Q|)")
         if float(np.min(np.linalg.eigvalsh(Q))) < PSD_EIG_TOL * scale:
             raise ValueError("Q must be positive semidefinite (eigenvalues >= -1e-10 max(1, max |Q|))")
-        weight = float(self.weight)
+        weight = float(weight)
         if not np.isfinite(weight) or weight <= 0.0:
             raise ValueError(f"term weight must be > 0, got {weight}")
         with np.errstate(over="ignore", invalid="ignore"):  # gradients scale Q and Q m by 2 * weight
@@ -53,17 +46,16 @@ class QuadraticTerm:
                     raise ValueError(f"2 * weight * {name} overflows for weight {weight!r}")
         Q.flags.writeable = False
         m.flags.writeable = False
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "weight", weight)
+        self.Q = Q
+        self.m = m
+        self.weight = weight
 
     @property
     def dimension(self) -> int:
         return self.m.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Kink:
+class Kink(WriteOnce):
     """A declared nonsmooth point with its subdifferential generators.
 
     Generators are the extreme subgradients of the nonsmooth part alone; the
@@ -71,12 +63,9 @@ class Kink:
     queried.  The list must be nonempty; it is stored as one (m, n) array.
     """
 
-    point: np.ndarray
-    generators: np.ndarray
-
-    def __post_init__(self):
-        point = as_vector(self.point)
-        gens = [as_vector(g) for g in self.generators]
+    def __init__(self, point, generators):
+        point = as_vector(point)
+        gens = [as_vector(g) for g in generators]
         if not gens:
             raise ValueError("a kink needs at least one subdifferential generator")
         if any(g.shape[0] != point.shape[0] for g in gens):
@@ -86,28 +75,25 @@ class Kink:
             raise ValueError("kink point and generators must be finite")
         point.flags.writeable = False
         gens.flags.writeable = False
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "generators", gens)
+        self.point = point
+        self.generators = gens
 
 
-@dataclass(frozen=True, eq=False)
-class KnownFunction:
-    """Weighted sum of convex quadratics with optional registered kinks."""
+class KnownFunction(WriteOnce):
+    """Weighted sum of convex quadratics with optional registered kinks.
 
-    terms: tuple
-    kinks: tuple = ()
-    hessian: np.ndarray = field(init=False, repr=False)  # sum 2 w Q, in term order
-    offset: np.ndarray = field(init=False, repr=False)  # sum 2 w Q m, in term order
+    hessian is sum 2 w Q and offset sum 2 w Q m, both summed in term order.
+    """
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    def __init__(self, terms: tuple, kinks: tuple = ()):
+        terms = tuple(terms)
         if not terms:
             raise ValueError("a known function needs at least one quadratic term")
         n = terms[0].dimension
         for t in terms:
             if t.dimension != n:
                 raise ValueError("quadratic terms have mixed dimensions")
-        kinks = tuple(self.kinks)
+        kinks = tuple(kinks)
         for k in kinks:
             if k.point.shape[0] != n:
                 raise ValueError("kink point dimension mismatch")
@@ -118,10 +104,10 @@ class KnownFunction:
             if not np.isfinite(total).all():
                 raise ValueError(f"sum of 2 * weight * {name} overflows")
             total.flags.writeable = False
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "kinks", kinks)
-        object.__setattr__(self, "hessian", hessian)
-        object.__setattr__(self, "offset", offset)
+        self.terms = terms
+        self.kinks = kinks
+        self.hessian = hessian
+        self.offset = offset
 
     @property
     def dimension(self) -> int:

@@ -10,7 +10,6 @@ does not import the scanner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,23 +44,34 @@ def _same_dim(*vectors: np.ndarray) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class Ball:
+class WriteOnce:
+    """Base of the model types: an attribute, once set, cannot be reassigned or deleted.
+
+    == and hash() are object identity, as inherited from object.
+    """
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"{type(self).__name__}.{name} is already set")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class Ball(WriteOnce):
     """Closed Euclidean ball with strictly positive radius."""
 
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        center = as_vector(self.center)
+    def __init__(self, center, radius: float):
+        center = as_vector(center)
         if not np.all(np.isfinite(center)):
             raise ValueError("ball center must be finite")
-        radius = float(self.radius)
+        radius = float(radius)
         if not np.isfinite(radius) or radius <= 0.0:
             raise ValueError(f"ball radius must be > 0, got {radius}")
         center.flags.writeable = False
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
+        self.center = center
+        self.radius = radius
 
     @property
     def dimension(self) -> int:
@@ -76,19 +86,13 @@ class Ball:
             return bool(np.sqrt(_column_dot(delta, delta)) <= self.radius)
 
 
-@dataclass(frozen=True, eq=False)
-class GridSpec:
+class GridSpec(WriteOnce):
     """Axis-aligned inclusive grid: counts[i] samples from lower[i] to upper[i]."""
 
-    lower: np.ndarray
-    upper: np.ndarray
-    counts: tuple
-    _axes: tuple | None = field(default=None, init=False, repr=False)  # set by axes()
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        counts = tuple(int(c) for c in np.atleast_1d(self.counts))
+    def __init__(self, lower, upper, counts: tuple):
+        lower = np.atleast_1d(np.asarray(lower, dtype=float))
+        upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        counts = tuple(int(c) for c in np.atleast_1d(counts))
         if lower.shape != upper.shape or lower.shape[0] != len(counts):
             raise ValueError("lower, upper, and counts must have equal length")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
@@ -101,9 +105,9 @@ class GridSpec:
             raise ValueError(f"the point count exceeds the index range {np.iinfo(np.intp).max}")
         lower.flags.writeable = False
         upper.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "counts", counts)
+        self.lower = lower
+        self.upper = upper
+        self.counts = counts
 
     @property
     def dimension(self) -> int:
@@ -116,14 +120,14 @@ class GridSpec:
     def axes(self) -> tuple:
         """np.linspace(lower[i], upper[i], counts[i]) per axis, read-only, kept after the first call.
 
-        Not built in __post_init__: a grid that is only loaded, as by check,
-        then allocates none of its sum(counts) floats.
+        Not built by the constructor: a grid that is only loaded, as by
+        check, then allocates none of its sum(counts) floats.
         """
-        if self._axes is None:
+        if "_axes" not in self.__dict__:
             axes = tuple(np.linspace(*bounds) for bounds in zip(self.lower, self.upper, self.counts))
             for ax in axes:
                 ax.flags.writeable = False
-            object.__setattr__(self, "_axes", axes)
+            self._axes = axes
         return self._axes
 
 

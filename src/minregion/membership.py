@@ -25,26 +25,21 @@ candidate lists, as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction, gradient, kink_index, subdifferential
-from .geometry import Ball, _column_dot, as_vector
+from .geometry import Ball, WriteOnce, _column_dot, as_vector
 
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
 BLOCK_ROWS = 8192  # query rows per classify_points call in scans and campaigns; bounds memory
 
 
-@dataclass(frozen=True, eq=False)
-class FinitePointSet:
+class FinitePointSet(WriteOnce):
     """Finitely many candidate minimizer locations for the unknown term."""
 
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2 or pts.shape[0] == 0:
@@ -52,7 +47,7 @@ class FinitePointSet:
         if not np.all(np.isfinite(pts)):
             raise ValueError("finite point set entries must be finite")
         pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        self.points = pts
 
     @property
     def dimension(self) -> int:
@@ -65,20 +60,17 @@ class FinitePointSet:
         return bool(np.any(np.all(self.points == x, axis=1)))
 
 
-@dataclass(frozen=True, eq=False)
-class UncertaintySet:
+class UncertaintySet(WriteOnce):
     """Where the unknown term's minimizer may lie, plus its convexity constant."""
 
-    region: object  # Ball | FinitePointSet
-    sigma: float
-
-    def __post_init__(self):
-        if not isinstance(self.region, (Ball, FinitePointSet)):
+    def __init__(self, region, sigma: float):
+        if not isinstance(region, (Ball, FinitePointSet)):
             raise TypeError("region must be a Ball or a FinitePointSet")
-        sigma = float(self.sigma)
+        sigma = float(sigma)
         if not np.isfinite(sigma) or sigma <= 0.0:
             raise ValueError(f"sigma must be > 0, got {sigma}")
-        object.__setattr__(self, "sigma", sigma)
+        self.region = region
+        self.sigma = sigma
 
     @property
     def dimension(self) -> int:
@@ -88,16 +80,15 @@ class UncertaintySet:
         return self.region.contains(x)
 
 
-@dataclass(frozen=True, eq=False)
-class Witness:
+class Witness(WriteOnce):
     """Candidate pair (x_u, g) attaining a verdict's best_score."""
 
-    x_u: np.ndarray
-    g: np.ndarray
+    def __init__(self, x_u: np.ndarray, g: np.ndarray):
+        self.x_u = x_u
+        self.g = g
 
 
-@dataclass(frozen=True, eq=False)
-class MembershipVerdict:
+class MembershipVerdict(WriteOnce):
     """Outcome of a membership test at one query point.
 
     best_score is the smallest pairwise score among the candidates examined
@@ -105,10 +96,12 @@ class MembershipVerdict:
     inside-the-set rule, which carry no witness.
     """
 
-    member: bool
-    best_score: float | None = None
-    witness: Witness | None = None
-    interior: bool = False
+    def __init__(self, member: bool, best_score: float | None = None, witness: Witness | None = None,
+                 interior: bool = False):
+        self.member = member
+        self.best_score = best_score
+        self.witness = witness
+        self.interior = interior
 
 
 def ball_score_infimum(G, g_norm, delta, d, ball: Ball, sigma: float, slack: float = DEFAULT_SLACK):
@@ -231,8 +224,7 @@ def evaluate_general(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RowVerdicts:
+class RowVerdicts(WriteOnce):
     """classify_points' results, one entry per query row.
 
     interior[i] marks row i inside the closed set, a member with score inf.
@@ -242,10 +234,11 @@ class RowVerdicts:
     in declared order that attains it, and member[i] whether any passes.
     """
 
-    interior: np.ndarray
-    member: np.ndarray
-    score: np.ndarray
-    g: np.ndarray
+    def __init__(self, interior: np.ndarray, member: np.ndarray, score: np.ndarray, g: np.ndarray):
+        self.interior = interior
+        self.member = member
+        self.score = score
+        self.g = g
 
 
 def _raise_first(bad: np.ndarray, reason: str, rows=None):

@@ -10,13 +10,11 @@ falsification and indicates a defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction, kink_index
-from .geometry import Ball, _column_dot
+from .geometry import Ball, WriteOnce, _column_dot
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _raise_first, classify_points
 
 MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
@@ -35,8 +33,7 @@ _SPLITMIX_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(WriteOnce):
     """Aggregate of a necessity campaign.
 
     falsifications counts non-member verdicts at true minimizers (must be
@@ -45,16 +42,19 @@ class ValidationReport:
     came to the decision boundary (negative on a falsification).
     """
 
-    sigma: float
-    classify_sigma: float
-    trials: int
-    member_count: int
-    interior_count: int
-    falsification_count: int
-    worst_margin: float | None
-    seed: int
-    slack: float
-    falsification_details: tuple = ()
+    def __init__(self, sigma: float, classify_sigma: float, trials: int, member_count: int, interior_count: int,
+                 falsification_count: int, worst_margin: float | None, seed: int, slack: float,
+                 falsification_details: tuple = ()):
+        self.sigma = sigma
+        self.classify_sigma = classify_sigma
+        self.trials = trials
+        self.member_count = member_count
+        self.interior_count = interior_count
+        self.falsification_count = falsification_count
+        self.worst_margin = worst_margin
+        self.seed = seed
+        self.slack = slack
+        self.falsification_details = falsification_details
 
     @property
     def passed(self) -> bool:

@@ -10,39 +10,34 @@ the grid size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction
-from .geometry import Ball, GridSpec  # GridSpec is also importable from here
+from .geometry import Ball, GridSpec, WriteOnce  # GridSpec is also importable from here
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, classify_points
 
 
-@dataclass(frozen=True, eq=False)
-class RegionMask:
+class RegionMask(WriteOnce):
     """Membership booleans over a grid, in row-major (last axis fastest) order.
 
     sigma and slack are the scan's; eps0 is the radius of a ball set and
     point_count the size of a finite one, the other being None.
     """
 
-    grid: GridSpec
-    membership: np.ndarray
-    sigma: float
-    slack: float
-    eps0: float | None = None
-    point_count: int | None = None
-
-    def __post_init__(self):
-        mem = np.asarray(self.membership, dtype=bool)
-        if mem.shape != (self.grid.point_count,):
-            raise ValueError(
-                f"membership must have shape ({self.grid.point_count},), got {mem.shape}"
-            )
+    def __init__(self, grid: GridSpec, membership, sigma: float, slack: float,
+                 eps0: float | None = None, point_count: int | None = None):
+        mem = np.asarray(membership, dtype=bool)
+        if mem.shape != (grid.point_count,):
+            raise ValueError(f"membership must have shape ({grid.point_count},), got {mem.shape}")
         mem.flags.writeable = False
-        object.__setattr__(self, "membership", mem)
+        self.grid = grid
+        self.membership = mem
+        self.sigma = sigma
+        self.slack = slack
+        self.eps0 = eps0
+        self.point_count = point_count
 
     @property
     def member_count(self) -> int:

@@ -574,7 +574,7 @@ def test_validate_rejects_a_sigma_whose_draws_overflow(tmp_path, capsys):
     assert "member: no\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
+HUGE_SETS = pytest.mark.parametrize(
     "uncertainty, name",
     [
         ({"type": "ball", "center": [1e308, 0.0], "radius": 1e308}, "(max |c| + r)"),
@@ -582,17 +582,37 @@ def test_validate_rejects_a_sigma_whose_draws_overflow(tmp_path, capsys):
     ],
     ids=["ball", "points"],
 )
+
+
+@HUGE_SETS
 def test_validate_rejects_a_set_whose_draws_overflow(tmp_path, capsys, uncertainty, name):
     # sigma * 3.0 times the set's reach overflows: validate names $.uncertainty, where the
-    # ball used to be reported as "minimizer of trial 0: coordinates are not finite";
-    # check loads the same config and answers as before
+    # ball used to be reported as "minimizer of trial 0: coordinates are not finite"
     config = write_config(tmp_path, dict(REFERENCE, uncertainty=uncertainty))
     assert main(["validate", config, "--trials", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: $.uncertainty: sigma * 3.0 * {name} overflows for sigma 2.0\n"
     assert captured.out == ""
+
+
+@HUGE_SETS
+def test_check_and_scan_name_a_set_that_cannot_be_scored(tmp_path, capsys, uncertainty, name):
+    # n * reach^2 overflows, so the kernel's squared distances to the set do: the set is
+    # named, where check blamed the query point and scan the first grid point
+    config = write_config(tmp_path, dict(REFERENCE, uncertainty=uncertainty))
+    expected = f"error: $.uncertainty: 2 * {name}^2 overflows, so no point can be scored\n"
     assert main(["check", config, "1,0"]) == 2
-    assert capsys.readouterr().err == "error: point '1,0': score overflows\n"
+    assert capsys.readouterr() == ("", expected)
+    assert main(["scan", config, "-o", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr() == ("", expected)
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_a_huge_query_point_is_still_named(tmp_path, capsys):
+    # the reference set scores every finite distance, so an overflow is the point's
+    config = write_config(tmp_path, REFERENCE)
+    assert main(["check", config, "--", "1e200,0"]) == 2
+    assert capsys.readouterr() == ("", "error: point '1e200,0': score overflows\n")
 
 
 def test_bench_and_reference_configs_still_validate(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,6 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -800,7 +799,7 @@ def _campaign(case):
         trials = 50
     elif case == "falsified":
         # classified against sigma 40 while drawn with 1.5
-        return f, replace(uset, sigma=40.0), 1.5, trials
+        return f, UncertaintySet(region=uset.region, sigma=40.0), 1.5, trials
     elif case in ("tie", "two_kinks"):
         # +-3e1 at (0.5, 0) leaves most minimizers on the tie face x1 = 0.5, off the kink point
         kinks = [Kink(point=[0.5, 0.0], generators=([3.0, 0.0], [-3.0, 0.0]))]

@@ -1,14 +1,17 @@
 """Tests for grid scanning and mask serialization."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from minregion.cli import load_config
 from minregion.errors import NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
 from minregion.geometry import Ball
 from minregion.membership import BLOCK_ROWS, FinitePointSet, UncertaintySet, classify_point, classify_points
+from minregion.oracle import validate_necessity
 from minregion.scanner import (
     GridSpec,
     RegionMask,
@@ -415,6 +418,10 @@ MODEL_BUILDERS = {
     "RegionMask": lambda: scan_region(
         reference_function(), reference_set(), GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(5, 5))
     ),
+    "ValidationReport": lambda: validate_necessity(reference_function(), reference_set(), 2.0, 5, 0),
+    "ProblemConfig": lambda: load_config(
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "reference.json")
+    ),
 }
 
 
@@ -427,3 +434,23 @@ def test_model_objects_compare_by_identity(build):
     assert (a == b) is False and (a != b) is True
     assert a == a
     assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("build", MODEL_BUILDERS.values(), ids=MODEL_BUILDERS.keys())
+def test_model_attributes_are_write_once(build):
+    obj = build()
+    before = dict(vars(obj))
+    assert before
+    for name, value in before.items():
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert vars(obj).keys() == before.keys() and all(vars(obj)[k] is v for k, v in before.items())
+    if isinstance(obj, GridSpec):
+        # axes() still fills its cache on the first call and returns the same arrays after
+        axes = obj.axes()
+        assert obj.axes() is axes
+        with pytest.raises(AttributeError):
+            obj._axes = None
+        assert obj.axes() is axes
