@@ -10,6 +10,7 @@ does not import the scanner.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -17,10 +18,10 @@ ON_SPHERE_ATOL = 1e-9  # how far from the sphere a "boundary" point may sit, tim
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce array-like input to a 1-D float64 vector."""
+    """Coerce array-like input to a nonempty 1-D float64 vector."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
     return v
 
 
@@ -87,12 +88,15 @@ class Ball(WriteOnce):
 
 
 class GridSpec(WriteOnce):
-    """Axis-aligned inclusive grid: counts[i] samples from lower[i] to upper[i]."""
+    """Axis-aligned inclusive grid: counts[i] samples, an integer, from lower[i] to upper[i]."""
 
     def __init__(self, lower, upper, counts: tuple):
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        counts = tuple(int(c) for c in np.atleast_1d(counts))
+        lower = as_vector(lower)
+        upper = as_vector(upper)
+        try:
+            counts = tuple(operator.index(c) for c in (counts if np.ndim(counts) else [counts]))
+        except TypeError:
+            raise ValueError(f"grid counts must be integers, got {counts!r}") from None
         if lower.shape != upper.shape or lower.shape[0] != len(counts):
             raise ValueError("lower, upper, and counts must have equal length")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):

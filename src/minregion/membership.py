@@ -18,7 +18,9 @@ minimum is derived only by classify_point, for the row it reports
 (ball_witness, or the first finite-set point with that score).  Points
 inside the closed set are always candidates (an admissible unknown term
 minimizing there can be constructed directly), so they are classified
-member without a score.
+member without a score.  The inside test reuses the scoring pass: c - x*
+for a ball, and for a finite set a zero nearest squared distance, which
+FinitePointSet.contains, the one exact-equality rule, confirms.
 evaluate_general checks the condition independently, over explicit
 candidate lists, as a cross-check.
 """
@@ -42,7 +44,7 @@ class FinitePointSet(WriteOnce):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
-        if pts.ndim != 2 or pts.shape[0] == 0:
+        if pts.ndim != 2 or 0 in pts.shape:
             raise ValueError("a finite point set needs a nonempty (k, n) array of points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("finite point set entries must be finite")
@@ -266,29 +268,6 @@ def _fold(ufunc, values: np.ndarray) -> np.ndarray:
     return values[0] if values.shape[0] == 1 else ufunc.reduce(values, axis=0)
 
 
-def _finite_set_interior(cols: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Rows of the (n, N) column block equal to a point of the set.
-
-    Only rows whose first coordinate is some point's first coordinate (a
-    binary search) can be; those are compared in full, one coordinate at a
-    time.
-    """
-    interior = np.zeros(cols.shape[1], dtype=bool)
-    first = np.sort(points[:, 0])
-    near = first[np.minimum(np.searchsorted(first, cols[0]), first.size - 1)]
-    hits = np.flatnonzero(near == cols[0])
-    if hits.size:
-        sub = cols[:, hits]
-        equal_any = np.zeros(hits.size, dtype=bool)
-        for pcols in _point_chunks(hits.size, points):
-            equal = sub[0] == pcols[0]
-            for x, p in zip(sub[1:], pcols[1:]):
-                equal &= x == p
-            equal_any |= _fold(np.logical_or, equal)
-        interior[hits] = equal_any
-    return interior
-
-
 def _pair_scores(xcols, gcols, pcols, work: np.ndarray):
     """(score, num, dist2) of every (query, generator, set point) pair, by broadcasting.
 
@@ -311,16 +290,19 @@ def _pair_scores(xcols, gcols, pcols, work: np.ndarray):
     return np.divide(sums[0], sums[1], out=work[2 * n]), sums[0], sums[1]
 
 
-def _finite_set_scores(G, X, points: np.ndarray) -> np.ndarray:
-    """Lowest admissible pair score over the points for generators G at query points X.
+def _finite_set_scores(G, X, points: np.ndarray) -> tuple:
+    """(score, nearest): the lowest admissible pair score over the points for
+    generators G at query points X, and the lowest dist2 over the points.
 
-    G and X broadcast as (n, ...) arrays; the result drops the coordinate
-    axis.  A generator with no admissible point scores inf.  Points go in
-    chunks of about BLOCK_ROWS row-point pairs (_point_chunks), and no pair
-    is masked: best is the np.fmin of every score, low the minimum of every
-    num.  An admissible score is <= -0.0 and any other is >= -0.0 or nan,
-    which np.fmin skips; so a row with low < 0 has an admissible point, and
-    its lowest admissible score is best in value and -|best| in sign too.
+    G and X broadcast as (n, ...) arrays; both results drop the coordinate
+    axis.  A generator with no admissible point scores inf.  nearest is 0
+    for a query point equal to a set point, and also where every |d_j| is
+    below about 1e-162, since d_j d_j underflows.  Points go in chunks of
+    about BLOCK_ROWS row-point pairs (_point_chunks), and no pair is masked:
+    best is the np.fmin of every score, low the minimum of every num.  An
+    admissible score is <= -0.0 and any other is >= -0.0 or nan, which
+    np.fmin skips; so a row with low < 0 has an admissible point, and its
+    lowest admissible score is best in value and -|best| in sign too.
 
     A pair whose num or dist2 overflowed would slip through the same
     reductions.  Every |d_j| is at most reach, so when
@@ -334,6 +316,7 @@ def _finite_set_scores(G, X, points: np.ndarray) -> np.ndarray:
     reach = float(np.abs(Xg).max(initial=0.0)) + float(np.abs(points).max())
     exposed = not n * reach * max(reach, float(np.abs(G).max(initial=0.0))) < 2.0**1000
     best = np.full(rows, np.inf)
+    nearest = np.full(rows, np.inf)
     low = np.zeros(rows)
     high = np.zeros((2, rows))
     xcols, gcols = Xg[:, None, :], G[:, None, :]  # against (n, chunk, 1) points
@@ -344,20 +327,23 @@ def _finite_set_scores(G, X, points: np.ndarray) -> np.ndarray:
         score, num, dist2 = _pair_scores(xcols, gcols, pcols, work[:, : pcols.shape[1]])
         np.fmin(best, _fold(np.fmin, score), out=best)
         np.minimum(low, _fold(np.minimum, num), out=low)
+        np.minimum(nearest, _fold(np.minimum, dist2), out=nearest)
         if exposed:
             np.maximum(high[0], _fold(np.maximum, num), out=high[0])
             np.maximum(high[1], _fold(np.maximum, dist2), out=high[1])
     score = np.where(low < 0.0, -np.abs(best), np.inf)
     if exposed:
         score[~(np.isfinite(low) & np.isfinite(high).all(axis=0))] = np.nan
-    return score.reshape(shape[1:])
+    return score.reshape(shape[1:]), nearest.reshape(shape[1:])
 
 
 def _scores(uset: UncertaintySet, slack: float, G, *query) -> tuple:
-    """(member, score) of generators G (n, ...) over the set, broadcast against the query rows.
+    """(member, score, inside) of generators G (n, ...) over the set, broadcast against the query rows.
 
     query is (c - x*, ||c - x*||) for a ball, x* for a finite set.  A ball
     scores a zero generator (no descent direction) inf; nan marks overflow.
+    inside is ||c - x*|| <= radius for a ball; for a finite set it is a
+    zero nearest dist2, which only FinitePointSet.contains can confirm.
     """
     region = uset.region
     if isinstance(region, Ball):
@@ -367,9 +353,9 @@ def _scores(uset: UncertaintySet, slack: float, G, *query) -> tuple:
         flat = gg == 0.0
         if flat.any():
             member[flat], score[flat] = False, np.inf
-        return member, score
-    score = _finite_set_scores(G, *query, region.points)
-    return score <= -uset.sigma + float(slack), score
+        return member, score, query[1] <= region.radius
+    score, nearest = _finite_set_scores(G, *query, region.points)
+    return score <= -uset.sigma + float(slack), score, nearest == 0.0
 
 
 def _finite_set_witness(g, x_star, points: np.ndarray, score: float) -> np.ndarray:
@@ -386,9 +372,10 @@ def classify_points(
 
     The kernel runs on X.T as an (n, N) C-contiguous block, which costs no
     copy when X is the transpose of such a block (a scan block).  Every row
-    is scored with its smooth gradient in one pass; the rows at a registered
-    kink (kink_index) are then rescored as one (m, R) block per kink, whose
-    axis-0 any and argmin give the member flag, the score and the generator.
+    is scored with its smooth gradient in one pass, which also tells the
+    rows inside the set; the rows at a registered kink (kink_index) are then
+    rescored as one (m, R) block per kink, whose axis-0 any and argmin give
+    the member flag, the score and the generator.
     NonFiniteError names a non-finite query row, or a row outside the set
     whose gradient or score overflows; rows inside never raise.
     """
@@ -400,18 +387,22 @@ def classify_points(
     region = uset.region
     # overflow is checked below and reported as NonFiniteError, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        G = gradient(f, cols.T).T
         if isinstance(region, Ball):
             delta = region.center[:, None] - cols  # c - x*, shared by the interior test and the scores
-            d = np.sqrt(_column_dot(delta, delta))
-            interior = d <= region.radius
-            query = (delta, d)
+            query = (delta, np.sqrt(_column_dot(delta, delta)))
         else:
-            interior = _finite_set_interior(cols, region.points)
             query = (cols,)
+        member, score, interior = _scores(uset, slack, G, *query)
+        if not isinstance(region, Ball):  # a zero nearest dist2 is a set point or an underflow
+            todo = interior.copy()
+            while todo.any():  # one contains call per distinct row: a campaign repeats set points
+                x = cols[:, np.argmax(todo)]
+                same = (cols == x[:, None]).all(axis=0)  # rows equal to x have its zero nearest dist2
+                interior[same] = region.contains(x)
+                todo &= ~same
         outside = ~interior
-        G = gradient(f, cols.T).T
         _raise_first(~np.isfinite(G).all(axis=0) & outside, "gradient overflows")
-        member, score = _scores(uset, slack, G, *query)
         at = kink_index(f, cols) if f.kinks else None
         _raise_first(np.isnan(score) & (outside if at is None else outside & (at < 0)), "score overflows")
         for j, k in enumerate(f.kinks):
@@ -420,7 +411,7 @@ def classify_points(
                 continue
             Gk = G[:, rows][:, None, :] + k.generators.T[:, :, None]
             _raise_first(~np.isfinite(Gk).all(axis=(0, 1)) & outside[rows], "gradient overflows", rows)
-            kink_member, kink_score = _scores(uset, slack, Gk, *(q[..., None, rows] for q in query))
+            kink_member, kink_score, _ = _scores(uset, slack, Gk, *(q[..., None, rows] for q in query))
             _raise_first(np.isnan(kink_score).any(axis=0) & outside[rows], "score overflows", rows)
             best, each = np.argmin(kink_score, axis=0), np.arange(rows.size)
             member[rows], score[rows] = kink_member.any(axis=0), kink_score[best, each]

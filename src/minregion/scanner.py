@@ -149,11 +149,13 @@ def write_mask_csv(mask: RegionMask, path: str):
 def read_mask_csv(path: str) -> RegionMask:
     """Inverse of write_mask_csv; validates coordinates against the declared grid.
 
-    Raises ValueError for a file that is not a mask CSV, a header that lacks
-    a field, a row that does not parse or has the wrong number of columns, a
-    wrong row count, or coordinates that are not exactly the declared
-    grid's, in grid order.  Other header fields are ignored, so files with
-    a field this writer no longer emits still load.
+    Raises ValueError, naming the path, for a file that is not a mask CSV, a
+    header that lacks a field or has one that does not parse or does not
+    make a grid, a row that does not parse or has the wrong number of
+    columns, a wrong row count, coordinates that are not exactly the
+    declared grid's, in grid order, or a member flag other than 0 or 1.
+    Other header fields are ignored, so files with a field this writer no
+    longer emits still load.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = []  # the two header lines and the first data line
@@ -171,25 +173,25 @@ def read_mask_csv(path: str) -> RegionMask:
             )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    fields = {}
-    for part in lines[0].lstrip("# ").split(","):
-        key, _, value = part.strip().partition("=")
-        fields[key] = value
+    fields = dict(part.strip().partition("=")[::2] for part in lines[0].lstrip("# ").split(","))
     grid_part = lines[1].lstrip("# ").removeprefix("grid ").split(" ")
-    grid_fields = {}
-    for part in grid_part:
-        key, _, value = part.partition("=")
-        grid_fields[key] = value
+    grid_fields = dict(part.partition("=")[::2] for part in grid_part)
     required = ((fields, ("sigma", "slack")), (grid_fields, ("lower", "upper", "counts")))
     for table, keys in required:
         for key in keys:
             if key not in table:
                 raise ValueError(f"{path}: header has no {key}= field")
-    spec = GridSpec(
-        lower=[float(v) for v in grid_fields["lower"].split(",")],
-        upper=[float(v) for v in grid_fields["upper"].split(",")],
-        counts=[int(v) for v in grid_fields["counts"].split(",")],
-    )
+    try:
+        spec = GridSpec(
+            lower=[float(v) for v in grid_fields["lower"].split(",")],
+            upper=[float(v) for v in grid_fields["upper"].split(",")],
+            counts=[int(v) for v in grid_fields["counts"].split(",")],
+        )
+        sigma, slack = float(fields["sigma"]), float(fields["slack"])
+        eps0 = float(fields["eps0"]) if "eps0" in fields else None
+        point_count = int(fields["points"]) if "points" in fields else None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     n = spec.dimension
     if data.shape != (spec.point_count, n + 1):
         raise ValueError(f"{path}: expected {spec.point_count} data rows of {n + 1} columns")
@@ -198,14 +200,12 @@ def read_mask_csv(path: str) -> RegionMask:
         along[i] = -1
         if not np.all(data[:, i].reshape(spec.counts) == ax.reshape(along)):
             raise ValueError(f"{path}: data coordinates do not match the declared grid")
-    return RegionMask(
-        grid=spec,
-        membership=data[:, n] != 0.0,
-        sigma=float(fields["sigma"]),
-        slack=float(fields["slack"]),
-        eps0=float(fields["eps0"]) if "eps0" in fields else None,
-        point_count=int(fields["points"]) if "points" in fields else None,
-    )
+    flags = data[:, n]
+    bad = (flags != 0.0) & (flags != 1.0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{path}: data row {row + 1} has member flag {float(flags[row])!r}, not 0 or 1")
+    return RegionMask(spec, flags == 1.0, sigma, slack, eps0=eps0, point_count=point_count)
 
 
 def write_mask_pgm(mask: RegionMask, path: str):

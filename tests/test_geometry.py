@@ -146,3 +146,16 @@ def test_grid_axes_are_computed_once_and_read_only():
     for ax, lower, upper, count in zip(axes, [-1.0, -2.0], [3.0, 2.0], (401, 7)):
         assert np.array_equal(ax, np.linspace(lower, upper, count))
         assert not ax.flags.writeable
+
+
+@pytest.mark.parametrize("counts", [(2.7, 3), (3.0, 3), np.array([2.5, 3.0]), ("3", 3), 4.0])
+def test_grid_counts_must_be_integers(counts):
+    # counts used to be truncated: (2.7, 3) made a 2 x 3 grid
+    with pytest.raises(ValueError, match="grid counts must be integers"):
+        GridSpec(lower=[0.0, 0.0][: np.size(counts)], upper=[1.0, 1.0][: np.size(counts)], counts=counts)
+
+
+@pytest.mark.parametrize("counts", [(2, 3), [2, 3], np.array([2, 3]), (np.int32(2), np.uint8(3))])
+def test_grid_counts_take_python_and_numpy_integers(counts):
+    spec = GridSpec(lower=[0.0, 0.0], upper=[1.0, 1.0], counts=counts)
+    assert spec.counts == (2, 3) and all(type(c) is int for c in spec.counts)

@@ -779,6 +779,22 @@ def test_uncertainty_set_validation():
         FinitePointSet(points=np.empty((0, 2)))
 
 
+def test_zero_dimensional_models_are_rejected():
+    # an empty vector or point used to build a 0-D set, or fail inside numpy
+    empty_vector = "expected a nonempty 1-D vector"
+    with pytest.raises(ValueError, match=empty_vector):
+        Ball(center=[], radius=1.0)
+    with pytest.raises(ValueError, match=empty_vector):
+        QuadraticTerm(Q=np.zeros((0, 0)), m=[])
+    with pytest.raises(ValueError, match=empty_vector):
+        Kink(point=[], generators=[[]])
+    with pytest.raises(ValueError, match=empty_vector):
+        GridSpec(lower=[], upper=[], counts=())
+    for points in ([[]], [], np.empty((3, 0))):
+        with pytest.raises(ValueError, match="a finite point set needs a nonempty"):
+            FinitePointSet(points=points)
+
+
 def test_finite_point_set_contains_is_exact():
     region = FinitePointSet(points=[[0.1, 0.2], [0.3, 0.4]])
     assert region.contains([0.1, 0.2])
@@ -786,11 +802,12 @@ def test_finite_point_set_contains_is_exact():
 
 
 def left_to_right_finite_set_scores(G, X, points):
-    """The finite-set score over all row-point pairs at once, coordinate by coordinate.
+    """The finite-set score and nearest dist2 over all row-point pairs at once, coordinate by coordinate.
 
     num = d_0 g_0 + d_1 g_1 + ... and dist2 = d_0 d_0 + d_1 d_1 + ..., with
     d_j = x_j - p_j, are summed left to right as the kernel sums them, and
-    the lowest num / dist2 over the pairs with num < 0 is taken per row.
+    the lowest num / dist2 over the pairs with num < 0 is taken per row,
+    with the lowest dist2.
     """
     d = X[:, None, :] - points[None, :, :]  # (N, k, n)
     num = d[..., 0] * G[:, None, 0]
@@ -799,7 +816,7 @@ def left_to_right_finite_set_scores(G, X, points):
         num = num + d[..., j] * G[:, None, j]
         dist2 = dist2 + d[..., j] * d[..., j]
     with np.errstate(invalid="ignore"):
-        return np.where(num < 0.0, num / dist2, np.inf).min(axis=1)
+        return np.where(num < 0.0, num / dist2, np.inf).min(axis=1), dist2.min(axis=1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -816,10 +833,11 @@ def test_finite_set_scores_match_einsum_reference(rows, count, n):
     points = rng.standard_normal((count, n))
     points[0] = X[0]  # a coincident pair scores nan and is never admissible
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = membership._finite_set_scores(G.T.copy(), X.T.copy(), points)
-    ref = left_to_right_finite_set_scores(G, X, points)
+        score, nearest = membership._finite_set_scores(G.T.copy(), X.T.copy(), points)
+    ref, ref_nearest = left_to_right_finite_set_scores(G, X, points)
     assert np.array_equal(score, ref)
     assert np.array_equal(np.signbit(score), np.signbit(ref))
+    assert np.array_equal(nearest, ref_nearest) and nearest[0] == 0.0
 
 
 @pytest.mark.parametrize("rows", [1, 1000, BLOCK_ROWS])  # one chunk, chunks of 8 points, one-point chunks
@@ -876,6 +894,73 @@ def test_finite_set_interior_is_exact():
     # many rows take the one-point-per-chunk path, which must agree
     many = np.repeat(X, BLOCK_ROWS // 2, axis=0)
     assert np.array_equal(classify_points(f, uset, many).interior, np.repeat(res.interior, BLOCK_ROWS // 2))
+
+
+# rows at and within an underflow of the set {(0, 0.5), (0, 0)}; the nearest
+# dist2 of rows 3, 4 and 6 underflows to 0, though none of them is a set point
+UNDERFLOW_ROWS = [[0.0, 0.0], [-0.0, 0.0], [1e-200, 0.0], [0.0, -1e-200], [1e-160, 1e-160], [5e-324, 0.0]]
+UNDERFLOW_INTERIOR = [True, True, False, False, False, False]
+UNDERFLOW_MEMBER = [True, True, True, False, True, True]
+UNDERFLOW_SCORE = [np.inf, np.inf, -np.inf, np.inf, -2.000022265882516e160, -np.inf]
+
+
+def underflow_problem():
+    return reference_function(), UncertaintySet(region=FinitePointSet(points=[[0.0, 0.5], [0.0, 0.0]]), sigma=2.0)
+
+
+@pytest.mark.parametrize("row", range(len(UNDERFLOW_ROWS)))
+def test_finite_set_interior_survives_underflow_one_row(row):
+    f, uset = underflow_problem()
+    x = np.array(UNDERFLOW_ROWS[row])
+    res = classify_points(f, uset, x[None, :])
+    assert res.interior.tolist() == [UNDERFLOW_INTERIOR[row]]
+    assert res.member.tolist() == [UNDERFLOW_MEMBER[row]]
+    assert res.score.tolist() == [UNDERFLOW_SCORE[row]]
+    verdict = classify_point(f, x, uset)
+    assert (verdict.interior, verdict.member) == (UNDERFLOW_INTERIOR[row], UNDERFLOW_MEMBER[row])
+    assert verdict.best_score == (None if UNDERFLOW_SCORE[row] == np.inf else UNDERFLOW_SCORE[row])
+
+
+def test_finite_set_interior_survives_underflow_in_a_block():
+    # more than BLOCK_ROWS rows, each repeated far apart: the points go one per chunk
+    f, uset = underflow_problem()
+    reps = BLOCK_ROWS // len(UNDERFLOW_ROWS) + 1
+    res = classify_points(f, uset, np.tile(UNDERFLOW_ROWS, (reps, 1)))
+    assert res.interior.tolist() == UNDERFLOW_INTERIOR * reps
+    assert res.member.tolist() == UNDERFLOW_MEMBER * reps
+    assert res.score.tolist() == UNDERFLOW_SCORE * reps
+
+
+# set coordinates within an underflow of 0, or plainly away from it
+tiny_coords = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-170, 1e-163, 1e-160, 0.5, -1.25])
+
+
+@st.composite
+def near_set_rows(draw):
+    n = draw(st.integers(1, 3))
+    points = np.array(draw(st.lists(st.lists(tiny_coords, min_size=n, max_size=n), min_size=1, max_size=4)))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        x = points[draw(st.integers(0, len(points) - 1))].copy()
+        j = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["set point", "one ulp", "offset"]))
+        if kind == "one ulp":
+            x[j] = np.nextafter(x[j], draw(st.sampled_from([-np.inf, np.inf])))
+        elif kind == "offset":
+            x[j] += draw(tiny_coords)
+        rows.append(x)
+    kinks = (Kink(point=points[0], generators=[np.ones(n), -np.ones(n)]),) if draw(st.booleans()) else ()
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(n), m=np.full(n, 2.0)),), kinks=kinks)
+    return f, UncertaintySet(region=FinitePointSet(points=points), sigma=2.0), np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_set_rows())
+def test_finite_set_interior_is_contains(problem):
+    f, uset, X = problem
+    res = classify_points(f, uset, X)
+    assert res.interior.tolist() == [uset.region.contains(x) for x in X]
+    assert np.all(res.member[res.interior]) and np.all(res.score[res.interior] == np.inf)
 
 
 @pytest.mark.parametrize("rows, count", [(BLOCK_ROWS, 2000), (1, 100_000)])

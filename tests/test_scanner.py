@@ -1,6 +1,7 @@
 """Tests for grid scanning and mask serialization."""
 
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -364,6 +365,33 @@ def test_csv_rejects_bad_rows(tmp_path, old, new, error):
         header = header.replace(old, new)
     path.write_text(header + rows, encoding="ascii")
     with pytest.raises(ValueError, match=error):
+        read_mask_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        pytest.param("2.0,1.0,1\n", "2.0,1.0,2\n", "data row 6 has member flag 2.0, not 0 or 1", id="flag-2"),
+        pytest.param("0.0,1.0,0\n", "0.0,1.0,nan\n", "data row 2 has member flag nan", id="flag-nan"),
+        pytest.param("1.0,0.0,0\n", "1.0,0.0,0.5\n", "data row 3 has member flag 0.5", id="flag-half"),
+        pytest.param("counts=3,2", "counts=abc", "invalid literal for int", id="counts-abc"),
+        pytest.param("counts=3,2", "counts=3", "must have equal length", id="counts-short"),
+        pytest.param("lower=0.0,0.0", "lower=0.0,0.0,0.0", "must have equal length", id="lower-long"),
+        pytest.param("upper=2.0,1.0", "upper=x,1.0", "could not convert", id="upper-x"),
+        pytest.param("sigma=1.0", "sigma=x", "could not convert", id="sigma-x"),
+        pytest.param("slack=0.0", "slack=", "could not convert", id="slack-empty"),
+        pytest.param("eps0=0.1", "points=1.5", "invalid literal for int", id="points-fraction"),
+        pytest.param("eps0=0.1", "eps0=ten", "could not convert", id="eps0-ten"),
+    ],
+)
+def test_csv_bad_flags_and_header_values_name_the_path(tmp_path, old, new, error):
+    # member flags other than 0 and 1 used to load as members, and these
+    # header errors used to leave out the path
+    path = tmp_path / "mask.csv"
+    text = SMALL_EPS0_HEADER + SMALL_CSV_BODY
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="ascii")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(error)):
         read_mask_csv(str(path))
 
 
