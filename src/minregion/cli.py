@@ -225,6 +225,9 @@ def _apply_overrides(config: ProblemConfig, args) -> ProblemConfig:
         uset = UncertaintySet(region=uset.region, sigma=float(args.sigma_override))
     if not (math.isfinite(slack) and slack >= 0.0):
         raise ConfigError(f"--slack must be a finite number >= 0, got {slack}")
+    if not slack < uset.sigma:  # a threshold -sigma + slack >= 0 passes gradients that point away
+        name = "--slack" if args.slack is not None else "$.slack"
+        raise ConfigError(f"{name} must be below the classifying sigma {uset.sigma!r}, got {slack!r}")
     return ProblemConfig(config.known_function, uset, config.grid, float(slack), config.raw)
 
 
@@ -259,10 +262,11 @@ def _cmd_check(args) -> int:
     print(f"member: {'yes' if verdict.member else 'no'}")
     if verdict.interior:
         print("reason: inside the uncertainty set")
-    if verdict.best_score is not None:
+    elif verdict.best_score is None:
+        print("reason: no generator descends toward the set")
+    else:
         print(f"best_score: {verdict.best_score!r} (threshold {-config.uncertainty.sigma + config.slack!r})")
-    w = verdict.witness
-    if w is not None:
+        w = verdict.witness
         print(f"witness: x_u={_format_vector(w.x_u)}, g={_format_vector(w.g)}")
     return 0 if verdict.member else 1
 

@@ -78,6 +78,11 @@ class Ball(WriteOnce):
     def dimension(self) -> int:
         return self.center.shape[0]
 
+    @property
+    def points(self) -> np.ndarray:
+        """The center as a read-only (1, n) array: a ball is a union of one ball of its radius."""
+        return self.center[None, :]
+
     def contains(self, x) -> bool:
         """Closed-ball membership, by the classification kernel's own expression."""
         x = as_vector(x)

@@ -8,21 +8,19 @@ point x_u in the uncertainty set satisfy
 
 where u(x1, x2) is the unit vector from x2 toward x1 and sigma is the
 strong-convexity constant of the unknown term.  classify_points decides this
-for a batch of query points and is the only decision path: it returns one
-verdict, score and generator per query row, which classify_point, the grid
-scanner and the necessity oracle read as they are.  For ball sets the
-minimum of the score over the whole ball has a closed form
-(ball_score_infimum); for finite sets it is the minimum of <g, d>/||d||^2,
-d = x_star - x_u, over the listed points.  The set point attaining the
-minimum is derived only by classify_point, for the row it reports
-(ball_witness, or the first finite-set point with that score).  Points
-inside the closed set are always candidates (an admissible unknown term
-minimizing there can be constructed directly), so they are classified
-member without a score.  The inside test reuses the scoring pass: c - x*
-for a ball, and for a finite set a zero nearest squared distance, which
-FinitePointSet.contains, the one exact-equality rule, confirms.
-evaluate_general checks the condition independently, over explicit
-candidate lists, as a cross-check.
+for a batch of query points and is the only decision path: classify_point,
+the grid scanner and the necessity oracle read its verdicts as they are.
+
+Every region is balls of one radius about its .points: a Ball is one, a
+FinitePointSet is balls of radius 0.  The one scorer, _region_scores, takes
+the least score over the pairs whose g descends toward the set
+(<g, x_star - x_u> < 0), inf where none does.  Over the ball of radius r > 0
+about p that is (<g, x_star - p> - ||g|| r) / ((d - r)(d + r)),
+d = ||x_star - p||, attained at a tangency point (ball_witness).  A row is
+inside the closed set when its nearest p is within r, and a zero distance,
+which an underflow also gives, only when region.contains confirms it.
+Points inside are members without a score.  evaluate_general checks the
+condition independently, over explicit candidate lists, as a cross-check.
 """
 
 from __future__ import annotations
@@ -38,7 +36,9 @@ BLOCK_ROWS = 8192  # query rows per classify_points call in scans and campaigns;
 
 
 class FinitePointSet(WriteOnce):
-    """Finitely many candidate minimizer locations for the unknown term."""
+    """Finitely many candidate minimizer locations for the unknown term: balls of radius 0."""
+
+    radius = 0.0
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -93,8 +93,8 @@ class Witness(WriteOnce):
 class MembershipVerdict(WriteOnce):
     """Outcome of a membership test at one query point.
 
-    best_score is the smallest pairwise score among the candidates examined
-    (absent when there were none).  interior marks verdicts from the
+    best_score is the smallest score over the pairs whose g descends toward
+    the set (absent when there are none).  interior marks verdicts from the
     inside-the-set rule, which carry no witness.
     """
 
@@ -106,41 +106,18 @@ class MembershipVerdict(WriteOnce):
         self.interior = interior
 
 
-def ball_score_infimum(G, g_norm, delta, d, ball: Ball, sigma: float, slack: float = DEFAULT_SLACK):
-    """Exact minimum of the pair score over the whole ball, one pair per column.
+def ball_witness(g, x_star, center, radius: float) -> np.ndarray:
+    """The point of the ball (center, radius) where the pair score of (g, x_star) is least.
 
-    G (n, M) holds nonzero generators as coordinate columns and g_norm their
-    norms; delta (n, M) holds c - x* for query points x* strictly outside
-    the ball, and d = ||c - x*||.  Inversion about x* maps the ball to the
-    ball with center (c - x*)/((d - eps0)(d + eps0)) and radius
-    eps0/((d - eps0)(d + eps0)), and turns the score into -<g, w>, which is
-    linear in the image point w.  Its minimum is therefore attained where
-    the image ball is tangent to a plane normal to g (ball_witness):
-
-        score = -(||g|| eps0 + <g, c - x*>) / ((d - eps0)(d + eps0)).
-
-    Returns (member, score), where member is the division-free test
-
-        ||g|| eps0 + <g, c - x*>  >=  (sigma - slack)(d - eps0)(d + eps0).
+    Inversion about x* maps the ball to a ball and the score to -<g, w>,
+    linear in the image point w, least where the image touches a plane
+    normal to g: w* = (c - x* + r g/||g||) / ((d - r)(d + r)), d = ||c - x*||.
+    Inverting back gives x_u = x* + w*/||w*||^2.  g is nonzero and x_star
+    lies strictly outside the ball.
     """
-    eps0 = ball.radius
-    gap = (d - eps0) * (d + eps0)
-    lift = g_norm * eps0 + _column_dot(G, delta)
-    member = lift >= (float(sigma) - float(slack)) * gap
-    return member, -lift / gap
-
-
-def ball_witness(g, x_star, ball: Ball) -> np.ndarray:
-    """The ball point where the pair score of (g, x_star) attains ball_score_infimum.
-
-    The image ball touches the plane at w* = (c - x* + eps0 g/||g||) /
-    ((d - eps0)(d + eps0)); inverting back gives x_u = x* + w*/||w*||^2, on
-    the sphere.  g is nonzero and x_star lies strictly outside the ball.
-    """
-    eps0 = ball.radius
-    delta = ball.center - x_star
+    delta = center - x_star
     d = np.sqrt(_column_dot(delta, delta))
-    w = (delta + (eps0 / np.sqrt(_column_dot(g, g))) * g) / ((d - eps0) * (d + eps0))
+    w = (delta + (radius / np.sqrt(_column_dot(g, g))) * g) / ((d - radius) * (d + radius))
     return x_star + w / _column_dot(w, w)
 
 
@@ -268,16 +245,17 @@ def _fold(ufunc, values: np.ndarray) -> np.ndarray:
     return values[0] if values.shape[0] == 1 else ufunc.reduce(values, axis=0)
 
 
-def _pair_scores(xcols, gcols, pcols, work: np.ndarray):
-    """(score, num, dist2) of every (query, generator, set point) pair, by broadcasting.
+def _pair_scores(xcols, gcols, pcols, gr, radius: float, work: np.ndarray):
+    """(score, num, near) of every (query, generator, ball) pair, by broadcasting.
 
     xcols, gcols and pcols have the coordinate as their first axis.  With
-    d_j = x_j - p_j, num = d_0 g_0 + d_1 g_1 + ... and
-    dist2 = d_0 d_0 + d_1 d_1 + ..., both summed left to right, and the pair
-    score <g, u(x*, x_u)> / ||x* - x_u|| is num / dist2.  The pair is
-    admissible iff num < 0.  work, of shape (2n + 1,) + the pair shape,
-    receives every intermediate, so nothing is allocated: a coordinate's
-    d_j g_j and d_j d_j go in one pair of rows and are summed in one call.
+    d_j = x_j - p_j, num = d_0 g_0 + d_1 g_1 + ... and dist2 = d_0 d_0 + ...,
+    summed left to right, the score is num / dist2 and near is dist2.  At
+    radius r > 0, num loses gr = ||g|| r (leaving the least <g, x* - x_u> over
+    the ball), near is d = sqrt(dist2) and the score num / ((d - r)(d + r)).
+    The pair is admissible iff num < 0.  work, of shape (2n + 1,) + the pair
+    shape at r = 0 and (2n + 3,) + it at r > 0, receives every intermediate,
+    so nothing is allocated.
     """
     n = len(xcols)
     terms = work[: 2 * n].reshape((2, n) + work.shape[1:])  # terms[0, j] = d_j g_j, terms[1, j] = d_j d_j
@@ -287,82 +265,73 @@ def _pair_scores(xcols, gcols, pcols, work: np.ndarray):
     sums = terms[:, 0]  # (num, dist2)
     for j in range(1, n):
         sums += terms[:, j]
-    return np.divide(sums[0], sums[1], out=work[2 * n]), sums[0], sums[1]
+    num, near = sums
+    denominator = near
+    if radius:
+        np.subtract(num, gr, out=num)
+        near = np.sqrt(near, out=work[2 * n + 1])
+        denominator = np.add(near, radius, out=work[2 * n])
+        denominator *= np.subtract(near, radius, out=work[2 * n + 2])
+    return np.divide(num, denominator, out=work[2 * n]), num, near
 
 
-def _finite_set_scores(G, X, points: np.ndarray) -> tuple:
-    """(score, nearest): the lowest admissible pair score over the points for
-    generators G at query points X, and the lowest dist2 over the points.
+def _region_scores(G, X, points: np.ndarray, radius: float) -> tuple:
+    """(score, nearest) per column of the (n, N) generators G and query points X.
 
-    G and X broadcast as (n, ...) arrays; both results drop the coordinate
-    axis.  A generator with no admissible point scores inf.  nearest is 0
-    for a query point equal to a set point, and also where every |d_j| is
-    below about 1e-162, since d_j d_j underflows.  Points go in chunks of
-    about BLOCK_ROWS row-point pairs (_point_chunks), and no pair is masked:
-    best is the np.fmin of every score, low the minimum of every num.  An
-    admissible score is <= -0.0 and any other is >= -0.0 or nan, which
-    np.fmin skips; so a row with low < 0 has an admissible point, and its
-    lowest admissible score is best in value and -|best| in sign too.
+    score is the lowest admissible pair score over the balls of radius
+    `radius` about the points, inf with none; nearest is the distance to the
+    nearest point, 0 also where every |d_j| is below about 1e-162, since
+    d_j d_j underflows.  Points go in chunks of about BLOCK_ROWS row-point
+    pairs (_point_chunks), and no pair is masked: best is the np.fmin of
+    every score, low the minimum of every num.  An admissible score is
+    <= -0.0 and any other is >= -0.0 or nan, which np.fmin skips; so a row
+    with low < 0 has an admissible pair, and its lowest admissible score is
+    best in value and -|best| in sign too.
 
-    A pair whose num or dist2 overflowed would slip through the same
-    reductions.  Every |d_j| is at most reach, so when
-    n reach max(reach, max |g|) < 2^1000 no sum can overflow; otherwise
-    high, the maximum of every num and dist2, is kept too, and a generator
-    whose low or high is not finite scores nan.
+    A pair whose num or near overflows (num includes -||g|| r) scores nan.
+    With one point nothing is folded, so low and nearest show it.  With
+    more, when n reach^2 and n max|g|^2 are below 2^1000, reach bounding
+    every |d_j| + r, nothing can overflow; otherwise high, the maximum of
+    every num and near, is kept too.
     """
-    shape = np.broadcast_shapes(G.shape, X.shape)
-    G, Xg = (np.broadcast_to(a, shape).reshape(shape[0], -1) for a in (G, X))
-    n, rows = Xg.shape
-    reach = float(np.abs(Xg).max(initial=0.0)) + float(np.abs(points).max())
-    exposed = not n * reach * max(reach, float(np.abs(G).max(initial=0.0))) < 2.0**1000
-    best = np.full(rows, np.inf)
-    nearest = np.full(rows, np.inf)
-    low = np.zeros(rows)
-    high = np.zeros((2, rows))
-    xcols, gcols = Xg[:, None, :], G[:, None, :]  # against (n, chunk, 1) points
-    work = None
+    n, rows = X.shape
+    single = len(points) == 1
+    reach = 0.0 if single else float(np.abs(X).max(initial=0.0)) + float(np.abs(points).max()) + radius
+    steep = 0.0 if single else float(np.abs(G).max(initial=0.0))
+    limit = 2.0**1000 / n
+    exposed = not (reach * reach < limit and steep * steep < limit)
+    gr = _radius_term(G, radius)
+    xcols, gcols = X[:, None, :], G[:, None, :]  # against (n, chunk, 1) points
+    best = work = None
     for pcols in _point_chunks(rows, points):
         if work is None:
-            work = np.empty((2 * n + 1, pcols.shape[1], rows))
-        score, num, dist2 = _pair_scores(xcols, gcols, pcols, work[:, : pcols.shape[1]])
-        np.fmin(best, _fold(np.fmin, score), out=best)
-        np.minimum(low, _fold(np.minimum, num), out=low)
-        np.minimum(nearest, _fold(np.minimum, dist2), out=nearest)
+            work = np.empty((2 * n + (3 if radius else 1), pcols.shape[1], rows))
+        score, num, near = _pair_scores(xcols, gcols, pcols, gr, radius, work[:, : pcols.shape[1]])
+        folds = _fold(np.fmin, score), _fold(np.minimum, num), _fold(np.minimum, near)
+        if best is None:  # the first chunk starts the running minima, copied out of work if it is reused
+            best, low, nearest = folds if single else (np.array(fold) for fold in folds)
+            high = (nearest,) if single else None
+            if exposed:
+                high = np.array([_fold(np.maximum, num), _fold(np.maximum, near)])
+            continue
+        np.fmin(best, folds[0], out=best)
+        np.minimum(low, folds[1], out=low)
+        np.minimum(nearest, folds[2], out=nearest)
         if exposed:
             np.maximum(high[0], _fold(np.maximum, num), out=high[0])
-            np.maximum(high[1], _fold(np.maximum, dist2), out=high[1])
-    score = np.where(low < 0.0, -np.abs(best), np.inf)
-    if exposed:
-        score[~(np.isfinite(low) & np.isfinite(high).all(axis=0))] = np.nan
-    return score.reshape(shape[1:]), nearest.reshape(shape[1:])
+            np.maximum(high[1], _fold(np.maximum, near), out=high[1])
+    score = np.where(low < 0.0, np.copysign(best, -1.0, out=best), np.inf)
+    if high is not None:
+        finite = np.isfinite(low)
+        for h in high:
+            finite &= np.isfinite(h)
+        score[~finite] = np.nan
+    return score, nearest if radius else np.sqrt(nearest, out=nearest)
 
 
-def _scores(uset: UncertaintySet, slack: float, G, *query) -> tuple:
-    """(member, score, inside) of generators G (n, ...) over the set, broadcast against the query rows.
-
-    query is (c - x*, ||c - x*||) for a ball, x* for a finite set.  A ball
-    scores a zero generator (no descent direction) inf; nan marks overflow.
-    inside is ||c - x*|| <= radius for a ball; for a finite set it is a
-    zero nearest dist2, which only FinitePointSet.contains can confirm.
-    """
-    region = uset.region
-    if isinstance(region, Ball):
-        gg = _column_dot(G, G)
-        gg[gg == np.inf] = np.nan
-        member, score = ball_score_infimum(G, np.sqrt(gg), *query, region, uset.sigma, slack)
-        flat = gg == 0.0
-        if flat.any():
-            member[flat], score[flat] = False, np.inf
-        return member, score, query[1] <= region.radius
-    score, nearest = _finite_set_scores(G, *query, region.points)
-    return score <= -uset.sigma + float(slack), score, nearest == 0.0
-
-
-def _finite_set_witness(g, x_star, points: np.ndarray, score: float) -> np.ndarray:
-    """The first admissible point whose pair with (g, x_star) scores exactly score."""
-    work = np.empty((2 * points.shape[1] + 1, points.shape[0]))
-    scores, num, _ = _pair_scores(x_star[:, None], g[:, None], points.T, work)
-    return points[int(np.argmax((num < 0.0) & (scores == score)))]
+def _radius_term(G, radius: float):
+    """||g|| r for each generator column of G (n, M), None at radius 0."""
+    return np.sqrt(_column_dot(G, G)) * radius if radius else None
 
 
 def classify_points(
@@ -372,35 +341,36 @@ def classify_points(
 
     The kernel runs on X.T as an (n, N) C-contiguous block, which costs no
     copy when X is the transpose of such a block (a scan block).  Every row
-    is scored with its smooth gradient in one pass, which also tells the
-    rows inside the set; the rows at a registered kink (kink_index) are then
-    rescored as one (m, R) block per kink, whose axis-0 any and argmin give
-    the member flag, the score and the generator.
+    is scored with its smooth gradient in one _region_scores pass, which
+    also tells the rows inside the set; the rows at a registered kink
+    (kink_index) are then rescored over that kink's m generators, whose
+    argmin gives the score and the generator.  A row is a member when its
+    score is <= -sigma + slack; slack >= sigma raises ValueError, since a
+    threshold >= 0 would pass gradients that point away from the set.
     NonFiniteError names a non-finite query row, or a row outside the set
     whose gradient or score overflows; rows inside never raise.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != uset.dimension or f.dimension != uset.dimension:
         raise ValueError("function, point, and set dimensions must agree")
+    slack = float(slack)
+    if not slack < uset.sigma:
+        raise ValueError(f"slack must be below sigma {uset.sigma!r}, got {slack!r}")
     cols = np.ascontiguousarray(X.T)
     _raise_first(~np.isfinite(cols).all(axis=0), "coordinates are not finite")
     region = uset.region
+    points, radius = region.points, region.radius
     # overflow is checked below and reported as NonFiniteError, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         G = gradient(f, cols.T).T
-        if isinstance(region, Ball):
-            delta = region.center[:, None] - cols  # c - x*, shared by the interior test and the scores
-            query = (delta, np.sqrt(_column_dot(delta, delta)))
-        else:
-            query = (cols,)
-        member, score, interior = _scores(uset, slack, G, *query)
-        if not isinstance(region, Ball):  # a zero nearest dist2 is a set point or an underflow
-            todo = interior.copy()
-            while todo.any():  # one contains call per distinct row: a campaign repeats set points
-                x = cols[:, np.argmax(todo)]
-                same = (cols == x[:, None]).all(axis=0)  # rows equal to x have its zero nearest dist2
-                interior[same] = region.contains(x)
-                todo &= ~same
+        score, nearest = _region_scores(G, cols, points, radius)
+        interior = nearest <= radius
+        todo = nearest == 0.0  # a point of the set, or an offset whose square underflows
+        while todo.any():  # one contains call per distinct row: a campaign repeats set points
+            x = cols[:, np.argmax(todo)]
+            same = (cols == x[:, None]).all(axis=0)  # rows equal to x have its zero distance
+            interior[same] = region.contains(x)
+            todo &= ~same
         outside = ~interior
         _raise_first(~np.isfinite(G).all(axis=0) & outside, "gradient overflows")
         at = kink_index(f, cols) if f.kinks else None
@@ -411,12 +381,14 @@ def classify_points(
                 continue
             Gk = G[:, rows][:, None, :] + k.generators.T[:, :, None]
             _raise_first(~np.isfinite(Gk).all(axis=(0, 1)) & outside[rows], "gradient overflows", rows)
-            kink_member, kink_score, _ = _scores(uset, slack, Gk, *(q[..., None, rows] for q in query))
+            m = len(k.generators)  # the (m, R) pairs as m * R columns, generator-major
+            kink_score = _region_scores(Gk.reshape(len(G), -1), np.tile(cols[:, rows], m), points, radius)[0]
+            kink_score = kink_score.reshape(m, -1)
             _raise_first(np.isnan(kink_score).any(axis=0) & outside[rows], "score overflows", rows)
             best, each = np.argmin(kink_score, axis=0), np.arange(rows.size)
-            member[rows], score[rows] = kink_member.any(axis=0), kink_score[best, each]
+            score[rows] = kink_score[best, each]
             G[:, rows] = Gk[:, best, each]
-    member |= interior
+        member = (score <= -uset.sigma + slack) | interior
     np.copyto(score, np.inf, where=interior)
     return RowVerdicts(interior, member, score, G.T)
 
@@ -433,10 +405,11 @@ def classify_point(
     """Full membership decision for one query point: row 0 of classify_points.
 
     Points inside the closed set are members by the interior rule (no
-    witness).  Outside, the witness is the row's generator g with the set
-    point where its score is attained: the tangency point for a ball
-    (ball_witness), the first point scoring it for a finite set.
-    early_exit is accepted for compatibility and decides nothing.
+    witness).  Outside, a row with an admissible pair reports its generator
+    g with the first ball where its score is attained: the point itself at
+    radius 0, else the tangency point on that ball (ball_witness).  A row
+    with none is a non-member without a score.  early_exit is accepted for
+    compatibility and decides nothing.
     """
     x_star = as_vector(x_star)
     res = classify_points(f, uset, x_star[None, :], slack)
@@ -445,12 +418,13 @@ def classify_point(
     g, score = res.g[0], res.score[0]
     if score == np.inf:
         return MembershipVerdict(member=False)
-    region = uset.region
+    points, radius = uset.region.points, uset.region.radius
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(region, Ball):
-            x_u = ball_witness(g, x_star, region)
-        else:
-            x_u = _finite_set_witness(g, x_star, region.points, score)
+        work = np.empty((2 * points.shape[1] + (3 if radius else 1), points.shape[0]))
+        gr = _radius_term(g[:, None], radius)
+        scores, num, _ = _pair_scores(x_star[:, None], g[:, None], points.T, gr, radius, work)
+        p = points[int(np.argmax((num < 0.0) & (scores == score)))]
+        x_u = ball_witness(g, x_star, p, radius) if radius else p
     return MembershipVerdict(
         member=bool(res.member[0]), best_score=float(score), witness=Witness(x_u=x_u, g=g)
     )

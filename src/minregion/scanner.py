@@ -10,6 +10,7 @@ the grid size.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -22,8 +23,9 @@ from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, classify_poin
 class RegionMask(WriteOnce):
     """Membership booleans over a grid, in row-major (last axis fastest) order.
 
-    sigma and slack are the scan's; eps0 is the radius of a ball set and
-    point_count the size of a finite one, the other being None.
+    sigma (finite, > 0) and slack (finite, >= 0) are the scan's; eps0 is
+    the radius of a ball set and point_count the size of a finite one, at
+    most one of them set.
     """
 
     def __init__(self, grid: GridSpec, membership, sigma: float, slack: float,
@@ -31,6 +33,13 @@ class RegionMask(WriteOnce):
         mem = np.asarray(membership, dtype=bool)
         if mem.shape != (grid.point_count,):
             raise ValueError(f"membership must have shape ({grid.point_count},), got {mem.shape}")
+        sigma, slack = float(sigma), float(slack)
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"sigma must be a finite number > 0, got {sigma!r}")
+        if not (math.isfinite(slack) and slack >= 0.0):
+            raise ValueError(f"slack must be a finite number >= 0, got {slack!r}")
+        if eps0 is not None and point_count is not None:
+            raise ValueError("a mask has eps0 (a ball) or point_count (a finite set), not both")
         mem.flags.writeable = False
         self.grid = grid
         self.membership = mem
@@ -153,7 +162,8 @@ def read_mask_csv(path: str) -> RegionMask:
     header that lacks a field or has one that does not parse or does not
     make a grid, a row that does not parse or has the wrong number of
     columns, a wrong row count, coordinates that are not exactly the
-    declared grid's, in grid order, or a member flag other than 0 or 1.
+    declared grid's, in grid order, a member flag other than 0 or 1, or
+    header values that RegionMask refuses.
     Other header fields are ignored, so files with a field this writer no
     longer emits still load.
     """
@@ -205,7 +215,10 @@ def read_mask_csv(path: str) -> RegionMask:
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"{path}: data row {row + 1} has member flag {float(flags[row])!r}, not 0 or 1")
-    return RegionMask(spec, flags == 1.0, sigma, slack, eps0=eps0, point_count=point_count)
+    try:
+        return RegionMask(spec, flags == 1.0, sigma, slack, eps0=eps0, point_count=point_count)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_mask_pgm(mask: RegionMask, path: str):

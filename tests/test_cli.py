@@ -206,7 +206,7 @@ def test_ball_score_overflow_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
     doc["known_function"]["terms"][0]["weight"] = 1.0
     assert main(["check", write_config(tmp_path, doc, name="light.json"), "1,0"]) == 1
-    assert "member: no\nbest_score: 0.9090909090909091 " in capsys.readouterr().out
+    assert "member: no\nreason: no generator descends toward the set\n" in capsys.readouterr().out
 
 
 OVERFLOWING_POINTS = {
@@ -298,6 +298,25 @@ def test_check_sigma_override_flips_verdict(tmp_path):
 def test_flag_validation(tmp_path, capsys):
     config = write_config(tmp_path, REFERENCE)
     assert main(["check", config, "1.0,0.0", "--slack", "-0.1"]) == 2
+    # a slack at or above the classifying sigma makes -sigma + slack >= 0, which would pass
+    # (3, 0), where the gradient points away from the set
+    capsys.readouterr()
+    assert main(["check", config, "3.0,0.0", "--slack", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: --slack must be below the classifying sigma 2.0, got 3.0\n")
+    out = str(tmp_path / "m.csv")
+    cases = (
+        (["check", config, "1.0,0.0", "--slack", "1.5", "--sigma-override", "1.5"], "--slack", 1.5, 1.5),
+        (["scan", config, "-o", out, "--slack", "2.0"], "--slack", 2.0, 2.0),
+        (["validate", config, "--trials", "3", "--slack", "1", "--sigma-override", "0.5"], "--slack", 0.5, 1.0),
+        (["scan", write_config(tmp_path, dict(REFERENCE, slack=0.5), name="slack.json"), "-o", out,
+          "--sigma-override", "0.5"], "$.slack", 0.5, 0.5),
+    )
+    for argv, name, sigma, slack in cases:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {name} must be below the classifying sigma {sigma}, got {slack}\n")
+    assert not os.path.exists(out)
+    assert main(["check", config, "1.0,0.0", "--slack", "1.9"]) == 0  # below sigma 2: accepted
+    capsys.readouterr()
     # --theta-steps is not a flag: argparse rejects it
     with pytest.raises(SystemExit) as exc:
         main(["check", config, "1.0,0.0", "--theta-steps", "2048"])

@@ -14,9 +14,9 @@ from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm, gradient, ki
 from minregion.geometry import Ball
 from minregion.membership import (
     BLOCK_ROWS,
+    DEFAULT_SLACK,
     FinitePointSet,
     UncertaintySet,
-    ball_score_infimum,
     ball_witness,
     classify_point,
     classify_points,
@@ -42,13 +42,14 @@ def pair_score(g, x_star, x_u) -> float:
 
 
 def ball_infimum(g, x_star, ball, sigma=1.0):
-    """(member, score, x_u) of one pair: ball_score_infimum, with the norms it takes, and ball_witness."""
+    """(member, score, x_u) of one pair: the kernel's _region_scores over the ball, and ball_witness.
+
+    score is inf when no point of the ball gives <g, x_star - x_u> < 0.
+    """
     G = np.asarray(g, dtype=float)[:, None]
-    delta = (ball.center - np.asarray(x_star, dtype=float))[:, None]
-    member, score = ball_score_infimum(
-        G, np.sqrt(np.sum(G * G, axis=0)), delta, np.sqrt(np.sum(delta * delta, axis=0)), ball, sigma
-    )
-    return bool(member[0]), float(score[0]), ball_witness(G[:, 0], np.asarray(x_star, dtype=float), ball)
+    x_star = np.asarray(x_star, dtype=float)
+    score = float(membership._region_scores(G, x_star[:, None], ball.points, ball.radius)[0][0])
+    return score <= -sigma + DEFAULT_SLACK, score, ball_witness(G[:, 0], x_star, ball.center, ball.radius)
 
 
 def frame_infimum(d, cos_alpha, g_norm, eps0, sigma=1.0):
@@ -69,7 +70,8 @@ def test_pair_score_examples():
 
 def test_pair_score_matches_sweep_kernel():
     # the ball kernel's score is the raw pair score at its own witness, and
-    # no point of the visible arc scores below it
+    # no point of the visible arc scores below it; past the guard angle,
+    # cos(alpha) <= -eps0/d, no point of the ball descends and the score is inf
     rng = np.random.default_rng(31)
     for _ in range(200):
         d = float(rng.uniform(0.3, 4.0))
@@ -80,7 +82,10 @@ def test_pair_score_matches_sweep_kernel():
         x_star = np.array([d, 0.0])
         x_arc = eps0 * np.array([np.cos(theta), np.sin(theta)])
         g = g_norm * np.array([-np.cos(alpha), np.sin(alpha)])
-        _, score, x_u = ball_infimum(g, x_star, Ball(center=[0.0, 0.0], radius=eps0))
+        member, score, x_u = ball_infimum(g, x_star, Ball(center=[0.0, 0.0], radius=eps0))
+        if np.cos(alpha) <= -eps0 / d:
+            assert score == np.inf and not member
+            continue
         scale = g_norm / (d - eps0)
         assert abs(pair_score(g, x_star, x_u) - score) <= 1e-9 * scale
         assert score <= pair_score(g, x_star, x_arc) + 1e-12 * scale
@@ -129,15 +134,56 @@ def test_closed_form_against_dense_oracle(problem):
     f, x_star, uset = problem
     ball = uset.region
     verdict = classify_point(f, x_star, uset)
-    g, x_u = verdict.witness.g, verdict.witness.x_u
+    g = gradient(f, x_star)
     d = float(np.linalg.norm(x_star - ball.center))
     # largest score magnitude any ball point allows; rounding errors scale with it
     scale = float(np.linalg.norm(g)) / (d - ball.radius)
     diff = x_star - sphere_samples(ball.center, ball.radius)
     dense_min = float(((diff @ g) / np.einsum("ij,ij->i", diff, diff)).min())
+    if verdict.best_score is None:  # no point of the ball descends: neither does any sample
+        assert not verdict.member and verdict.witness is None
+        assert dense_min >= -1e-12 * scale
+        return
+    x_u = verdict.witness.x_u
+    assert np.array_equal(verdict.witness.g, g)
     assert verdict.best_score <= dense_min + 1e-12 * scale
     assert abs(float(np.linalg.norm(x_u - ball.center)) - ball.radius) <= 1e-9
     assert abs(pair_score(g, x_star, x_u) - verdict.best_score) <= 1e-9 * scale
+
+
+@st.composite
+def ball_row_problems(draw):
+    """A random 1-3-D quadratic model, ball and sigma, and 300 query rows around the ball."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    f = KnownFunction(terms=(QuadraticTerm(Q=a.T @ a + 0.1 * np.eye(n), m=rng.uniform(-2.0, 2.0, n)),))
+    ball = Ball(center=rng.uniform(-1.0, 1.0, n), radius=float(rng.uniform(0.05, 1.0)))
+    uset = UncertaintySet(region=ball, sigma=float(rng.uniform(0.1, 5.0)))
+    return f, uset, rng.uniform(-3.0, 3.0, (300, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ball_row_problems())
+def test_ball_verdicts_equal_the_division_free_closed_form(problem):
+    # the kernel compares the score -lift / ((d - r)(d + r)) with -sigma + slack; the
+    # closed form, written without the division as bench/reference.py writes it, is
+    #   ||g|| r + <g, c - x*>  >=  (sigma - slack)(d - r)(d + r)
+    # and the two agree on every row outside the ball that is not within a few ulps of the tie
+    f, uset, X = problem
+    ball, sigma, r = uset.region, uset.sigma, uset.region.radius
+    res = classify_points(f, uset, X)
+    G = gradient(f, X)
+    delta = ball.center - X
+    d = np.sqrt(np.sum(delta * delta, axis=1))
+    g_norm, dot = np.sqrt(np.sum(G * G, axis=1)), np.sum(G * delta, axis=1)
+    lift = g_norm * r + dot
+    gap = (sigma - DEFAULT_SLACK) * (d - r) * (d + r)
+    tie = np.abs(lift - gap) <= 16 * np.finfo(float).eps * (g_norm * r + np.abs(dot) + np.abs(gap))
+    outside = (d > r) & ~res.interior & ~tie
+    assert outside.sum() > 100
+    assert np.array_equal(res.member[outside], (lift >= gap)[outside])
+    assert np.all(res.member[res.interior])
 
 
 @st.composite
@@ -402,10 +448,11 @@ def test_evaluate_ball_nonmember_anchor():
 
 
 def test_evaluate_ball_guard_rejects_without_sweep():
-    # at (3, 0) the gradient (2, 0) points away from the ball: every score is positive
+    # at (3, 0) the gradient (2, 0) points away from the ball: no pair descends, so
+    # there is no score (the least pair score, 5.8 / (2.9 * 3.1), is positive)
     verdict = classify_point(reference_function(), [3.0, 0.0], reference_set())
     assert not verdict.member
-    assert abs(verdict.best_score - 5.8 / (2.9 * 3.1)) < 1e-12
+    assert verdict.best_score is None and verdict.witness is None
 
 
 def test_evaluate_ball_validation():
@@ -444,7 +491,10 @@ def test_ball_score_infimum_bounds_sweep():
         eps0 = float(rng.uniform(0.05, 0.9)) * d
         cos_alpha = float(rng.uniform(-1.0, 1.0))
         g_norm = float(rng.uniform(0.1, 5.0))
-        _, inf_score, _ = frame_infimum(d, cos_alpha, g_norm, eps0)
+        member, inf_score, _ = frame_infimum(d, cos_alpha, g_norm, eps0)
+        if cos_alpha <= -eps0 / d:  # past the guard angle no point of the ball descends
+            assert inf_score == np.inf and not member
+            continue
         dense = dense_sweep_min(d, cos_alpha, g_norm, eps0, steps=20_001)
         assert inf_score <= dense + 1e-12 * g_norm / (d - eps0)
         # and the sweep closes in on it: the minimum is attained, not just a bound
@@ -461,12 +511,16 @@ def test_ball_score_infimum_tight_when_colinear():
 
 def test_ball_score_infimum_zero_at_guard():
     # cos(alpha) = -eps0/d makes the infimum exactly zero: no negative scores
-    # left, so no sigma > 0 can pass; just inside the guard it turns negative
+    # left, so no sigma > 0 can pass (rounding leaves no admissible pair, inf,
+    # or a score within 1e-15 of 0); just inside the guard it turns negative,
+    # and past it no pair is admissible
     d, eps0 = 2.0, 0.5
     member, inf_score, _ = frame_infimum(d, -eps0 / d, 1.0, eps0, sigma=1e-6)
-    assert abs(inf_score) < 1e-15 and not member
+    assert (inf_score == np.inf or abs(inf_score) < 1e-15) and not member
     _, below, _ = frame_infimum(d, -eps0 / d + 1e-6, 1.0, eps0)
     assert below < 0.0
+    member, past, _ = frame_infimum(d, -eps0 / d - 1e-6, 1.0, eps0, sigma=1e-6)
+    assert past == np.inf and not member
 
 
 def test_evaluate_ball_guard_boundary():
@@ -475,9 +529,11 @@ def test_evaluate_ball_guard_boundary():
     eps0, d = 0.3, 1.5
     guard = 0.5 * np.pi + np.arcsin(eps0 / d)
     member, at, _ = frame_infimum(d, float(np.cos(guard)), 1.0, eps0)
-    assert not member and abs(at) < 1e-15
+    assert not member and (at == np.inf or abs(at) < 1e-15)
     member, below, _ = frame_infimum(d, float(np.cos(guard - 1e-6)), 1.0, eps0)
     assert not member and -1.0 < below < 0.0
+    member, past, _ = frame_infimum(d, float(np.cos(guard + 1e-6)), 1.0, eps0)
+    assert not member and past == np.inf
 
 
 def test_evaluate_general_single_candidate():
@@ -801,13 +857,14 @@ def test_finite_point_set_contains_is_exact():
     assert not region.contains([0.1 + 1e-15, 0.2])
 
 
-def left_to_right_finite_set_scores(G, X, points):
-    """The finite-set score and nearest dist2 over all row-point pairs at once, coordinate by coordinate.
+def left_to_right_finite_set_scores(G, X, points, radius=0.0):
+    """The region score and nearest dist2 over all row-point pairs at once, coordinate by coordinate.
 
     num = d_0 g_0 + d_1 g_1 + ... and dist2 = d_0 d_0 + d_1 d_1 + ..., with
-    d_j = x_j - p_j, are summed left to right as the kernel sums them, and
-    the lowest num / dist2 over the pairs with num < 0 is taken per row,
-    with the lowest dist2.
+    d_j = x_j - p_j, are summed left to right as the kernel sums them.  For
+    balls of radius r > 0 about the points, num loses ||g|| r and the
+    denominator is (d - r)(d + r), d = sqrt(dist2).  The lowest num / denominator
+    over the pairs with num < 0 is taken per row, with the lowest dist2.
     """
     d = X[:, None, :] - points[None, :, :]  # (N, k, n)
     num = d[..., 0] * G[:, None, 0]
@@ -815,8 +872,15 @@ def left_to_right_finite_set_scores(G, X, points):
     for j in range(1, X.shape[1]):
         num = num + d[..., j] * G[:, None, j]
         dist2 = dist2 + d[..., j] * d[..., j]
+    denominator = dist2
+    if radius:
+        gg = G[:, 0] * G[:, 0]
+        for j in range(1, X.shape[1]):
+            gg = gg + G[:, j] * G[:, j]
+        num = num - (np.sqrt(gg) * radius)[:, None]
+        denominator = (np.sqrt(dist2) - radius) * (np.sqrt(dist2) + radius)
     with np.errstate(invalid="ignore"):
-        return np.where(num < 0.0, num / dist2, np.inf).min(axis=1), dist2.min(axis=1)
+        return np.where(num < 0.0, num / denominator, np.inf).min(axis=1), dist2.min(axis=1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -833,11 +897,29 @@ def test_finite_set_scores_match_einsum_reference(rows, count, n):
     points = rng.standard_normal((count, n))
     points[0] = X[0]  # a coincident pair scores nan and is never admissible
     with np.errstate(divide="ignore", invalid="ignore"):
-        score, nearest = membership._finite_set_scores(G.T.copy(), X.T.copy(), points)
+        score, nearest = membership._region_scores(G.T.copy(), X.T.copy(), points, 0.0)
     ref, ref_nearest = left_to_right_finite_set_scores(G, X, points)
     assert np.array_equal(score, ref)
     assert np.array_equal(np.signbit(score), np.signbit(ref))
-    assert np.array_equal(nearest, ref_nearest) and nearest[0] == 0.0
+    assert np.array_equal(nearest, np.sqrt(ref_nearest)) and nearest[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rows, count", [(1, 5000), (3000, 40), (BLOCK_ROWS, 1), (BLOCK_ROWS, 7)])
+def test_region_scores_with_a_radius_match_the_reference(rows, count, n):
+    # balls about the points, well below their spacing, scored from rows outside
+    # all of them, bit for bit as the reference sums them, whatever the chunking
+    rng = np.random.default_rng([rows, count, n, 5])
+    X = rng.standard_normal((rows, n))
+    G = rng.standard_normal((rows, n))
+    points = rng.standard_normal((count, n))
+    radius = 0.01 * count ** (-1.0 / n)
+    ref, ref_nearest = left_to_right_finite_set_scores(G, X, points, radius)
+    outside = np.sqrt(ref_nearest) > radius
+    score, nearest = membership._region_scores(G.T.copy(), X.T.copy(), points, radius)
+    assert outside.mean() > 0.9
+    assert np.array_equal(score[outside], ref[outside])
+    assert np.array_equal(nearest, np.sqrt(ref_nearest))
 
 
 @pytest.mark.parametrize("rows", [1, 1000, BLOCK_ROWS])  # one chunk, chunks of 8 points, one-point chunks

@@ -382,6 +382,9 @@ def test_csv_rejects_bad_rows(tmp_path, old, new, error):
         pytest.param("slack=0.0", "slack=", "could not convert", id="slack-empty"),
         pytest.param("eps0=0.1", "points=1.5", "invalid literal for int", id="points-fraction"),
         pytest.param("eps0=0.1", "eps0=ten", "could not convert", id="eps0-ten"),
+        # values the writer never emits: RegionMask refuses each, the reader names the path
+        pytest.param("sigma=1.0, eps0=0.1, slack=0.0", "sigma=nan, eps0=0.1, points=16, slack=-5",
+                     "sigma must be a finite number > 0, got nan", id="sigma-nan-slack-negative-both-sizes"),
     ],
 )
 def test_csv_bad_flags_and_header_values_name_the_path(tmp_path, old, new, error):
@@ -430,6 +433,22 @@ def test_region_mask_shape_validation():
     spec = GridSpec(lower=[0.0], upper=[1.0], counts=(5,))
     with pytest.raises(ValueError):
         RegionMask(grid=spec, membership=np.zeros(4, dtype=bool), sigma=1.0, slack=0.0)
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ((float("nan"), 0.0, 0.1, None), "sigma must be a finite number > 0, got nan"),
+        ((0.0, 0.0, 0.1, None), "sigma must be a finite number > 0, got 0.0"),
+        ((float("inf"), 0.0, 0.1, None), "sigma must be a finite number > 0, got inf"),
+        ((1.0, -5.0, 0.1, None), "slack must be a finite number >= 0, got -5.0"),
+        ((1.0, float("nan"), 0.1, None), "slack must be a finite number >= 0, got nan"),
+        ((1.0, 0.0, 0.1, 16), "a mask has eps0 (a ball) or point_count (a finite set), not both"),
+    ],
+)
+def test_region_mask_refuses_header_values_the_writer_never_emits(fields, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        _small_mask(fields)
 
 
 MODEL_BUILDERS = {
