@@ -7,9 +7,10 @@ that contains its minimizer.  This package decides, for query points, whether
 the point can be a minimizer of such a sum, and scans grids to produce the
 region of all candidate minimizers.
 
-Import from the modules: funcmodel (the known function), geometry (balls),
-membership (the classification kernel), scanner (grids and masks), oracle
-(necessity campaigns), errors and cli.
+Import from the modules: funcmodel (the known function), geometry (the one
+region type, Region, built as a Ball or a FinitePointSet), membership (the
+classification kernel), scanner (grids and masks), oracle (necessity
+campaigns), errors and cli.
 """
 
 __version__ = "0.1.0"

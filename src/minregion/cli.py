@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
-from .geometry import Ball, GridSpec, WriteOnce
-from .membership import DEFAULT_SLACK, FinitePointSet, UncertaintySet, classify_point
+from .geometry import Ball, FinitePointSet, GridSpec, WriteOnce
+from .membership import DEFAULT_SLACK, UncertaintySet, classify_point
 
 # scanner and oracle are imported inside the subcommands that run them, so a
 # check process, which is mostly interpreter and import time, loads neither.
@@ -231,19 +231,11 @@ def _apply_overrides(config: ProblemConfig, args) -> ProblemConfig:
     return ProblemConfig(config.known_function, uset, config.grid, float(slack), config.raw)
 
 
-def _set_reach(uset: UncertaintySet) -> tuple:
-    """(reach, name): the largest |coordinate| of any point of the set, and how messages write it."""
-    region = uset.region
-    if isinstance(region, Ball):
-        return float(np.max(np.abs(region.center))) + region.radius, "(max |c| + r)"
-    return float(np.max(np.abs(region.points))), "max |p|"
-
-
 def _refuse_unscorable_set(uset: UncertaintySet):
     """Name $.uncertainty when n * reach^2 overflows: the kernel squares distances to the set."""
-    reach, name = _set_reach(uset)
-    if not math.isfinite(uset.dimension * reach * reach):
-        raise ConfigError(f"$.uncertainty: {uset.dimension} * {name}^2 overflows, so no point can be scored")
+    n, reach = uset.dimension, uset.region.reach
+    if not math.isfinite(n * reach * reach):
+        raise ConfigError(f"$.uncertainty: {n} * (max |p| + r)^2 overflows, so no point can be scored")
 
 
 def _format_vector(v) -> str:
@@ -315,9 +307,8 @@ def _cmd_validate(args) -> int:
     if not math.isfinite(sigma * hi):
         raise ConfigError(f"$.sigma: the largest draw sigma * {hi!r} overflows for sigma {sigma!r}")
     # a draw's sigma_u * c, on the way to the minimizer, is bounded by sigma * hi * reach
-    reach, name = _set_reach(config.uncertainty)
-    if not math.isfinite(sigma * hi * reach):
-        raise ConfigError(f"$.uncertainty: sigma * {hi!r} * {name} overflows for sigma {sigma!r}")
+    if not math.isfinite(sigma * hi * config.uncertainty.region.reach):
+        raise ConfigError(f"$.uncertainty: sigma * {hi!r} * (max |p| + r) overflows for sigma {sigma!r}")
     try:
         report = validate_necessity(
             config.known_function,

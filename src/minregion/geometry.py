@@ -1,8 +1,11 @@
-"""Distance primitives on Euclidean balls, and the grid specification.
+"""The uncertainty region, distance primitives on balls, and the grid specification.
 
-Everything here is a pure function of float64 arrays.  The ball-specific
-constructions (visibility cap, chord length) describe what a query point
-x_star outside a ball sees of it: only a spherical cap of the boundary.
+Region is the one region type: balls of one radius about finitely many
+points, built as a Ball (one point, radius > 0) or a FinitePointSet (radius
+0); its dimension, reach and contains follow from those values alone.  The
+ball-specific constructions (visibility cap, chord length) describe what a
+query point x_star outside a ball sees of it: only a spherical cap of the
+boundary.
 GridSpec lives here, not in scanner, so that parsing a config with a grid
 does not import the scanner.
 """
@@ -60,8 +63,37 @@ class WriteOnce:
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
 
-class Ball(WriteOnce):
-    """Closed Euclidean ball with strictly positive radius."""
+class Region(WriteOnce):
+    """The uncertainty set's one type: closed balls of one radius >= 0 about finitely many points.
+
+    points is a read-only (k, n) array.  The subclasses only validate and
+    assign: a Ball is one point with radius > 0, a FinitePointSet k points
+    with radius 0.
+    """
+
+    @property
+    def dimension(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def reach(self) -> float:
+        """max |p| + radius: no coordinate of a point of the set is larger in magnitude."""
+        return float(np.max(np.abs(self.points))) + self.radius
+
+    def contains(self, x) -> bool:
+        """Whether x is a set point, or at radius > 0 within radius of one by the kernel's expression."""
+        x = as_vector(x)
+        _same_dim(self.points[0], x)
+        at_point = bool(np.any(np.all(self.points == x, axis=1)))
+        if at_point or not self.radius:  # at radius 0 a distance that underflows to 0 is not 0
+            return at_point
+        with np.errstate(over="ignore"):  # an overflowing distance is inf: outside
+            delta = (self.points - x).T
+            return bool(np.any(np.sqrt(_column_dot(delta, delta)) <= self.radius))
+
+
+class Ball(Region):
+    """Closed Euclidean ball with strictly positive radius about its center, points[0]."""
 
     def __init__(self, center, radius: float):
         center = as_vector(center)
@@ -72,24 +104,24 @@ class Ball(WriteOnce):
             raise ValueError(f"ball radius must be > 0, got {radius}")
         center.flags.writeable = False
         self.center = center
+        self.points = center[None, :]
         self.radius = radius
 
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
 
-    @property
-    def points(self) -> np.ndarray:
-        """The center as a read-only (1, n) array: a ball is a union of one ball of its radius."""
-        return self.center[None, :]
+class FinitePointSet(Region):
+    """Finitely many candidate minimizer locations for the unknown term: balls of radius 0."""
 
-    def contains(self, x) -> bool:
-        """Closed-ball membership, by the classification kernel's own expression."""
-        x = as_vector(x)
-        _same_dim(self.center, x)
-        with np.errstate(over="ignore"):  # an overflowing distance is inf: outside
-            delta = self.center - x
-            return bool(np.sqrt(_column_dot(delta, delta)) <= self.radius)
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts.reshape(1, -1)
+        if pts.ndim != 2 or 0 in pts.shape:
+            raise ValueError("a finite point set needs a nonempty (k, n) array of points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("finite point set entries must be finite")
+        pts.flags.writeable = False
+        self.points = pts
+        self.radius = 0.0
 
 
 class GridSpec(WriteOnce):

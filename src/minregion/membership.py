@@ -11,16 +11,17 @@ strong-convexity constant of the unknown term.  classify_points decides this
 for a batch of query points and is the only decision path: classify_point,
 the grid scanner and the necessity oracle read its verdicts as they are.
 
-Every region is balls of one radius about its .points: a Ball is one, a
-FinitePointSet is balls of radius 0.  The one scorer, _region_scores, takes
-the least score over the pairs whose g descends toward the set
-(<g, x_star - x_u> < 0), inf where none does.  Over the ball of radius r > 0
-about p that is (<g, x_star - p> - ||g|| r) / ((d - r)(d + r)),
-d = ||x_star - p||, attained at a tangency point (ball_witness).  A row is
-inside the closed set when its nearest p is within r, and a zero distance,
-which an underflow also gives, only when region.contains confirms it.
-Points inside are members without a score.  evaluate_general checks the
-condition independently, over explicit candidate lists, as a cross-check.
+Every region is a geometry.Region, balls of one radius about its .points:
+a Ball is one, a FinitePointSet is balls of radius 0.  The one scorer,
+_region_scores, takes the least score over the pairs whose g descends
+toward the set (<g, x_star - x_u> < 0), inf where none does.  Over the
+ball of radius r > 0 about p that is (<g, x_star - p> - ||g|| r) /
+((d - r)(d + r)), d = ||x_star - p||, attained at a tangency point
+(ball_witness).  A row is inside the closed set when its nearest p is
+within r, and a zero distance, which an underflow also gives, only when
+region.contains confirms it.  Points inside are members without a score.
+evaluate_general checks the condition independently, over explicit
+candidate lists, as a cross-check.
 """
 
 from __future__ import annotations
@@ -29,45 +30,19 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction, gradient, kink_index, subdifferential
-from .geometry import Ball, WriteOnce, _column_dot, as_vector
+# FinitePointSet is also importable from here
+from .geometry import Ball, FinitePointSet, Region, WriteOnce, _column_dot, as_vector
 
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
 BLOCK_ROWS = 8192  # query rows per classify_points call in scans and campaigns; bounds memory
-
-
-class FinitePointSet(WriteOnce):
-    """Finitely many candidate minimizer locations for the unknown term: balls of radius 0."""
-
-    radius = 0.0
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        if pts.ndim != 2 or 0 in pts.shape:
-            raise ValueError("a finite point set needs a nonempty (k, n) array of points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("finite point set entries must be finite")
-        pts.flags.writeable = False
-        self.points = pts
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    def contains(self, x) -> bool:
-        x = as_vector(x)
-        if x.shape[0] != self.dimension:
-            raise ValueError("point dimension does not match the set")
-        return bool(np.any(np.all(self.points == x, axis=1)))
 
 
 class UncertaintySet(WriteOnce):
     """Where the unknown term's minimizer may lie, plus its convexity constant."""
 
     def __init__(self, region, sigma: float):
-        if not isinstance(region, (Ball, FinitePointSet)):
-            raise TypeError("region must be a Ball or a FinitePointSet")
+        if not isinstance(region, Region):
+            raise TypeError("region must be a Region, such as a Ball or a FinitePointSet")
         sigma = float(sigma)
         if not np.isfinite(sigma) or sigma <= 0.0:
             raise ValueError(f"sigma must be > 0, got {sigma}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction, kink_index
-from .geometry import Ball, WriteOnce, _column_dot
+from .geometry import WriteOnce, _column_dot
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, _raise_first, classify_points
 
 MULTIPLIER_RANGE = (1.05, 3.0)  # sigma_u / sigma is drawn from here
@@ -93,36 +93,34 @@ def _draw_unknowns(uset: UncertaintySet, sigma: float, seeds) -> tuple:
     Uniform 1 gives sigma_u = sigma * (lo + (hi - lo) * U1) over
     MULTIPLIER_RANGE = (lo, hi), so every draw is sigma-strongly convex; the
     draw uses this sigma, not uset.sigma, and sigma * hi must be finite.
-    The center is uniform over the region.  For a ball, uniform 2 gives the
-    distance radius * U2^(1/n), and uniforms 3, 4, ... go in pairs (a, b)
-    through Box-Muller, r = sqrt(-2 ln Ua) and (r cos 2 pi Ub, r sin 2 pi
-    Ub), whose first n values, normalised by sqrt(vecdot), give the
-    direction (r > 0, so it is never zero).  For a finite set of k points,
-    uniform 2 picks point min(floor(U2 k), k - 1).
+    The center is uniform over the region.  Uniform 2 picks point
+    min(floor(U2 k), k - 1) of its k points, which for a ball is its center.
+    At radius r > 0 uniform 2 also gives the distance r * U2^(1/n), and
+    uniforms 3, 4, ... go in pairs (a, b) through Box-Muller, rho = sqrt(-2
+    ln Ua) and (rho cos 2 pi Ub, rho sin 2 pi Ub), whose first n values,
+    normalised by sqrt(vecdot), give the direction (rho > 0, so it is never
+    zero).  Reusing uniform 2 is sound only because a region with r > 0 has
+    one point: its pick is point 0 whatever U2 is.
     """
     sigma = float(sigma)
     lo, hi = MULTIPLIER_RANGE
     if not 0.0 < sigma * hi < np.inf:
         raise ValueError(f"sigma must be > 0 with sigma * {hi!r} finite, got {sigma!r}")
-    region = uset.region
-    if isinstance(region, Ball):
-        n = region.dimension
-        pairs = (n + 1) // 2
-        u = _uniforms(seeds, 2 + 2 * pairs)
-        r = np.sqrt(-2.0 * np.log(u[2::2]))  # (pairs, B)
+    points, radius = uset.region.points, uset.region.radius
+    n, k = uset.dimension, len(points)
+    pairs = (n + 1) // 2 if radius else 0
+    u = _uniforms(seeds, 2 + 2 * pairs)
+    picks = np.minimum((u[1] * k).astype(np.intp), k - 1)
+    centers = points.take(picks, axis=0)  # a copy, about 10x faster than points[picks]
+    if radius:
+        rho = np.sqrt(-2.0 * np.log(u[2::2]))  # (pairs, B)
         angle = (2.0 * np.pi) * u[3::2]
         normals = np.empty((len(seeds), 2 * pairs))
-        normals[:, 0::2] = (r * np.cos(angle)).T
-        normals[:, 1::2] = (r * np.sin(angle)).T
+        normals[:, 0::2] = (rho * np.cos(angle)).T
+        normals[:, 1::2] = (rho * np.sin(angle)).T
         directions = normals[:, :n]
         units = directions / np.sqrt(np.vecdot(directions, directions))[:, None]
-        scales = region.radius * u[1] ** (1.0 / n)
-        centers = region.center + scales[:, None] * units
-    else:
-        k = region.points.shape[0]
-        u = _uniforms(seeds, 2)
-        picks = np.minimum((u[1] * k).astype(np.intp), k - 1)
-        centers = region.points[picks]
+        centers += (radius * u[1] ** (1.0 / n))[:, None] * units
     return centers, sigma * (lo + (hi - lo) * u[0])
 
 

@@ -16,16 +16,16 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction
-from .geometry import Ball, GridSpec, WriteOnce  # GridSpec is also importable from here
+from .geometry import GridSpec, WriteOnce  # GridSpec is also importable from here
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, classify_points
 
 
 class RegionMask(WriteOnce):
     """Membership booleans over a grid, in row-major (last axis fastest) order.
 
-    sigma (finite, > 0) and slack (finite, >= 0) are the scan's; eps0 is
-    the radius of a ball set and point_count the size of a finite one, at
-    most one of them set.
+    sigma (finite, > 0) and slack (finite, >= 0) are the scan's; eps0
+    (finite, > 0) is the radius of a ball set and point_count (>= 1) the
+    size of a finite one, at most one of them set.
     """
 
     def __init__(self, grid: GridSpec, membership, sigma: float, slack: float,
@@ -40,6 +40,10 @@ class RegionMask(WriteOnce):
             raise ValueError(f"slack must be a finite number >= 0, got {slack!r}")
         if eps0 is not None and point_count is not None:
             raise ValueError("a mask has eps0 (a ball) or point_count (a finite set), not both")
+        if eps0 is not None and not (math.isfinite(eps0) and eps0 > 0.0):
+            raise ValueError(f"eps0 must be a finite number > 0, got {eps0!r}")
+        if point_count is not None and point_count < 1:
+            raise ValueError(f"point_count must be >= 1, got {point_count!r}")
         mem.flags.writeable = False
         self.grid = grid
         self.membership = mem
@@ -99,10 +103,8 @@ def scan_region(
             point = ", ".join(repr(float(v)) for v in rows[exc.row])
             raise NonFiniteError(start + exc.row, f"grid point [{point}]: {exc.reason}") from None
         member[start : start + BLOCK_ROWS] = res.member
-    if isinstance(uset.region, Ball):
-        eps0, point_count = uset.region.radius, None
-    else:
-        eps0, point_count = None, uset.region.points.shape[0]
+    region = uset.region
+    eps0, point_count = (region.radius, None) if region.radius else (None, len(region.points))
     return RegionMask(spec, member, uset.sigma, float(slack), eps0=eps0, point_count=point_count)
 
 

@@ -593,33 +593,34 @@ def test_validate_rejects_a_sigma_whose_draws_overflow(tmp_path, capsys):
     assert "member: no\n" in capsys.readouterr().out
 
 
+# both region types name their reach max |p| + r: a ball's one point is its centre, a finite set's r is 0
 HUGE_SETS = pytest.mark.parametrize(
-    "uncertainty, name",
+    "uncertainty",
     [
-        ({"type": "ball", "center": [1e308, 0.0], "radius": 1e308}, "(max |c| + r)"),
-        ({"type": "points", "points": [[0.0, 0.0], [0.0, -1e308]]}, "max |p|"),
+        {"type": "ball", "center": [1e308, 0.0], "radius": 1e308},
+        {"type": "points", "points": [[0.0, 0.0], [0.0, -1e308]]},
     ],
     ids=["ball", "points"],
 )
 
 
 @HUGE_SETS
-def test_validate_rejects_a_set_whose_draws_overflow(tmp_path, capsys, uncertainty, name):
+def test_validate_rejects_a_set_whose_draws_overflow(tmp_path, capsys, uncertainty):
     # sigma * 3.0 times the set's reach overflows: validate names $.uncertainty, where the
     # ball used to be reported as "minimizer of trial 0: coordinates are not finite"
     config = write_config(tmp_path, dict(REFERENCE, uncertainty=uncertainty))
     assert main(["validate", config, "--trials", "3"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: $.uncertainty: sigma * 3.0 * {name} overflows for sigma 2.0\n"
+    assert captured.err == "error: $.uncertainty: sigma * 3.0 * (max |p| + r) overflows for sigma 2.0\n"
     assert captured.out == ""
 
 
 @HUGE_SETS
-def test_check_and_scan_name_a_set_that_cannot_be_scored(tmp_path, capsys, uncertainty, name):
+def test_check_and_scan_name_a_set_that_cannot_be_scored(tmp_path, capsys, uncertainty):
     # n * reach^2 overflows, so the kernel's squared distances to the set do: the set is
     # named, where check blamed the query point and scan the first grid point
     config = write_config(tmp_path, dict(REFERENCE, uncertainty=uncertainty))
-    expected = f"error: $.uncertainty: 2 * {name}^2 overflows, so no point can be scored\n"
+    expected = "error: $.uncertainty: 2 * (max |p| + r)^2 overflows, so no point can be scored\n"
     assert main(["check", config, "1,0"]) == 2
     assert capsys.readouterr() == ("", expected)
     assert main(["scan", config, "-o", str(tmp_path / "m.csv")]) == 2

@@ -1033,12 +1033,17 @@ def near_set_rows(draw):
         rows.append(x)
     kinks = (Kink(point=points[0], generators=[np.ones(n), -np.ones(n)]),) if draw(st.booleans()) else ()
     f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(n), m=np.full(n, 2.0)),), kinks=kinks)
-    return f, UncertaintySet(region=FinitePointSet(points=points), sigma=2.0), np.array(rows)
+    region = FinitePointSet(points=points)
+    if draw(st.booleans()):  # a ball about one of the points, of a radius whose square may underflow
+        center = points[draw(st.integers(0, len(points) - 1))]
+        region = Ball(center=center, radius=draw(st.sampled_from([5e-324, 1e-170, 0.5])))
+    return f, UncertaintySet(region=region, sigma=2.0), np.array(rows)
 
 
 @settings(max_examples=150, deadline=None)
 @given(near_set_rows())
 def test_finite_set_interior_is_contains(problem):
+    # one contains rule for both region types: a set point, or within the radius of one
     f, uset, X = problem
     res = classify_points(f, uset, X)
     assert res.interior.tolist() == [uset.region.contains(x) for x in X]

@@ -82,6 +82,7 @@ def test_scan_matches_classifier_two_terms():
     uset = UncertaintySet(region=Ball(center=[0.3, 0.2], radius=0.25), sigma=1.5)
     spec = GridSpec(lower=[-2.0, -2.0], upper=[2.0, 2.0], counts=(29, 31))
     mask = scan_region(f, uset, spec)
+    assert (mask.eps0, mask.point_count) == (0.25, None)  # a ball's header field is its radius
     pts = build_grid(spec)
     for i, p in enumerate(pts):
         assert bool(mask.membership[i]) == classify_point(f, p, uset).member
@@ -94,6 +95,7 @@ def test_scan_matches_classifier_finite_set():
     )
     spec = GridSpec(lower=[-1.0, -1.0], upper=[2.0, 2.0], counts=(21, 21))
     mask = scan_region(f, uset, spec)
+    assert (mask.eps0, mask.point_count) == (None, 2)  # a finite set's is its point count
     pts = build_grid(spec)
     for i, p in enumerate(pts):
         assert bool(mask.membership[i]) == classify_point(f, p, uset).member
@@ -385,6 +387,11 @@ def test_csv_rejects_bad_rows(tmp_path, old, new, error):
         # values the writer never emits: RegionMask refuses each, the reader names the path
         pytest.param("sigma=1.0, eps0=0.1, slack=0.0", "sigma=nan, eps0=0.1, points=16, slack=-5",
                      "sigma must be a finite number > 0, got nan", id="sigma-nan-slack-negative-both-sizes"),
+        pytest.param("eps0=0.1", "eps0=nan", "eps0 must be a finite number > 0, got nan", id="eps0-nan"),
+        pytest.param("eps0=0.1", "eps0=-2.0", "eps0 must be a finite number > 0, got -2.0", id="eps0-negative"),
+        pytest.param("eps0=0.1", "eps0=inf", "eps0 must be a finite number > 0, got inf", id="eps0-inf"),
+        pytest.param("eps0=0.1", "points=-3", "point_count must be >= 1, got -3", id="points-negative"),
+        pytest.param("eps0=0.1", "points=0", "point_count must be >= 1, got 0", id="points-zero"),
     ],
 )
 def test_csv_bad_flags_and_header_values_name_the_path(tmp_path, old, new, error):
@@ -444,6 +451,12 @@ def test_region_mask_shape_validation():
         ((1.0, -5.0, 0.1, None), "slack must be a finite number >= 0, got -5.0"),
         ((1.0, float("nan"), 0.1, None), "slack must be a finite number >= 0, got nan"),
         ((1.0, 0.0, 0.1, 16), "a mask has eps0 (a ball) or point_count (a finite set), not both"),
+        ((1.0, 0.0, float("nan"), None), "eps0 must be a finite number > 0, got nan"),
+        ((1.0, 0.0, -2.0, None), "eps0 must be a finite number > 0, got -2.0"),
+        ((1.0, 0.0, 0.0, None), "eps0 must be a finite number > 0, got 0.0"),
+        ((1.0, 0.0, float("inf"), None), "eps0 must be a finite number > 0, got inf"),
+        ((1.0, 0.0, None, -3), "point_count must be >= 1, got -3"),
+        ((1.0, 0.0, None, 0), "point_count must be >= 1, got 0"),
     ],
 )
 def test_region_mask_refuses_header_values_the_writer_never_emits(fields, error):
