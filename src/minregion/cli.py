@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
 from .geometry import Ball, FinitePointSet, GridSpec, WriteOnce
-from .membership import DEFAULT_SLACK, UncertaintySet, classify_point
+from .membership import DEFAULT_SLACK, UncertaintySet, classify_point, threshold
 
 # scanner and oracle are imported inside the subcommands that run them, so a
 # check process, which is mostly interpreter and import time, loads neither.
@@ -223,11 +223,10 @@ def _apply_overrides(config: ProblemConfig, args) -> ProblemConfig:
         if not (math.isfinite(args.sigma_override) and args.sigma_override > 0.0):
             raise ConfigError(f"--sigma-override must be a finite number > 0, got {args.sigma_override}")
         uset = UncertaintySet(region=uset.region, sigma=float(args.sigma_override))
-    if not (math.isfinite(slack) and slack >= 0.0):
-        raise ConfigError(f"--slack must be a finite number >= 0, got {slack}")
-    if not slack < uset.sigma:  # a threshold -sigma + slack >= 0 passes gradients that point away
-        name = "--slack" if args.slack is not None else "$.slack"
-        raise ConfigError(f"{name} must be below the classifying sigma {uset.sigma!r}, got {slack!r}")
+    try:
+        threshold(uset.sigma, slack)
+    except ValueError as exc:
+        raise ConfigError(("--" if args.slack is not None else "$.") + str(exc)) from None
     return ProblemConfig(config.known_function, uset, config.grid, float(slack), config.raw)
 
 
@@ -257,7 +256,8 @@ def _cmd_check(args) -> int:
     elif verdict.best_score is None:
         print("reason: no generator descends toward the set")
     else:
-        print(f"best_score: {verdict.best_score!r} (threshold {-config.uncertainty.sigma + config.slack!r})")
+        limit = threshold(config.uncertainty.sigma, config.slack)
+        print(f"best_score: {verdict.best_score!r} (threshold {limit!r})")
         w = verdict.witness
         print(f"witness: x_u={_format_vector(w.x_u)}, g={_format_vector(w.g)}")
     return 0 if verdict.member else 1

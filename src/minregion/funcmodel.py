@@ -116,23 +116,13 @@ class KnownFunction(WriteOnce):
     def value(self, x) -> float:
         """Value of the smooth quadratic part at x."""
         x = as_vector(x)
-        self._check_dim(x)
+        if x.shape[0] != self.dimension:
+            raise ValueError(f"point of dimension {x.shape[0]} passed to a {self.dimension}-D function")
         total = 0.0
         for t in self.terms:
             dx = x - t.m
             total += t.weight * float(dx @ t.Q @ dx)
         return total
-
-    def kink_at(self, x) -> Kink | None:
-        """The registered kink at x (see kink_index), if any."""
-        x = as_vector(x)
-        self._check_dim(x)
-        j = int(kink_index(self, x))
-        return self.kinks[j] if j >= 0 else None
-
-    def _check_dim(self, x: np.ndarray):
-        if x.shape[0] != self.dimension:
-            raise ValueError(f"point of dimension {x.shape[0]} passed to a {self.dimension}-D function")
 
 
 def kink_index(f: KnownFunction, cols: np.ndarray) -> np.ndarray:
@@ -177,14 +167,13 @@ def subdifferential(f: KnownFunction, x) -> np.ndarray:
     """Subdifferential generators of f at x, one per row of a (k, n) array.
 
     The gradient alone (k = 1) at smooth points; at a registered kink, each
-    supplied generator shifted by the gradient of the quadratic terms.
+    supplied generator shifted by the gradient of the quadratic terms
+    (kink_index tells which kink x is at).
     """
     x = as_vector(x)
-    kink = f.kink_at(x)
     smooth = gradient(f, x)
-    if kink is None:
-        return smooth[None, :]
-    return smooth + kink.generators
+    j = int(kink_index(f, x))
+    return smooth[None, :] if j < 0 else smooth + f.kinks[j].generators
 
 
 def finite_difference_check(f: KnownFunction, x, h: float = 1e-5) -> float:

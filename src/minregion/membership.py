@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction, gradient, kink_index, subdifferential
 # FinitePointSet is also importable from here
-from .geometry import Ball, FinitePointSet, Region, WriteOnce, _column_dot, as_vector
+from .geometry import FinitePointSet, Region, WriteOnce, _column_dot, as_vector
 
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
 BLOCK_ROWS = 8192  # query rows per classify_points call in scans and campaigns; bounds memory
@@ -53,8 +53,20 @@ class UncertaintySet(WriteOnce):
     def dimension(self) -> int:
         return self.region.dimension
 
-    def contains(self, x) -> bool:
-        return self.region.contains(x)
+
+def threshold(sigma: float, slack: float) -> float:
+    """-sigma + slack, the highest score of a member outside the set; the one owner of the slack rule.
+
+    ValueError unless the slack is finite, >= 0 and below sigma: a negative
+    slack calls true minimizers non-members, and one at or above sigma
+    passes gradients that point away from the set.
+    """
+    slack = float(slack)
+    if not (np.isfinite(slack) and slack >= 0.0):
+        raise ValueError(f"slack must be a finite number >= 0, got {slack!r}")
+    if not slack < sigma:
+        raise ValueError(f"slack must be below the classifying sigma {sigma!r}, got {slack!r}")
+    return -sigma + slack
 
 
 class Witness(WriteOnce):
@@ -96,8 +108,8 @@ def ball_witness(g, x_star, center, radius: float) -> np.ndarray:
     return x_star + w / _column_dot(w, w)
 
 
-def _visible_cap_candidates(x_star: np.ndarray, ball: Ball, samples: int) -> np.ndarray:
-    """Boundary points visible from x_star, discretized.
+def _visible_cap_candidates(x_star: np.ndarray, region: Region, samples: int) -> np.ndarray:
+    """Points on the boundary of the one ball of region (radius > 0) visible from x_star, discretized.
 
     In the plane the visible cap is an arc and is sampled uniformly and
     inclusively (shrunk by a relative 1e-12 so the closed tangency test is
@@ -105,19 +117,18 @@ def _visible_cap_candidates(x_star: np.ndarray, ball: Ball, samples: int) -> np.
     normal-direction scheme under a fixed seed and filtered to the cap, with
     the nearest boundary point always included.
     """
-    center = ball.center
-    radius = ball.radius
+    center, radius = region.points[0], region.radius
     rel = x_star - center
     d = float(np.linalg.norm(rel))
     t_max = float(np.arccos(radius / d))
-    if ball.dimension == 2:
+    if region.dimension == 2:
         base = float(np.arctan2(rel[1], rel[0]))
         psi = base + np.linspace(
             -t_max * (1.0 - 1e-12), t_max * (1.0 - 1e-12), int(samples)
         )
         return center + radius * np.stack([np.cos(psi), np.sin(psi)], axis=1)
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((int(samples), ball.dimension))
+    dirs = rng.standard_normal((int(samples), region.dimension))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = center + radius * dirs
     visible = (pts - center) @ rel >= radius**2
@@ -138,23 +149,21 @@ def evaluate_general(
     Candidates are (x_u, g) with x_u in the finite set, or on the visible
     boundary cap for a ball, and g a subdifferential generator, restricted
     to pairs with <g, u(x_star, x_u)> < 0.  The point is a member iff the
-    minimal pair score is <= -sigma + slack; with no admissible candidates
-    the verdict is non-member with no score.  x_star must lie outside the
-    set (classify_point handles interior points).
+    minimal pair score is <= threshold(sigma, slack); with no admissible
+    candidates the verdict is non-member with no score.  x_star must lie
+    outside the set (classify_point handles interior points).
     """
     x_star = as_vector(x_star)
     if x_star.shape[0] != uset.dimension or f.dimension != uset.dimension:
         raise ValueError("function, point, and set dimensions must agree")
+    limit = threshold(uset.sigma, slack)
     region = uset.region
-    if isinstance(region, Ball):
-        if region.contains(x_star):
-            raise ValueError("evaluate_general requires x_star outside the ball")
-        candidates = _visible_cap_candidates(x_star, region, int(boundary_samples))
-    else:
-        if region.contains(x_star):
-            raise ValueError("x_star coincides with a set point; classify_point handles that case")
-        candidates = region.points
-    threshold = -uset.sigma + float(slack)
+    if region.contains(x_star):
+        raise ValueError("evaluate_general requires x_star outside the ball" if region.radius
+                         else "x_star coincides with a set point; classify_point handles that case")
+    candidates = (
+        _visible_cap_candidates(x_star, region, int(boundary_samples)) if region.radius else region.points
+    )
     best_score = None
     best_witness = None
     diff = x_star - candidates  # (M, n); a candidate at x_star itself has no direction, so it goes
@@ -174,7 +183,7 @@ def evaluate_general(
     if best_score is None:
         return MembershipVerdict(member=False)
     return MembershipVerdict(
-        member=bool(best_score <= threshold), best_score=best_score, witness=best_witness
+        member=bool(best_score <= limit), best_score=best_score, witness=best_witness
     )
 
 
@@ -320,17 +329,15 @@ def classify_points(
     also tells the rows inside the set; the rows at a registered kink
     (kink_index) are then rescored over that kink's m generators, whose
     argmin gives the score and the generator.  A row is a member when its
-    score is <= -sigma + slack; slack >= sigma raises ValueError, since a
-    threshold >= 0 would pass gradients that point away from the set.
-    NonFiniteError names a non-finite query row, or a row outside the set
-    whose gradient or score overflows; rows inside never raise.
+    score is <= threshold(sigma, slack), which raises ValueError for a bad
+    slack before any row is scored.  NonFiniteError names a non-finite
+    query row, or a row outside the set whose gradient or score overflows;
+    rows inside never raise.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != uset.dimension or f.dimension != uset.dimension:
         raise ValueError("function, point, and set dimensions must agree")
-    slack = float(slack)
-    if not slack < uset.sigma:
-        raise ValueError(f"slack must be below sigma {uset.sigma!r}, got {slack!r}")
+    limit = threshold(uset.sigma, slack)
     cols = np.ascontiguousarray(X.T)
     _raise_first(~np.isfinite(cols).all(axis=0), "coordinates are not finite")
     region = uset.region
@@ -363,7 +370,7 @@ def classify_points(
             best, each = np.argmin(kink_score, axis=0), np.arange(rows.size)
             score[rows] = kink_score[best, each]
             G[:, rows] = Gk[:, best, each]
-        member = (score <= -uset.sigma + slack) | interior
+        member = (score <= limit) | interior
     np.copyto(score, np.inf, where=interior)
     return RowVerdicts(interior, member, score, G.T)
 

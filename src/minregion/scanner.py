@@ -17,15 +17,15 @@ import numpy as np
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction
 from .geometry import GridSpec, WriteOnce  # GridSpec is also importable from here
-from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, classify_points
+from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, classify_points, threshold
 
 
 class RegionMask(WriteOnce):
     """Membership booleans over a grid, in row-major (last axis fastest) order.
 
-    sigma (finite, > 0) and slack (finite, >= 0) are the scan's; eps0
-    (finite, > 0) is the radius of a ball set and point_count (>= 1) the
-    size of a finite one, at most one of them set.
+    sigma (finite, > 0) and slack (as membership.threshold allows) are
+    the scan's; eps0 (finite, > 0) is the radius of a ball set and
+    point_count (>= 1) the size of a finite one, at most one of them set.
     """
 
     def __init__(self, grid: GridSpec, membership, sigma: float, slack: float,
@@ -36,8 +36,7 @@ class RegionMask(WriteOnce):
         sigma, slack = float(sigma), float(slack)
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ValueError(f"sigma must be a finite number > 0, got {sigma!r}")
-        if not (math.isfinite(slack) and slack >= 0.0):
-            raise ValueError(f"slack must be a finite number >= 0, got {slack!r}")
+        threshold(sigma, slack)
         if eps0 is not None and point_count is not None:
             raise ValueError("a mask has eps0 (a ball) or point_count (a finite set), not both")
         if eps0 is not None and not (math.isfinite(eps0) and eps0 > 0.0):
@@ -58,14 +57,14 @@ class RegionMask(WriteOnce):
 
 
 def build_grid(spec: GridSpec, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows start..stop-1 of the grid (stop clipped to its end), last axis varying fastest.
+    """Rows start..stop-1 of the grid, last axis varying fastest, clipped as a slice would be.
 
     The (N, n) rows are the transpose of an (n, N) C-contiguous block, the
     layout classify_points computes in.  Along an axis that changes every
     step rows, the block meets runs first..last of step equal values each,
     cycling through the axis, and cuts the outer two.
     """
-    stop = spec.point_count if stop is None else min(stop, spec.point_count)
+    stop = max(start, spec.point_count if stop is None else min(stop, spec.point_count))
     cols = np.empty((spec.dimension, stop - start))
     step = 1
     for ax, col in zip(reversed(spec.axes()), cols[::-1]):

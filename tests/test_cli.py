@@ -821,3 +821,32 @@ def test_run_freezes_the_import_heap(tmp_path, capsys, monkeypatch):
     finally:
         gc.unfreeze()
     assert "member: yes" in capsys.readouterr().out
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as readme:
+    README_BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", readme.read(), re.M | re.S)
+
+
+def test_readme_check_transcripts_are_the_output(capsys, monkeypatch):
+    # each "$ minregion check ..." line of the README is followed by the exact stdout or stderr
+    monkeypatch.chdir(ROOT)
+    runs = []
+    for _, body in README_BLOCKS:
+        for transcript in re.split(r"^\$ ", body, flags=re.M)[1:]:
+            command, *lines = transcript.splitlines()
+            if not command.startswith("minregion check "):
+                continue
+            argv = command.split()[1:]
+            runs.append((argv[-1], main(argv)))
+            captured = capsys.readouterr()
+            assert captured.out + captured.err == "".join(line + "\n" for line in lines)
+    assert runs == [("1.0,0.0", 0), ("3.0,0.0", 1), ("1e308,1e308", 2)]
+
+
+def test_readme_library_usage_prints_what_it_says(capsys):
+    code = next(body for lang, body in README_BLOCKS if lang == "python")
+    expected = [line.partition("# ")[2] for line in code.splitlines() if line.startswith("print(")]
+    assert expected == ["True -2.2222222222222223", "10460", "True 0"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -9,6 +9,7 @@ from minregion.funcmodel import (
     QuadraticTerm,
     finite_difference_check,
     gradient,
+    kink_index,
     subdifferential,
 )
 
@@ -35,6 +36,8 @@ def test_value_and_gradient_reference():
     assert f.value([-1.0, -3.0]) == 18.0
     assert np.array_equal(gradient(f, [-1.0, -3.0]), [-6.0, -6.0])
     assert np.array_equal(gradient(f, [2.0, 0.0]), [0.0, 0.0])
+    with pytest.raises(ValueError, match="^point of dimension 3 passed to a 2-D function$"):
+        f.value([1.0, 0.0, 0.0])
 
 
 def test_gradient_accumulates_terms():
@@ -140,8 +143,8 @@ def test_gradient_at_kink_is_the_smooth_part():
 def test_kink_at_is_exact_match():
     kink = Kink(point=[1.0, -1.0], generators=([0.0, 1.0],))
     f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[0.0, 0.0]),), kinks=(kink,))
-    assert f.kink_at([1.0, -1.0]) is kink
-    assert f.kink_at([1.0 + 1e-9, -1.0]) is None
+    assert kink_index(f, np.array([1.0, -1.0])) == 0
+    assert kink_index(f, np.array([1.0 + 1e-9, -1.0])) == -1
 
 
 def test_quadratic_term_validation():

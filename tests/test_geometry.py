@@ -54,6 +54,8 @@ def test_ball_validation():
     assert ball.dimension == 2
     assert ball.contains([1.0, 2.5])  # boundary is inside, the ball is closed
     assert not ball.contains([1.0, 2.5 + 1e-12])
+    with pytest.raises(ValueError, match="^vectors of dimension 2 and 3 cannot be combined$"):
+        ball.contains([1.0, 2.0, 0.0])
 
 
 def segment_min_distance(x, x_star, center):

@@ -1,5 +1,6 @@
 """Tests for the candidate-minimizer membership decision."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -22,7 +23,7 @@ from minregion.membership import (
     classify_points,
     evaluate_general,
 )
-from minregion.oracle import _minimize_block
+from minregion.oracle import _minimize_block, validate_necessity
 from minregion.scanner import GridSpec, build_grid, mask_subset, scan_region
 
 
@@ -579,7 +580,7 @@ def test_evaluate_general_admissibility_filter_consistent():
         sigma = float(rng.uniform(0.5, 4.0))
         uset = UncertaintySet(region=FinitePointSet(points=pts), sigma=sigma)
         x_star = rng.uniform(-3.0, 3.0, n)
-        if uset.contains(x_star):
+        if uset.region.contains(x_star):
             continue
         verdict = evaluate_general(f, x_star, uset)
         # brute force over every pair with no admissibility filter
@@ -817,6 +818,55 @@ def test_evaluate_general_rejects_inside_queries():
         evaluate_general(f, [0.3, 0.4], finite)
 
 
+@pytest.mark.parametrize(
+    "slack, error",
+    [
+        (-1.0, "slack must be a finite number >= 0, got -1.0"),
+        (-np.inf, "slack must be a finite number >= 0, got -inf"),
+        (np.nan, "slack must be a finite number >= 0, got nan"),
+        (np.inf, "slack must be a finite number >= 0, got inf"),
+        (2.0, "slack must be below the classifying sigma 2.0, got 2.0"),
+    ],
+)
+def test_every_entry_point_refuses_a_bad_slack_before_scoring(monkeypatch, slack, error):
+    # a negative slack called the member (1, 0) a non-member, so validate_necessity reported
+    # falsifications at true minimizers (2000 of 2000 at -inf), scan_region scored a whole
+    # grid before RegionMask refused it, and evaluate_general scored against nan, inf and sigma
+    f, uset = reference_function(), reference_set()
+
+    def scored(*args):
+        raise AssertionError("a row was scored")
+
+    monkeypatch.setattr(membership, "_region_scores", scored)
+    calls = (
+        lambda: membership.threshold(uset.sigma, slack),
+        lambda: classify_points(f, uset, [[1.0, 0.0]], slack),
+        lambda: classify_point(f, [1.0, 0.0], uset, slack=slack),
+        lambda: scan_region(f, uset, GridSpec(lower=[-1, -2], upper=[3, 2], counts=(2001, 2001)), slack=slack),
+        lambda: validate_necessity(f, uset, 2.0, 2000, 1, slack=slack),
+        lambda: evaluate_general(f, [1.0, 0.0], uset, slack=slack),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            call()
+
+
+def test_an_overflow_in_a_later_chunk_of_points_is_not_dropped():
+    # one query row takes BLOCK_ROWS points per chunk, so the last of BLOCK_ROWS + 1 points
+    # is alone in the second chunk; past the exposure bound only the running maxima of num
+    # and near, folded over every chunk, see that its distance squared overflows
+    f = reference_function()
+    x = np.array([[0.5, 0.0]])
+    pts = np.random.default_rng(28).uniform(-1e151, 1e151, (BLOCK_ROWS + 1, 2))
+    res = classify_points(f, UncertaintySet(region=FinitePointSet(points=pts), sigma=2.0), x)
+    cols, G = x.T.copy(), gradient(f, x).T
+    alone = [membership._region_scores(G, cols, pts[k : k + 1], 0.0)[0][0] for k in range(len(pts))]
+    assert res.score[0] < 0.0 and res.score[0] == min(alone)
+    far = np.vstack([pts[:-1], [1.5e154, 0.0]])
+    with pytest.raises(NonFiniteError, match="score overflows"):
+        classify_points(f, UncertaintySet(region=FinitePointSet(points=far), sigma=2.0), x)
+
+
 def test_dimension_checks():
     f = reference_function()
     with pytest.raises(ValueError, match="^function, point, and set dimensions must agree$"):
@@ -824,6 +874,9 @@ def test_dimension_checks():
     three_d = UncertaintySet(region=Ball(center=[0.0, 0.0, 0.0], radius=0.1), sigma=2.0)
     with pytest.raises(ValueError, match="^function, point, and set dimensions must agree$"):
         classify_point(f, [1.0, 0.0, 0.0], three_d)
+    for x, uset in (([1.0, 0.0, 0.0], reference_set()), ([1.0, 0.0, 0.0], three_d), ([1.0, 0.0], three_d)):
+        with pytest.raises(ValueError, match="^function, point, and set dimensions must agree$"):
+            evaluate_general(f, x, uset)
 
 
 def test_uncertainty_set_validation():
@@ -833,6 +886,9 @@ def test_uncertainty_set_validation():
         UncertaintySet(region=Ball(center=[0.0], radius=1.0), sigma=0.0)
     with pytest.raises(ValueError):
         FinitePointSet(points=np.empty((0, 2)))
+    for entry in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^finite point set entries must be finite$"):
+            FinitePointSet(points=[[0.0, 0.0], [1.0, entry]])
 
 
 def test_zero_dimensional_models_are_rejected():
@@ -855,6 +911,8 @@ def test_finite_point_set_contains_is_exact():
     region = FinitePointSet(points=[[0.1, 0.2], [0.3, 0.4]])
     assert region.contains([0.1, 0.2])
     assert not region.contains([0.1 + 1e-15, 0.2])
+    with pytest.raises(ValueError, match="^vectors of dimension 2 and 3 cannot be combined$"):
+        region.contains([0.1, 0.2, 0.0])
 
 
 def left_to_right_finite_set_scores(G, X, points, radius=0.0):

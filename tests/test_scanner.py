@@ -47,6 +47,15 @@ def test_build_grid_row_major_order():
     assert np.array_equal(pts, expected)
 
 
+def test_build_grid_clips_like_a_slice():
+    # a start past the end or past stop raised numpy's "negative dimensions are not allowed"
+    spec = GridSpec(lower=[0, 0], upper=[1, 1], counts=(3, 4))
+    rows = build_grid(spec)
+    for start, stop in ((13, 20), (6, 3), (12, None), (5, 5), (11, 40), (4, 9)):
+        block = build_grid(spec, start, stop)
+        assert block.shape == rows[start:stop].shape and np.array_equal(block, rows[start:stop])
+
+
 def test_grid_spec_properties():
     spec = GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(401, 401))
     assert spec.dimension == 2
@@ -58,6 +67,9 @@ def test_grid_spec_properties():
         GridSpec(lower=[0.0], upper=[1.0], counts=(1,))
     with pytest.raises(ValueError, match="^lower, upper, and counts must have equal length$"):
         GridSpec(lower=[0.0, 0.0], upper=[1.0], counts=(5,))
+    for lower, upper in (([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.0], [np.inf, 1.0])):
+        with pytest.raises(ValueError, match="^grid bounds must be finite$"):
+            GridSpec(lower=lower, upper=upper, counts=(3, 3))
 
 
 def test_scan_matches_classifier_ball():
@@ -392,6 +404,8 @@ def test_csv_rejects_bad_rows(tmp_path, old, new, error):
         pytest.param("eps0=0.1", "eps0=inf", "eps0 must be a finite number > 0, got inf", id="eps0-inf"),
         pytest.param("eps0=0.1", "points=-3", "point_count must be >= 1, got -3", id="points-negative"),
         pytest.param("eps0=0.1", "points=0", "point_count must be >= 1, got 0", id="points-zero"),
+        pytest.param("slack=0.0", "slack=1.0", "slack must be below the classifying sigma 1.0, got 1.0",
+                     id="slack-at-sigma"),
     ],
 )
 def test_csv_bad_flags_and_header_values_name_the_path(tmp_path, old, new, error):
@@ -457,6 +471,8 @@ def test_region_mask_shape_validation():
         ((1.0, 0.0, float("inf"), None), "eps0 must be a finite number > 0, got inf"),
         ((1.0, 0.0, None, -3), "point_count must be >= 1, got -3"),
         ((1.0, 0.0, None, 0), "point_count must be >= 1, got 0"),
+        ((1.0, float("inf"), 0.1, None), "slack must be a finite number >= 0, got inf"),
+        ((1.0, 1.0, 0.1, None), "slack must be below the classifying sigma 1.0, got 1.0"),
     ],
 )
 def test_region_mask_refuses_header_values_the_writer_never_emits(fields, error):
