@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteError
 from .funcmodel import Kink, KnownFunction, QuadraticTerm
-from .geometry import Ball, FinitePointSet, GridSpec, WriteOnce
+from .geometry import Ball, FinitePointSet, GridSpec, WriteOnce, _positive
 from .membership import DEFAULT_SLACK, UncertaintySet, classify_point, threshold
 
 # scanner and oracle are imported inside the subcommands that run them, so a
@@ -220,9 +220,10 @@ def _apply_overrides(config: ProblemConfig, args) -> ProblemConfig:
     slack = args.slack if args.slack is not None else config.slack
     uset = config.uncertainty
     if getattr(args, "sigma_override", None) is not None:
-        if not (math.isfinite(args.sigma_override) and args.sigma_override > 0.0):
-            raise ConfigError(f"--sigma-override must be a finite number > 0, got {args.sigma_override}")
-        uset = UncertaintySet(region=uset.region, sigma=float(args.sigma_override))
+        try:
+            uset = UncertaintySet(region=uset.region, sigma=_positive(args.sigma_override, "--sigma-override"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     try:
         threshold(uset.sigma, slack)
     except ValueError as exc:

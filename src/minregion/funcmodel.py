@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import WriteOnce, _column_dot, as_vector
+from .geometry import WriteOnce, _column_dot, _frozen, _positive, as_vector
 
 SYMMETRY_ATOL = 1e-12  # max allowed |Q - Q^T| entrywise, times max(1, max |Q|)
 PSD_EIG_TOL = -1e-10  # eigenvalues may dip this far below zero, times max(1, max |Q|)
@@ -30,22 +30,17 @@ class QuadraticTerm(WriteOnce):
             raise ValueError(f"Q must be square, got shape {Q.shape}")
         if Q.shape[0] != m.shape[0]:
             raise ValueError(f"Q is {Q.shape[0]}x{Q.shape[0]} but m has dimension {m.shape[0]}")
-        if not np.all(np.isfinite(Q)) or not np.all(np.isfinite(m)):
-            raise ValueError("quadratic term entries must be finite")
+        Q, m = _frozen(Q, "quadratic term entries"), _frozen(m, "quadratic term entries")
         scale = max(1.0, float(np.max(np.abs(Q))))
         if np.max(np.abs(Q - Q.T)) > SYMMETRY_ATOL * scale:
             raise ValueError("Q must be symmetric to within 1e-12 max(1, max |Q|)")
         if float(np.min(np.linalg.eigvalsh(Q))) < PSD_EIG_TOL * scale:
             raise ValueError("Q must be positive semidefinite (eigenvalues >= -1e-10 max(1, max |Q|))")
-        weight = float(weight)
-        if not np.isfinite(weight) or weight <= 0.0:
-            raise ValueError(f"term weight must be > 0, got {weight}")
+        weight = _positive(weight, "term weight")
         with np.errstate(over="ignore", invalid="ignore"):  # gradients scale Q and Q m by 2 * weight
             for name, scaled in (("Q", 2.0 * weight * Q), ("Q m", 2.0 * weight * (Q @ m))):
                 if not np.isfinite(scaled).all():
                     raise ValueError(f"2 * weight * {name} overflows for weight {weight!r}")
-        Q.flags.writeable = False
-        m.flags.writeable = False
         self.Q = Q
         self.m = m
         self.weight = weight
@@ -70,13 +65,8 @@ class Kink(WriteOnce):
             raise ValueError("a kink needs at least one subdifferential generator")
         if any(g.shape[0] != point.shape[0] for g in gens):
             raise ValueError("kink generator dimension mismatch")
-        gens = np.array(gens)
-        if not (np.isfinite(point).all() and np.isfinite(gens).all()):
-            raise ValueError("kink point and generators must be finite")
-        point.flags.writeable = False
-        gens.flags.writeable = False
-        self.point = point
-        self.generators = gens
+        self.point = _frozen(point, "kink point and generators")
+        self.generators = _frozen(gens, "kink point and generators")
 
 
 class KnownFunction(WriteOnce):

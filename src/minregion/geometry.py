@@ -28,6 +28,26 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _frozen(x, what: str, dtype=float) -> np.ndarray:
+    """A read-only copy of x as dtype, so no array of the caller's can change a model.
+
+    ValueError(f"{what} must be finite") for a NaN or an infinity.
+    """
+    a = np.array(x, dtype=dtype)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    a.flags.writeable = False
+    return a
+
+
+def _positive(value, what: str) -> float:
+    """value as a float; ValueError unless it is a finite number > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
+    return value
+
+
 def _column_dot(a, b):
     """a[0] b[0] + a[1] b[1] + ..., summed left to right over the coordinates.
 
@@ -96,16 +116,9 @@ class Ball(Region):
     """Closed Euclidean ball with strictly positive radius about its center, points[0]."""
 
     def __init__(self, center, radius: float):
-        center = as_vector(center)
-        if not np.all(np.isfinite(center)):
-            raise ValueError("ball center must be finite")
-        radius = float(radius)
-        if not np.isfinite(radius) or radius <= 0.0:
-            raise ValueError(f"ball radius must be > 0, got {radius}")
-        center.flags.writeable = False
-        self.center = center
-        self.points = center[None, :]
-        self.radius = radius
+        self.center = _frozen(as_vector(center), "ball center")
+        self.points = self.center[None, :]
+        self.radius = _positive(radius, "ball radius")
 
 
 class FinitePointSet(Region):
@@ -117,10 +130,7 @@ class FinitePointSet(Region):
             pts = pts.reshape(1, -1)
         if pts.ndim != 2 or 0 in pts.shape:
             raise ValueError("a finite point set needs a nonempty (k, n) array of points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("finite point set entries must be finite")
-        pts.flags.writeable = False
-        self.points = pts
+        self.points = _frozen(pts, "finite point set entries")
         self.radius = 0.0
 
 
@@ -136,16 +146,13 @@ class GridSpec(WriteOnce):
             raise ValueError(f"grid counts must be integers, got {counts!r}") from None
         if lower.shape != upper.shape or lower.shape[0] != len(counts):
             raise ValueError("lower, upper, and counts must have equal length")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("grid bounds must be finite")
+        lower, upper = _frozen(lower, "grid bounds"), _frozen(upper, "grid bounds")
         if not np.all(lower < upper):
             raise ValueError("grid needs lower < upper on every axis")
         if any(c < 2 for c in counts):
             raise ValueError("grid needs at least 2 samples per axis")
         if math.prod(counts) > np.iinfo(np.intp).max:
             raise ValueError(f"the point count exceeds the index range {np.iinfo(np.intp).max}")
-        lower.flags.writeable = False
-        upper.flags.writeable = False
         self.lower = lower
         self.upper = upper
         self.counts = counts

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction, gradient, kink_index, subdifferential
 # FinitePointSet is also importable from here
-from .geometry import FinitePointSet, Region, WriteOnce, _column_dot, as_vector
+from .geometry import FinitePointSet, Region, WriteOnce, _column_dot, _positive, as_vector
 
 DEFAULT_SLACK = 1e-9  # additive slack on the -sigma threshold, keeps the region closed
 BLOCK_ROWS = 8192  # query rows per classify_points call in scans and campaigns; bounds memory
@@ -43,11 +43,8 @@ class UncertaintySet(WriteOnce):
     def __init__(self, region, sigma: float):
         if not isinstance(region, Region):
             raise TypeError("region must be a Region, such as a Ball or a FinitePointSet")
-        sigma = float(sigma)
-        if not np.isfinite(sigma) or sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
         self.region = region
-        self.sigma = sigma
+        self.sigma = _positive(sigma, "sigma")
 
     @property
     def dimension(self) -> int:
@@ -157,6 +154,8 @@ def evaluate_general(
     if x_star.shape[0] != uset.dimension or f.dimension != uset.dimension:
         raise ValueError("function, point, and set dimensions must agree")
     limit = threshold(uset.sigma, slack)
+    if not boundary_samples >= 1:
+        raise ValueError(f"boundary_samples must be >= 1, got {boundary_samples!r}")
     region = uset.region
     if region.contains(x_star):
         raise ValueError("evaluate_general requires x_star outside the ball" if region.radius

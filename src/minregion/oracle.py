@@ -10,6 +10,8 @@ falsification and indicates a defect.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import NonFiniteError
@@ -154,7 +156,6 @@ def _entropy_pool(seed: int) -> np.ndarray:
     four pool words are mixed into every pool word after the pool words are
     mixed into each other, as SeedSequence.mix_entropy does.
     """
-    seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     entropy = [seed >> shift & _MASK_32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -375,9 +376,14 @@ def validate_necessity(
     one built from each sub-seed alone (sample_unknown, minimize_sum,
     classify_point).  A NonFiniteError carries the trial index.
     """
-    trials = int(trials)
+    try:
+        trials, seed = operator.index(trials), operator.index(seed)
+    except TypeError:
+        raise ValueError(f"trials and seed must be integers, got {trials!r} and {seed!r}") from None
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if f.dimension != uset.dimension:
+        raise ValueError("function and set dimensions must agree")
     pool = _entropy_pool(seed)
     member_count = 0
     interior_count = 0
@@ -418,7 +424,7 @@ def validate_necessity(
         interior_count=interior_count,
         falsification_count=falsification_count,
         worst_margin=worst_margin,
-        seed=int(seed),
+        seed=seed,
         slack=float(slack),
         falsification_details=tuple(falsifications),
     )

@@ -10,13 +10,12 @@ the grid size.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .errors import NonFiniteError
 from .funcmodel import KnownFunction
-from .geometry import GridSpec, WriteOnce  # GridSpec is also importable from here
+from .geometry import GridSpec, WriteOnce, _frozen, _positive  # GridSpec is also importable from here
 from .membership import BLOCK_ROWS, DEFAULT_SLACK, UncertaintySet, classify_points, threshold
 
 
@@ -30,20 +29,16 @@ class RegionMask(WriteOnce):
 
     def __init__(self, grid: GridSpec, membership, sigma: float, slack: float,
                  eps0: float | None = None, point_count: int | None = None):
-        mem = np.asarray(membership, dtype=bool)
+        mem = _frozen(membership, "membership", dtype=bool)
         if mem.shape != (grid.point_count,):
             raise ValueError(f"membership must have shape ({grid.point_count},), got {mem.shape}")
-        sigma, slack = float(sigma), float(slack)
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ValueError(f"sigma must be a finite number > 0, got {sigma!r}")
+        sigma, slack = _positive(sigma, "sigma"), float(slack)
         threshold(sigma, slack)
         if eps0 is not None and point_count is not None:
             raise ValueError("a mask has eps0 (a ball) or point_count (a finite set), not both")
-        if eps0 is not None and not (math.isfinite(eps0) and eps0 > 0.0):
-            raise ValueError(f"eps0 must be a finite number > 0, got {eps0!r}")
+        eps0 = None if eps0 is None else _positive(eps0, "eps0")
         if point_count is not None and point_count < 1:
             raise ValueError(f"point_count must be >= 1, got {point_count!r}")
-        mem.flags.writeable = False
         self.grid = grid
         self.membership = mem
         self.sigma = sigma

@@ -1,9 +1,18 @@
 """Unit and property tests for the ball geometry primitives."""
 
+import argparse
+import re
+
 import numpy as np
 import pytest
 
-from minregion.geometry import Ball, GridSpec, chord_length, visible_cap_contains
+from minregion.cli import ProblemConfig, _apply_overrides
+from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
+from minregion.geometry import Ball, FinitePointSet, GridSpec, chord_length, visible_cap_contains
+from minregion.membership import UncertaintySet
+from minregion.scanner import RegionMask
+
+GRID = GridSpec(lower=[0.0, 0.0], upper=[1.0, 1.0], counts=(4, 5))
 
 
 def test_chord_length_endpoint_identities():
@@ -161,3 +170,59 @@ def test_grid_counts_must_be_integers(counts):
 def test_grid_counts_take_python_and_numpy_integers(counts):
     spec = GridSpec(lower=[0.0, 0.0], upper=[1.0, 1.0], counts=counts)
     assert spec.counts == (2, 3) and all(type(c) is int for c in spec.counts)
+
+
+@pytest.mark.parametrize(
+    "given, build",
+    [
+        pytest.param([[2.0, 0.0], [0.0, 2.0]], lambda a: QuadraticTerm(a, [2.0, 0.0]).Q, id="QuadraticTerm.Q"),
+        pytest.param([2.0, 0.0], lambda a: QuadraticTerm(np.eye(2), a).m, id="QuadraticTerm.m"),
+        pytest.param([1.0, 0.0], lambda a: Kink(a, [[1.0, 0.0], [-1.0, 0.0]]).point, id="Kink.point"),
+        pytest.param([[1.0, 0.0], [-1.0, 0.0]], lambda a: Kink([1.0, 0.0], a).generators, id="Kink.generators"),
+        pytest.param([0.5, 0.0], lambda a: Ball(a, 0.1).center, id="Ball.center"),
+        pytest.param([0.5, 0.0], lambda a: Ball(a, 0.1).points, id="Ball.points"),
+        pytest.param([[0.0, 0.0], [1.0, 0.0]], lambda a: FinitePointSet(a).points, id="FinitePointSet.points"),
+        pytest.param([-1.0, -2.0], lambda a: GridSpec(a, [3.0, 2.0], (4, 5)).lower, id="GridSpec.lower"),
+        pytest.param([3.0, 2.0], lambda a: GridSpec([-1.0, -2.0], a, (4, 5)).upper, id="GridSpec.upper"),
+        pytest.param([True, False] * 10, lambda a: RegionMask(GRID, a, 2.0, 1e-9).membership,
+                     id="RegionMask.membership"),
+    ],
+)
+def test_models_keep_a_private_read_only_copy(given, build):
+    # the constructors used to freeze the caller's own array, so a view taken
+    # before construction could still rewrite a model that had been validated
+    caller = np.array(given)
+    view = caller[:]
+    kept = build(caller)
+    before = kept.copy()
+    assert caller.flags.writeable and not kept.flags.writeable
+    changed = ~caller if caller.dtype == bool else caller + 0.25
+    view[...] = changed
+    assert np.array_equal(kept, before)
+    caller[...] = ~changed if caller.dtype == bool else changed + 0.25
+    assert np.array_equal(kept, before)
+
+
+POSITIVE_CALLERS = [
+    pytest.param("ball radius", lambda v: Ball([0.0, 0.0], v), id="Ball-radius"),
+    pytest.param("term weight", lambda v: QuadraticTerm(np.eye(2), [0.0, 0.0], weight=v), id="QuadraticTerm-weight"),
+    pytest.param("sigma", lambda v: UncertaintySet(Ball([0.0, 0.0], 1.0), v), id="UncertaintySet-sigma"),
+    pytest.param("sigma", lambda v: RegionMask(GRID, [False] * 20, v, 0.0), id="RegionMask-sigma"),
+    pytest.param("eps0", lambda v: RegionMask(GRID, [False] * 20, 2.0, 0.0, eps0=v), id="RegionMask-eps0"),
+    pytest.param(
+        "--sigma-override",
+        lambda v: _apply_overrides(
+            ProblemConfig(KnownFunction((QuadraticTerm(np.eye(2), [2.0, 0.0]),)),
+                          UncertaintySet(Ball([0.0, 0.0], 0.1), 2.0), None, 1e-9, {}),
+            argparse.Namespace(slack=None, sigma_override=v),
+        ),
+        id="cli-sigma-override",
+    ),
+]
+
+
+@pytest.mark.parametrize("what, build", POSITIVE_CALLERS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_every_positive_scalar_has_one_rule(what, build, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be a finite number > 0, got {value!r}$"):
+        build(value)

@@ -809,6 +809,19 @@ def test_zero_gradient_is_skipped():
     assert verdict.best_score is None
 
 
+@pytest.mark.parametrize("samples", [0, -1, 0.5, np.nan])
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_evaluate_general_refuses_fewer_than_one_boundary_sample(samples, dimension):
+    # boundary_samples=0 called the member (1, 0) a non-member with no score;
+    # -1 raised numpy's own errors, different in 2-D and 3-D
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(dimension), m=[2.0] + [0.0] * (dimension - 1)),))
+    uset = UncertaintySet(region=Ball(center=[0.0] * dimension, radius=0.1), sigma=2.0)
+    x = [1.0] + [0.0] * (dimension - 1)
+    with pytest.raises(ValueError, match=f"^boundary_samples must be >= 1, got {re.escape(repr(samples))}$"):
+        evaluate_general(f, x, uset, boundary_samples=samples)
+    assert evaluate_general(f, x, uset, boundary_samples=1).best_score is not None
+
+
 def test_evaluate_general_rejects_inside_queries():
     f = reference_function()
     with pytest.raises(ValueError, match="^evaluate_general requires x_star outside the ball$"):

@@ -878,6 +878,39 @@ def test_validate_necessity_trials_validation():
         validate_necessity(reference_function(), reference_set(), 2.0, trials=0, seed=0)
 
 
+@pytest.mark.parametrize("trials, seed", [(10.7, 1), (10, 1.9), (0.5, 1), ("12", 3), (12, "3")],
+                         ids=["float-trials", "float-seed", "half-trial", "str-trials", "str-seed"])
+def test_validate_necessity_refuses_non_integer_trials_and_seed(trials, seed):
+    # trials=10.7, seed=1.9 used to run 10 trials at seed 1 and report them
+    with pytest.raises(ValueError, match="^trials and seed must be integers, got "):
+        validate_necessity(reference_function(), reference_set(), 2.0, trials=trials, seed=seed)
+    report = validate_necessity(reference_function(), reference_set(), 2.0, trials=np.int64(3), seed=np.uint32(5))
+    assert (report.trials, report.seed) == (3, 5) and type(report.seed) is int
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 3)])
+def test_validate_necessity_checks_dimensions_before_it_draws(dims):
+    # numpy used to raise a shape mismatch (1-D f, 2-D ball) or a broadcast error (2-D f, 3-D ball)
+    f_dim, set_dim = dims
+    f = KnownFunction(terms=(QuadraticTerm(Q=np.eye(f_dim), m=[1.0] * f_dim),))
+    uset = UncertaintySet(region=Ball(center=[0.0] * set_dim, radius=0.1), sigma=2.0)
+    with pytest.raises(ValueError, match="^function and set dimensions must agree$"):
+        validate_necessity(f, uset, 2.0, trials=10, seed=1)
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.2])
+def test_a_write_through_a_view_does_not_falsify_a_campaign(radius):
+    # the term used to keep the caller's Q, so the oracle solved with the
+    # stale hessian 2I while the classifier read Q[0, 0] = 0.5: 677 of 2000
+    # trials were falsified at radius 0.1, 455 at 0.2
+    Q = np.eye(2)
+    view = Q[:]
+    f = KnownFunction((QuadraticTerm(Q, [2.0, 0.0]),))
+    view[0, 0] = 0.5
+    report = validate_necessity(f, reference_set(radius=radius), 2.0, 2000, 1)
+    assert report.falsification_count == 0
+
+
 def test_report_to_dict_is_json_ready():
     report = validate_necessity(reference_function(), reference_set(), 2.0, trials=20, seed=1)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
