@@ -82,7 +82,14 @@ def sample_unknown(uset: UncertaintySet, sigma: float, seed: int) -> tuple:
     """(center, sigma_u) of the unknown term drawn from sub-seed seed in [0, 2^64).
 
     The one-trial case of _draw_unknowns, which describes the draw.
+    ValueError, naming the seed, for one that is not an integer in that range.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     centers, sigma_u = _draw_unknowns(uset, sigma, (seed,))
     return centers[0], float(sigma_u[0])
 

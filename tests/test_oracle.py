@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -947,3 +948,16 @@ def test_sub_seeds_far_window_is_bounded():
 
     for t in (start, start + 4095):
         assert int(got[t - start]) == word(2 * t) | word(2 * t + 1) << 32
+
+
+@pytest.mark.parametrize("seed", [1.9, "3", -1, 2**64, 2**64 + 1, None])
+def test_sample_unknown_refuses_a_seed_outside_the_integers_below_2_64(seed):
+    # 1.9 drew as 1, "3" was parsed, and -1 or 2^64 + 1 raised numpy's OverflowError
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in [0, 2^64), got {seed!r}")):
+        sample_unknown(reference_set(), 2.0, seed)
+
+
+def test_sample_unknown_takes_every_integer_seed_below_2_64():
+    for seed in (0, np.uint64(5), 2**64 - 1):
+        center, sigma_u = sample_unknown(reference_set(), 2.0, seed)
+        assert reference_set().region.contains(center) and 2.0 * 1.05 <= sigma_u <= 2.0 * 3.0

@@ -6,7 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from minregion import scanner
 from minregion.cli import load_config
 from minregion.errors import NonFiniteError
 from minregion.funcmodel import Kink, KnownFunction, QuadraticTerm
@@ -530,3 +533,109 @@ def test_model_attributes_are_write_once(build):
         with pytest.raises(AttributeError):
             obj._axes = None
         assert obj.axes() is axes
+
+
+def test_region_mask_refuses_a_point_count_that_is_not_an_integer(tmp_path):
+    # 2.5 or True used to be written as points=2.5 or points=True, which read_mask_csv refused
+    spec = GridSpec(lower=[0.0], upper=[1.0], counts=(2,))
+    for bad in (2.5, True, np.True_, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"point_count must be an integer, got {bad!r}")):
+            RegionMask(spec, [True, False], 1.0, 0.0, point_count=bad)
+    mask = RegionMask(spec, [True, False], 1.0, 0.0, point_count=np.int64(3))
+    assert type(mask.point_count) is int and mask.point_count == 3
+    write_mask_csv(mask, str(tmp_path / "mask.csv"))
+    assert read_mask_csv(str(tmp_path / "mask.csv")).point_count == 3
+
+
+@st.composite
+def smooth_scan_problems(draw):
+    """A 1- to 3-D smooth model (1-2 PSD terms, up to 10^10 apart in curvature), a set, a slack and a grid.
+
+    A third of the problems are scaled jointly by 2^k, k in [-20, 20]: the
+    coordinates by 2^k, the curvatures and sigma by 2^-2k.
+    """
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-20, 20)) if draw(st.integers(0, 2)) == 0 else 1.0
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        curvatures = 10.0 ** rng.uniform(-6.0, 4.0, n) * (rng.random(n) > 0.2)
+        Q = (rotation * curvatures) @ rotation.T
+        terms.append(QuadraticTerm(Q=(Q + Q.T) / (2.0 * scale**2), m=rng.uniform(-2.0, 2.0, n) * scale,
+                                   weight=float(rng.uniform(0.2, 3.0))))
+    if draw(st.booleans()):
+        region = Ball(center=rng.uniform(-1.0, 1.0, n) * scale, radius=float(rng.uniform(0.01, 1.0)) * scale)
+    else:
+        region = FinitePointSet(points=rng.uniform(-1.0, 1.0, (int(rng.integers(1, 7)), n)) * scale)
+    sigma = float(rng.uniform(0.1, 4.0)) / scale**2
+    slack = float(rng.uniform(0.0, sigma / 2.0))
+    counts = {1: (301,), 2: (41, 37), 3: (13, 11, 12)}[n]
+    lower, upper = rng.uniform(-4.0, -1.0, n) * scale, rng.uniform(1.0, 4.0, n) * scale
+    spec = GridSpec(lower=lower, upper=upper, counts=counts)
+    return KnownFunction(terms=tuple(terms)), UncertaintySet(region=region, sigma=sigma), spec, slack
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(smooth_scan_problems())
+def test_pruned_scan_equals_the_kernel_on_every_row(problem):
+    # rows outside every Thales box are never scored; the mask must still be the kernel's bit for bit
+    f, uset, spec, slack = problem
+    mask = scan_region(f, uset, spec, slack=slack)
+    assert np.array_equal(mask.membership, classify_points(f, uset, build_grid(spec), slack).member)
+
+
+def bench_like_finite16(seed: int, counts=(801, 801)):
+    points = np.random.default_rng(seed).uniform(-0.5, 0.5, (16, 2))
+    uset = UncertaintySet(region=FinitePointSet(points=points), sigma=2.0)
+    return reference_function(), uset, GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=counts)
+
+
+def test_thales_boxes_are_tight_enough_for_a_shrink_to_show(monkeypatch):
+    # boxes shrunk by 1% about their centres drop members, so the equality above has teeth
+    f, uset, spec = bench_like_finite16(1)
+    full = classify_points(f, uset, build_grid(spec)).member
+    assert np.array_equal(scan_region(f, uset, spec).membership, full)
+    boxes = scanner._thales_boxes
+
+    def shrunk(*args):
+        lo, hi = boxes(*args)
+        centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0 * 0.99
+        return centre - half, centre + half
+
+    monkeypatch.setattr(scanner, "_thales_boxes", shrunk)
+    assert not np.array_equal(scan_region(f, uset, spec).membership, full)
+
+
+def kernel_rows(monkeypatch) -> list:
+    """The row count of every classify_points call that scan_region makes from now on."""
+    seen = []
+
+    def counting(f, uset, X, slack):
+        seen.append(len(X))
+        return classify_points(f, uset, X, slack)
+
+    monkeypatch.setattr(scanner, "classify_points", counting)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_the_kernel_sees_at_most_a_fifth_of_a_finite16_grid(monkeypatch, seed):
+    f, uset, spec = bench_like_finite16(seed)
+    seen = kernel_rows(monkeypatch)
+    mask = scan_region(f, uset, spec)
+    assert sum(seen) <= 0.2 * spec.point_count
+    assert np.array_equal(mask.membership, classify_points(f, uset, build_grid(spec)).member)
+
+
+def test_kinks_and_overflowing_rows_scan_the_whole_grid(monkeypatch):
+    seen = kernel_rows(monkeypatch)
+    spec = GridSpec(lower=[-1.0, -2.0], upper=[3.0, 2.0], counts=(101, 101))
+    kinked = KnownFunction(terms=reference_function().terms,
+                           kinks=(Kink(point=[2.5, 1.5], generators=([5.0, 0.0], [-5.0, 0.0])),))
+    # |g| reaches 1e153: no row overflows, but the a-priori bound does
+    heavy = KnownFunction(terms=(QuadraticTerm(Q=np.eye(2), m=[2.0, 0.0], weight=1e152),))
+    for f in (kinked, heavy):
+        seen.clear()
+        scan_region(f, reference_set(), spec)
+        assert sum(seen) == spec.point_count
