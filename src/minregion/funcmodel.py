@@ -6,7 +6,8 @@ gradient sum_i 2 w_i Q_i (x - m_i).  Nonsmooth behavior is modeled by
 registering kink points: at a registered point the subdifferential is the
 finite generator list supplied for it, shifted by the analytic gradient of
 the quadratic terms.  Everywhere else the subdifferential is the singleton
-gradient.  kink_index is the one rule for which kink a point is at.
+gradient.  kink_index is the one rule for which kink a point is at, and
+generators the one rule for a point's subgradients.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def gradient(f: KnownFunction, x) -> np.ndarray:
     """Gradient of the quadratic part, sum_i 2 w_i Q_i (x - m_i).
 
     x is one point or an (N, n) array of points; at a registered kink this
-    is the smooth part only (subdifferential gives the whole set).
+    is the smooth part only (generators gives the whole set).
     Component i of a term is 2 w _column_dot(d, Q_i) over the coordinate
     columns d_j = x[..., j] - m_j, so a point gets the same bits alone or in
     a batch, which a BLAS product (gemv for a row, gemm for a block) does
@@ -153,17 +154,28 @@ def gradient(f: KnownFunction, x) -> np.ndarray:
     return np.moveaxis(total, 0, -1)
 
 
-def subdifferential(f: KnownFunction, x) -> np.ndarray:
-    """Subdifferential generators of f at x, one per row of a (k, n) array.
+def generators(f: KnownFunction, cols: np.ndarray) -> tuple:
+    """(G, owner): the subdifferential generators of f at the (n, N) points cols, as columns.
 
-    The gradient alone (k = 1) at smooth points; at a registered kink, each
-    supplied generator shifted by the gradient of the quadratic terms
-    (kink_index tells which kink x is at).
+    G is (n, M) and owner (M,) the point of each column, non-decreasing.  A
+    point's generators come in declared order: its gradient alone, or at the
+    kink kink_index names, each supplied generator shifted by the gradient.
+    With no kinks, G is the gradient itself and owner every index.
     """
-    x = as_vector(x)
-    smooth = gradient(f, x)
-    j = int(kink_index(f, x))
-    return smooth[None, :] if j < 0 else smooth + f.kinks[j].generators
+    G = gradient(f, cols.T).T
+    if not f.kinks:
+        return G, np.arange(cols.shape[1])
+    at = kink_index(f, cols)
+    owner = np.repeat(np.arange(at.size), np.array([1] + [len(k.generators) for k in f.kinks])[at + 1])
+    G = G[:, owner]
+    for j, k in enumerate(f.kinks):  # each point at kink j owns one column per generator, in order
+        G[:, at[owner] == j] += np.tile(k.generators.T, np.count_nonzero(at == j))
+    return G, owner
+
+
+def subdifferential(f: KnownFunction, x) -> np.ndarray:
+    """generators(f, x) for one point x, one generator per row of a C-contiguous (k, n) array."""
+    return generators(f, as_vector(x)[:, None])[0].T.copy()
 
 
 def finite_difference_check(f: KnownFunction, x, h: float = 1e-5) -> float:

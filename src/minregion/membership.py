@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteError
-from .funcmodel import KnownFunction, gradient, kink_index, subdifferential
+from .funcmodel import KnownFunction, generators, subdifferential
 # FinitePointSet is also importable from here
 from .geometry import FinitePointSet, Region, WriteOnce, _column_dot, _positive, as_vector
 
@@ -190,10 +190,10 @@ class RowVerdicts(WriteOnce):
     """classify_points' results, one entry per query row.
 
     interior[i] marks row i inside the closed set, a member with score inf.
-    Any other row is scored over its generators (the smooth gradient, or at a
-    registered kink each kink generator shifted by it): score[i] is the lowest
-    score over the set, inf when no generator has one, g[i] the first generator
-    in declared order that attains it, and member[i] whether any passes.
+    Any other row is scored over its generators (funcmodel.generators):
+    score[i] is the lowest score over the set, inf when no generator has one,
+    g[i] the first generator in declared order that attains it, and member[i]
+    whether any passes.
     """
 
     def __init__(self, interior: np.ndarray, member: np.ndarray, score: np.ndarray, g: np.ndarray):
@@ -323,15 +323,13 @@ def classify_points(
     """Membership kernel: one verdict per row of X, an (N, n) array (see RowVerdicts).
 
     The kernel runs on X.T as an (n, N) C-contiguous block, which costs no
-    copy when X is the transpose of such a block (a scan block).  Every row
-    is scored with its smooth gradient in one _region_scores pass, which
-    also tells the rows inside the set; the rows at a registered kink
-    (kink_index) are then rescored over that kink's m generators, whose
-    argmin gives the score and the generator.  A row is a member when its
-    score is <= threshold(sigma, slack), which raises ValueError for a bad
-    slack before any row is scored.  NonFiniteError names a non-finite
-    query row, or a row outside the set whose gradient or score overflows;
-    rows inside never raise.
+    copy when X is the transpose of such a block (a scan block).  Every
+    row's generators (funcmodel.generators) are scored in one _region_scores
+    pass, which also tells the rows inside the set.  A row is a member when
+    its score is <= threshold(sigma, slack), which raises ValueError for a
+    bad slack before any row is scored.  NonFiniteError names a non-finite
+    query row, else the first row outside the set with an overflowing
+    generator, else the first with an overflowing score (inside, none raise).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != uset.dimension or f.dimension != uset.dimension:
@@ -343,8 +341,14 @@ def classify_points(
     points, radius = region.points, region.radius
     # overflow is checked below and reported as NonFiniteError, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        G = gradient(f, cols.T).T
-        score, nearest = _region_scores(G, cols, points, radius)
+        G, owner = generators(f, cols)
+        folded = owner.size > cols.shape[1]
+        score, nearest = _region_scores(G, cols[:, owner] if folded else cols, points, radius)
+        bad = ~np.isfinite(G).all(axis=0)
+        if folded:  # a stable sort puts each row's first nan, else its first least score, at its start
+            starts = np.searchsorted(owner, np.arange(cols.shape[1]))
+            pick = np.lexsort((score, ~np.isnan(score), owner))[starts]  # as np.argmin picks
+            score, nearest, G, bad = score[pick], nearest[pick], G[:, pick], np.logical_or.reduceat(bad, starts)
         interior = nearest <= radius
         todo = nearest == 0.0  # a point of the set, or an offset whose square underflows
         while todo.any():  # one contains call per distinct row: a campaign repeats set points
@@ -353,22 +357,8 @@ def classify_points(
             interior[same] = region.contains(x)
             todo &= ~same
         outside = ~interior
-        _raise_first(~np.isfinite(G).all(axis=0) & outside, "gradient overflows")
-        at = kink_index(f, cols) if f.kinks else None
-        _raise_first(np.isnan(score) & (outside if at is None else outside & (at < 0)), "score overflows")
-        for j, k in enumerate(f.kinks):
-            rows = np.flatnonzero(at == j)
-            if not rows.size:
-                continue
-            Gk = G[:, rows][:, None, :] + k.generators.T[:, :, None]
-            _raise_first(~np.isfinite(Gk).all(axis=(0, 1)) & outside[rows], "gradient overflows", rows)
-            m = len(k.generators)  # the (m, R) pairs as m * R columns, generator-major
-            kink_score = _region_scores(Gk.reshape(len(G), -1), np.tile(cols[:, rows], m), points, radius)[0]
-            kink_score = kink_score.reshape(m, -1)
-            _raise_first(np.isnan(kink_score).any(axis=0) & outside[rows], "score overflows", rows)
-            best, each = np.argmin(kink_score, axis=0), np.arange(rows.size)
-            score[rows] = kink_score[best, each]
-            G[:, rows] = Gk[:, best, each]
+        _raise_first(bad & outside, "gradient overflows")
+        _raise_first(np.isnan(score) & outside, "score overflows")
         member = (score <= limit) | interior
     np.copyto(score, np.inf, where=interior)
     return RowVerdicts(interior, member, score, G.T)

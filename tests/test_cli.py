@@ -770,22 +770,29 @@ def test_module_entry_point(tmp_path):
         (["check", "{config}"], 2),  # argparse usage error
         (["scan", "{config}", "-o", "mask.pgm", "--format", "pgm"], 0),
         (["validate", "{config}", "--trials", "30", "--sigma-override", "50.0"], 1),
+        (["scan", "{config}", "-o", "mask.csv"], 0),
+        (["validate", "{config}", "--trials", "30", "--report", "report.json"], 0),
     ],
 )
 def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch, args, code):
-    # python -m minregion goes through run(); it must exit and print exactly as main() does
-    argv = [a.format(config=write_config(tmp_path, REFERENCE)) for a in args]
+    # python -m minregion goes through run(); it must exit, print and write files exactly as main() does
+    config = write_config(tmp_path, REFERENCE)
+    argv = [a.format(config=config) for a in args]
     monkeypatch.chdir(tmp_path)
     try:
         in_process = main(argv)
     except SystemExit as exc:
         in_process = exc.code
     captured = capsys.readouterr()
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if str(p) != config}
+    for name in written:
+        (tmp_path / name).unlink()
     proc = run_child(["-m", "minregion", *argv], cwd=tmp_path)
     assert in_process == proc.returncode == code
     elapsed = re.compile(r" in \d+\.\d\ds:")  # scan reports its own wall time
     assert elapsed.sub("", proc.stdout) == elapsed.sub("", captured.out)
     assert proc.stderr == captured.err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if str(p) != config} == written
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from minregion.funcmodel import (
     KnownFunction,
     QuadraticTerm,
     finite_difference_check,
+    generators,
     gradient,
     kink_index,
     subdifferential,
@@ -124,6 +125,11 @@ def test_subdifferential_at_kink():
     sd = subdifferential(f, [0.0, 0.0])
     # smooth gradient (-4, 0) plus each declared generator, in declared order
     assert np.array_equal(sd, [[-5.0, 0.0], [-3.0, 0.0]])
+    # a batch lists every point's generators as columns, point by point
+    two = KnownFunction(terms=f.terms, kinks=f.kinks + (Kink(point=[1.0, 0.0], generators=([0.0, 1.0],)),))
+    G, owner = generators(two, np.array([[0.0, 3.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    assert owner.tolist() == [0, 0, 1, 2, 3, 3]
+    assert G.T.tolist() == [[-5.0, 0.0], [-3.0, 0.0], [2.0, 0.0], [-2.0, 1.0], [-5.0, 0.0], [-3.0, 0.0]]
 
 
 def test_gradient_at_kink_is_the_smooth_part():

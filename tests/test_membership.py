@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from minregion import membership
@@ -356,10 +356,11 @@ def test_classify_points_kink_rows():
 
 @st.composite
 def row_problems(draw):
-    """A 1- to 3-D model with 0-2 kinks, a ball or a finite set, and query rows.
+    """A 1- to 3-D model with 0-3 kinks, a ball or a finite set, and query rows.
 
-    Row 0 is the first kink's point, when there is one, and row 1 lies inside
-    the set; a kink may carry the generator that cancels the smooth gradient.
+    The kinks sit at query rows 0, 2 and 3, in that order, and row 1 lies
+    inside the set; a kink may carry the generator that cancels the smooth
+    gradient.
     """
     n = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -367,7 +368,7 @@ def row_problems(draw):
     term = QuadraticTerm(Q=a.T @ a, m=rng.uniform(-1.0, 1.0, n), weight=float(rng.uniform(0.2, 3.0)))
     X = rng.uniform(-2.0, 2.0, (12, n))
     kinks = []
-    for p in [X[0], rng.uniform(-2.0, 2.0, n)][: draw(st.integers(0, 2))]:
+    for p in X[[0, 2, 3]][: draw(st.integers(0, 3))]:
         gens = list(rng.uniform(-4.0, 4.0, (int(rng.integers(1, 4)), n)))
         if draw(st.booleans()):
             gens.append(-gradient(KnownFunction(terms=(term,)), p))
@@ -403,6 +404,43 @@ def test_rows_agree_with_classify_point(problem):
     at = kink_index(f, minimizers.T)
     for j, k in enumerate(f.kinks):
         assert np.array_equal(np.all(minimizers == k.point, axis=1), at == j)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(row_problems())
+def test_kink_rows_take_the_least_score_over_their_subdifferential(problem):
+    # over a finite set evaluate_general scores the same (generator, point)
+    # pairs with its own arithmetic, so a kink row's verdict must match it
+    # wherever the least score is not within rounding of the threshold
+    f, uset, X, _ = problem
+    assume(uset.region.radius == 0.0)
+    res = classify_points(f, uset, X)
+    limit = -uset.sigma + DEFAULT_SLACK
+    for i in np.flatnonzero((kink_index(f, X.T) >= 0) & ~res.interior):
+        ref = evaluate_general(f, X[i], uset)
+        if ref.best_score is None:
+            assert res.score[i] == np.inf and not res.member[i]
+        elif abs(ref.best_score - limit) > 1e-9 * abs(limit):
+            assert res.member[i] == ref.member
+
+
+def test_the_first_overflowing_row_is_named():
+    # each kink's first generator overflows <g, x* - p>; rows are named in row
+    # order, whichever kink they are at and whether or not they are at one
+    term = QuadraticTerm(np.eye(2), [-2.0, 0.0])
+    huge = ([1.7976931348623157e308, 0.0], [-1.0, 0.0])
+    uset = UncertaintySet(region=Ball(center=[-5.0, 0.0], radius=0.1), sigma=2.0)
+    both = KnownFunction(terms=(term,), kinks=(Kink([1.0, 0.0], huge), Kink([0.0, 1.0], huge)))
+    one = KnownFunction(terms=(term,), kinks=(Kink([1.0, 0.0], huge),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match=r"^row 0: score overflows$"):
+            classify_points(both, uset, [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NonFiniteError, match=r"^row 0: score overflows$"):
+            classify_points(one, uset, [[1.0, 0.0], [1e160, 1e160]])
+        with pytest.raises(NonFiniteError) as exc:
+            scan_region(both, uset, GridSpec([-1.0, -1.0], [1.0, 1.0], (3, 3)))
+    assert exc.value.row == 5 and "[0.0, 1.0]" in str(exc.value)
 
 
 def test_classify_points_rejects_non_finite():
